@@ -12,7 +12,7 @@
       per table plus one per major pass — reporting ns/run for the
       machinery that regenerates each artifact.
 
-   Usage:
+   Usage (all flags: dune exec bench/main.exe -- --help):
      dune exec bench/main.exe              # everything (full suite)
      dune exec bench/main.exe -- --quick   # 3-workload subset
      dune exec bench/main.exe -- --tables  # skip the micro-benchmarks
@@ -29,30 +29,6 @@ module P = Cpr_pipeline
 module Obs = Cpr_obs.Obs
 open Cpr_ir
 
-let quick = Array.exists (fun a -> a = "--quick") Sys.argv
-let tables_only = Array.exists (fun a -> a = "--tables") Sys.argv
-let micro_only = Array.exists (fun a -> a = "--micro") Sys.argv
-
-let flag_value name =
-  let rec find i =
-    if i >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = name && i + 1 < Array.length Sys.argv then
-      Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
-
-(* [--domains N]: domains for the workload-suite run.  Defaults to the
-   runtime's recommendation capped at 8; results are identical for every
-   N, only the wall clock changes. *)
-let domains =
-  match flag_value "--domains" with
-  | None -> Cpr_par.Pool.default_domains ()
-  | Some s -> (
-    match int_of_string_opt s with
-    | Some d when d >= 1 -> d
-    | _ -> invalid_arg "--domains expects a positive integer")
-
 (* Reproducible-build convention: SOURCE_DATE_EPOCH overrides the wall
    clock wherever a date lands in output. *)
 let bench_date () =
@@ -67,45 +43,7 @@ let bench_date () =
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
     (tm.Unix.tm_mon + 1) tm.Unix.tm_mday
 
-(* [--json PATH]: also dump the Table 2/3 numbers, the micro-bench
-   ns/run figures, and the parallel wall-clock measurements as JSON.  A
-   directory PATH gets a dated [BENCH_<yyyy-mm-dd>.json] inside it; a
-   sibling [BENCH_latest.json] is always (re)written too, and the
-   previous latest, if any, is compared against. *)
-let json_target =
-  Option.map
-    (fun p ->
-      P.Bench_io.targets
-        ~is_dir:(Sys.file_exists p && Sys.is_directory p)
-        ~date:(bench_date ()) p)
-    (flag_value "--json")
-
-(* [--check BASELINE.json [--tolerance PCT]]: after the suite, compare
-   per-workload total_s/verify_s and suite wall time against the
-   committed baseline; exit nonzero past the noise margin.  CI's
-   bench-smoke job is the intended caller (with a generous tolerance
-   for shared runners). *)
-let check_target = flag_value "--check"
-
-let tolerance =
-  match flag_value "--tolerance" with
-  | None -> 25.0
-  | Some s -> (
-    match float_of_string_opt s with
-    | Some t when t >= 0.0 -> t
-    | _ -> invalid_arg "--tolerance expects a non-negative percentage")
-
-(* [--trace FILE]: enable Cpr_obs and export the run as a Chrome-trace
-   JSON (chrome://tracing, Perfetto), plus a span summary on stderr. *)
-let trace_target = flag_value "--trace"
-
-(* Counters (pqs, pass, verify families) must accumulate whenever the
-   run will be persisted, not just when a trace is requested: the JSON
-   artifact reports predicate-engine cache effectiveness. *)
-let () =
-  if trace_target <> None || json_target <> None then Obs.set_enabled true
-
-let suite () =
+let suite ~quick =
   if quick then
     List.filter_map W.Registry.find [ "strcpy"; "grep"; "099.go" ]
   else W.Registry.all
@@ -138,17 +76,17 @@ let timed f =
   let r = f () in
   (r, Unix.gettimeofday () -. t0)
 
-let suite_jobs () =
+let suite_jobs ~quick =
   List.map
     (fun (w : W.Workload.t) ->
       (w.W.Workload.name, w.W.Workload.build (), w.W.Workload.inputs ()))
-    (suite ())
+    (suite ~quick)
 
-let run_suite ?(quiet = false) ~domains () =
+let run_suite ?(quiet = false) ~quick ~domains () =
   let results =
     Cpr_par.Pool.with_pool ~domains (fun pool ->
         P.Report.run_many ~pool
-          ~bundle_dir:Cpr_resilience.Bundle.default_dir (suite_jobs ()))
+          ~bundle_dir:Cpr_resilience.Bundle.default_dir (suite_jobs ~quick))
   in
   if not quiet then
     List.iter
@@ -508,13 +446,15 @@ let run_micro () =
 (* Wall-clock behavior of the two pooled paths at one domain vs the
    requested count — the numbers the "Performance" section of the README
    tracks.  On a single-core host the pairs coincide (modulo noise);
-   multi-core CI is where the spread shows. *)
-let measure_parallel () =
+   multi-core CI is where the spread shows.  At [--domains 1] the two
+   settings are the same run, measured once. *)
+let measure_parallel ~quick ~domains =
   let suite_wall d =
     snd
       (timed (fun () ->
            ignore
-             (run_suite ~quiet:true ~domains:d () : P.Report.result list)))
+             (run_suite ~quiet:true ~quick ~domains:d ()
+               : P.Report.result list)))
   in
   let fuzz_rate d =
     let stages =
@@ -534,9 +474,13 @@ let measure_parallel () =
     in
     float_of_int n /. dt
   in
-  let s1 = suite_wall 1 and sn = suite_wall domains in
-  let f1 = fuzz_rate 1 and fn = fuzz_rate domains in
-  ((s1, sn), (f1, fn))
+  let both measure =
+    let one = measure 1 in
+    (one, if domains = 1 then one else measure domains)
+  in
+  let suite = both suite_wall in
+  let fuzz = both fuzz_rate in
+  (suite, fuzz)
 
 let pqs_counter_names =
   [
@@ -545,22 +489,27 @@ let pqs_counter_names =
     "pqs.interned";
     "pqs.memo_hits";
     "pqs.memo_misses";
-    (* Height-analysis telemetry rides in the same counters object:
-       bound queries answered, and CPR candidates the profitability
-       gate skipped (0 unless a run opts into Heur.height_gate). *)
+    (* Analysis telemetry rides in the same counters object: height
+       bound queries answered and register-pressure disjointness queries
+       issued. *)
     "height.bound_queries";
-    "height.candidates_skipped";
-    (* Register-pressure telemetry, same arrangement: disjointness
-       queries the analyzer issued, and CPR candidates the pressure
-       gate skipped (0 unless a run opts into Heur.pressure_gate). *)
     "pressure.queries";
-    "pressure.candidates_skipped";
   ]
 
-let write_json ~dated ~latest results micro par =
-  let prev = Option.value ~default:"" (P.Bench_io.read_file latest) in
-  let prev_micro = P.Bench_io.read_micro prev in
-  let prev_verify = P.Bench_io.read_scalar prev "verify_total_s" in
+let write_json ~domains ~dated ~latest results micro par =
+  let prev =
+    match Option.map P.Bench_io.decode (P.Bench_io.read_file latest) with
+    | None -> None
+    | Some (Ok b) -> Some b
+    | Some (Error e) ->
+      Format.eprintf "warning: previous %s is unreadable (%s); not compared@."
+        latest e;
+      None
+  in
+  let prev_field f = Option.fold ~none:[] ~some:f prev in
+  let prev_micro = prev_field (fun b -> b.P.Bench_io.micro) in
+  let prev_counters = prev_field (fun b -> b.P.Bench_io.counters) in
+  let prev_verify = Option.bind prev (fun b -> b.P.Bench_io.verify_total_s) in
   let pqs =
     List.filter
       (fun (name, _) -> List.mem name pqs_counter_names)
@@ -611,11 +560,11 @@ let write_json ~dated ~latest results micro par =
       (cur "pqs.queries") (cur "pqs.interned")
       (rate (cur "pqs.memo_hits") (cur "pqs.memo_misses"));
     (match
-       ( P.Bench_io.read_scalar prev "pqs.memo_hits",
-         P.Bench_io.read_scalar prev "pqs.memo_misses" )
+       ( List.assoc_opt "pqs.memo_hits" prev_counters,
+         List.assoc_opt "pqs.memo_misses" prev_counters )
      with
-    | Some h, Some m when h +. m > 0. ->
-      Format.printf " (previous %.1f%%)" (rate h m)
+    | Some h, Some m when h + m > 0 ->
+      Format.printf " (previous %.1f%%)" (rate (float h) (float m))
     | _ -> ());
     Format.printf "@."
   end
@@ -623,18 +572,12 @@ let write_json ~dated ~latest results micro par =
 (* ------------------------------------------------------------------ *)
 (* Baseline gate (--check)                                             *)
 
-(* Snapshot the baseline before anything runs: --json may rewrite the
-   very file --check points at, and a gate that compares a run against
-   itself always passes. *)
-let check_baseline =
-  Option.map (fun p -> (p, P.Bench_io.read_file p)) check_target
-
-let run_check ~baseline_path baseline results =
+let run_check ~tolerance ~baseline_path baseline results =
   match baseline with
   | None ->
     Format.eprintf "--check: no baseline at %s@." baseline_path;
     false
-  | Some baseline ->
+  | Some (baseline : P.Bench_io.baseline) ->
     let current =
       List.map
         (fun (r : P.Report.result) ->
@@ -650,47 +593,46 @@ let run_check ~baseline_path baseline results =
           "--check: warning: baseline workload %s not in this run; not gated@."
           name)
       (P.Bench_io.missing_from_current ~baseline ~current);
-    (* Schedule quality: warn-only.  The gap moves whenever the
-       optimizer legitimately changes the code it hands the scheduler,
-       so it signals a trajectory to look at, never a gate failure. *)
-    let base_gaps = P.Bench_io.read_height baseline in
+    (* Schedule quality and register pressure: warn-only.  The height
+       gap and MAXLIVE move whenever the optimizer legitimately changes
+       the code it hands the scheduler, so they signal a trajectory to
+       look at, never a gate failure; the absolute floors keep noise out
+       of the warnings. *)
     List.iter
       (fun (r : P.Report.result) ->
-        let cur =
-          {
-            P.Bench_io.gap = r.P.Report.height_gap;
-            h_bound = r.P.Report.bound_cycles;
-            h_achieved = r.P.Report.achieved_cycles;
-          }
-        in
-        match List.assoc_opt r.P.Report.name base_gaps with
-        | Some base when P.Bench_io.height_regressed ~base ~cur ->
-          Format.eprintf
-            "--check: warning: %s height_gap regressed %.1f%% -> %.1f%% \
-             (bound %d, achieved %d); not gated@."
-            r.P.Report.name
-            (100. *. base.P.Bench_io.gap)
-            (100. *. r.P.Report.height_gap)
-            r.P.Report.bound_cycles r.P.Report.achieved_cycles
-        | _ -> ())
-      results;
-    (* Register pressure: also warn-only, per class.  MAXLIVE moves with
-       every legitimate code change; the gate only flags growth past the
-       noise floor so pressure creep is visible in the trajectory. *)
-    let base_pressure = P.Bench_io.read_pressure baseline in
-    List.iter
-      (fun (r : P.Report.result) ->
-        match List.assoc_opt r.P.Report.name base_pressure with
+        let name = r.P.Report.name in
+        match
+          List.find_opt
+            (fun (w : P.Bench_io.workload) -> w.P.Bench_io.name = name)
+            baseline.P.Bench_io.workloads
+        with
         | None -> ()
-        | Some base_classes ->
+        | Some w ->
+          let cur =
+            {
+              P.Bench_io.gap = r.P.Report.height_gap;
+              h_bound = r.P.Report.bound_cycles;
+              h_achieved = r.P.Report.achieved_cycles;
+            }
+          in
+          (match w.P.Bench_io.height with
+          | Some base when P.Bench_io.height_regressed ~base ~cur ->
+            Format.eprintf
+              "--check: warning: %s height_gap regressed %.1f%% -> %.1f%% \
+               (bound %d, achieved %d); not gated@."
+              name
+              (100. *. base.P.Bench_io.gap)
+              (100. *. r.P.Report.height_gap)
+              r.P.Report.bound_cycles r.P.Report.achieved_cycles
+          | _ -> ());
           List.iter
             (fun (cls, cur) ->
-              match List.assoc_opt cls base_classes with
+              match List.assoc_opt cls w.P.Bench_io.pressure with
               | Some base when P.Bench_io.pressure_regressed ~base ~cur ->
                 Format.eprintf
                   "--check: warning: %s %s maxlive regressed %d -> %d; \
                    not gated@."
-                  r.P.Report.name cls base cur
+                  name cls base cur
               | _ -> ())
             r.P.Report.pressure)
       results;
@@ -713,18 +655,47 @@ let run_check ~baseline_path baseline results =
         false
     end
 
-let () =
+let main quick tables_only micro_only domains json check tolerance trace =
+  (* Snapshot the baseline before anything runs: --json may rewrite the
+     very file --check points at, and a gate that compares a run against
+     itself always passes.  A baseline that is present but unreadable is
+     a usage error, reported before the suite runs. *)
+  let check_baseline =
+    Option.map
+      (fun path ->
+        match Option.map P.Bench_io.decode (P.Bench_io.read_file path) with
+        | Some (Error e) ->
+          Format.eprintf "--check: unreadable baseline %s: %s@." path e;
+          exit 1
+        | read -> (path, Option.map Result.get_ok read))
+      check
+  in
+  let json_target =
+    Option.map
+      (fun p ->
+        P.Bench_io.targets
+          ~is_dir:(Sys.file_exists p && Sys.is_directory p)
+          ~date:(bench_date ()) p)
+      json
+  in
+  (* Counters (pqs, pass, verify families) must accumulate whenever the
+     run will be persisted, not just when a trace is requested: the
+     JSON artifact reports predicate-engine cache effectiveness. *)
+  if trace <> None || json_target <> None then Obs.set_enabled true;
   let results =
     if micro_only then []
     else begin
       print_table1 ();
-      let results = Obs.span "bench/suite" (fun () -> run_suite ~domains ()) in
+      let results =
+        Obs.span "bench/suite" (fun () -> run_suite ~quick ~domains ())
+      in
       let verify_total, suite_total = P.Bench_io.suite_seconds results in
       Format.printf
         "@.static verifier: %.2fs across %d workloads (%.1f%% of %.2fs \
          total suite work)@."
         verify_total (List.length results)
-        (if suite_total > 0. then 100. *. verify_total /. suite_total else 0.)
+        (if suite_total > 0. then 100. *. verify_total /. suite_total
+         else 0.)
         suite_total;
       print_table2 results;
       print_table3 results;
@@ -733,13 +704,13 @@ let () =
       results
     end
   in
-  let micro =
-    if tables_only then [] else Obs.span "bench/micro" run_micro
-  in
+  let micro = if tables_only then [] else Obs.span "bench/micro" run_micro in
   Option.iter
     (fun (dated, latest) ->
-      let par = Obs.span "bench/parallel" measure_parallel in
-      write_json ~dated ~latest results micro par)
+      let par =
+        Obs.span "bench/parallel" (fun () -> measure_parallel ~quick ~domains)
+      in
+      write_json ~domains ~dated ~latest results micro par)
     json_target;
   let gate_ok =
     match check_baseline with
@@ -749,12 +720,91 @@ let () =
         Format.eprintf "--check needs the workload suite; drop --micro@.";
         false
       end
-      else run_check ~baseline_path baseline results
+      else run_check ~tolerance ~baseline_path baseline results
   in
   Option.iter
     (fun path ->
       Obs.Trace.export ~path;
       Format.eprintf "@.span summary:@.%a" Obs.Summary.pp ();
       Format.eprintf "wrote trace %s@." path)
-    trace_target;
-  if not gate_ok then exit 1
+    trace;
+  if gate_ok then 0 else 1
+
+open Cmdliner
+
+let bounded_conv ~parse ~ok ~expect print =
+  Arg.conv
+    ( (fun s ->
+        match parse s with
+        | Some v when ok v -> Ok v
+        | _ -> Error (`Msg (Printf.sprintf "expected %s, got %S" expect s))),
+      print )
+
+let quick_flag =
+  Arg.(value & flag
+       & info [ "quick" ] ~doc:"Run a 3-workload subset instead of all 24.")
+
+let tables_flag =
+  Arg.(value & flag & info [ "tables" ] ~doc:"Skip the micro-benchmarks.")
+
+let micro_flag =
+  Arg.(value & flag & info [ "micro" ] ~doc:"Skip the tables.")
+
+let domains_arg =
+  Arg.(value
+       & opt
+           (bounded_conv ~parse:int_of_string_opt ~ok:(fun d -> d >= 1)
+              ~expect:"a positive integer" Format.pp_print_int)
+           (Cpr_par.Pool.default_domains ())
+       & info [ "domains" ] ~docv:"N"
+           ~doc:"Domains for the workload-suite run (default: the \
+                 runtime's recommendation, capped at 8).  Results are \
+                 identical for every $(i,N); only the wall clock changes.")
+
+let json_arg =
+  Arg.(value & opt (some string) None
+       & info [ "json" ] ~docv:"PATH"
+           ~doc:"Also write the Table 2/3 numbers, micro-benchmark ns/run \
+                 figures and parallel wall clocks as JSON.  A directory \
+                 $(i,PATH) gets a dated BENCH_<yyyy-mm-dd>.json inside it; \
+                 a sibling BENCH_latest.json is always (re)written, and the \
+                 previous one, if any, is compared against.")
+
+let check_arg =
+  Arg.(value & opt (some string) None
+       & info [ "check" ] ~docv:"BASELINE"
+           ~doc:"After the suite, compare per-workload total_s/verify_s and \
+                 the suite wall time against $(i,BASELINE) and exit 1 past \
+                 the tolerance.  An unreadable baseline exits 1 before the \
+                 run.")
+
+let tolerance_arg =
+  Arg.(value
+       & opt
+           (bounded_conv ~parse:float_of_string_opt ~ok:(fun t -> t >= 0.0)
+              ~expect:"a non-negative percentage" Format.pp_print_float)
+           25.0
+       & info [ "tolerance" ] ~docv:"PCT"
+           ~doc:"Regression tolerance for --check, in percent.")
+
+let trace_arg =
+  Arg.(value & opt (some string) None
+       & info [ "trace" ] ~docv:"FILE"
+           ~doc:"Export the run as a Chrome-trace JSON (chrome://tracing, \
+                 Perfetto) and print a span summary on stderr.")
+
+let () =
+  let term =
+    Term.(
+      const main $ quick_flag $ tables_flag $ micro_flag $ domains_arg
+      $ json_arg $ check_arg $ tolerance_arg $ trace_arg)
+  in
+  let info =
+    Cmd.info "bench"
+      ~doc:"Regenerate the paper's tables and benchmark the compiler"
+      ~exits:
+        (Cmd.Exit.info 1
+           ~doc:"the --check gate failed or its baseline is unreadable"
+        :: Cmd.Exit.defaults)
+  in
+  exit (Cmd.eval' (Cmd.v info term))

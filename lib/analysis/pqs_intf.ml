@@ -5,7 +5,8 @@ open Cpr_ir
     Two implementations exist: {!Pqs}, the production hash-consed engine
     (interned expressions, memoized queries), and {!Pqs_reference}, the
     original structural-recursion engine kept as the equivalence oracle —
-    the same pattern as [List_sched.schedule_reference].  Analyses that
+    the same pattern as the reference list scheduler in
+    [test/test_sched.ml].  Analyses that
     need to run under either engine ({!Pred_env.Make}) are functorized
     over this signature. *)
 

@@ -1,6 +1,7 @@
 (** The original structural-recursion predicate query engine, kept
     verbatim as the equivalence oracle for the hash-consed {!Pqs}
-    (mirroring the [schedule_reference] pattern): every operation
+    (mirroring the reference list scheduler in [test/test_sched.ml]):
+    every operation
     recomputes over freshly built DNF trees, with no interning and no
     memoization.  {!Pqs} delegates its cache-miss computations to this
     module, so the two engines are algorithmically identical by

@@ -20,13 +20,11 @@ open Cpr_ir
     trade-off the paper describes: full CPR favours very wide machines,
     ICBM wins on processors with limited issue width. *)
 
-val transform_region : ?heur:Heur.t -> Prog.t -> Region.t -> bool
+val transform_region : Prog.t -> Region.t -> bool
 (** Requires the FRP-converted shape (first controlling compare unguarded,
     each subsequent controlling compare guarded by the previous fall-
     through predicate); returns false leaving the region untouched
-    otherwise.  With [heur.pressure_gate] set, also refuses regions whose
-    chain of fresh taken-predicates would overflow the predicate file
-    (default heuristics leave the gate off, preserving behaviour). *)
+    otherwise. *)
 
 val transform : Prog.t -> int
 (** Apply to every region; number transformed. *)

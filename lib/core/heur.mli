@@ -18,28 +18,6 @@ type t = {
       (** regions whose profiled entry count is below this fraction of the
           hottest region are left untransformed (the paper's control of
           static code growth) *)
-  height_gate : bool;
-      (** when set, skip candidate CPR blocks whose branches are all
-          provably off the region's critical path (static {!Height}
-          analysis): bypassing them cannot shorten the schedule, so the
-          compensation code is pure cost.  Off by default — the paper's
-          heuristics are profile-only and the baseline output is
-          reproduced bit-for-bit with the gate off. *)
-  height_slack_min : int;
-      (** minimum per-branch scheduling slack (cycles of freedom off the
-          critical path, {!Height.slack}) before the gate may skip a
-          block; higher values make the gate more conservative *)
-  pressure_gate : bool;
-      (** when set, skip candidate CPR blocks (and [Fullcpr] regions)
-          whose predicted predicate/GPR pressure delta would push the
-          region's static MAXLIVE ({!Cpr_analysis.Pressure}) past the
-          machine's register file less {!pressure_margin}: an
-          unallocatable region costs spills the cycles-only model never
-          sees.  Off by default — the baseline output is reproduced
-          byte-for-byte with the gate off. *)
-  pressure_margin : int;
-      (** registers of headroom the pressure gate keeps free per class;
-          higher values make the gate skip more aggressively *)
 }
 
 val default : t

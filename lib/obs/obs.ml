@@ -209,241 +209,80 @@ end
 (* Chrome trace                                                        *)
 
 module Trace = struct
-  let escape s =
-    let b = Buffer.create (String.length s + 2) in
-    String.iter
-      (function
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-
   let us_of ns = Int64.to_float (Int64.sub ns !epoch) /. 1e3
 
   let to_string () =
     let es = events () in
-    let b = Buffer.create 4096 in
-    let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-    let sep = ref "" in
-    let entry fmt =
-      Buffer.add_string b !sep;
-      sep := ",\n";
-      add fmt
+    let metadata name tid label =
+      Json.Obj
+        [
+          ("name", Json.Str name);
+          ("ph", Json.Str "M");
+          ("pid", Json.Num 0.);
+          ("tid", Json.Num (float_of_int tid));
+          ("args", Json.Obj [ ("name", Json.Str label) ]);
+        ]
     in
-    add "{\"traceEvents\":[\n";
-    entry
-      "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"name\":\"cpr\"}}";
-    List.iter
-      (fun t ->
-        entry
-          "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"domain-%d\"}}"
-          t t)
-      (List.sort_uniq compare (List.map (fun e -> e.track) es));
+    let threads =
+      List.map
+        (fun t -> metadata "thread_name" t (Printf.sprintf "domain-%d" t))
+        (List.sort_uniq compare (List.map (fun e -> e.track) es))
+    in
     let end_us = ref 0.0 in
-    List.iter
-      (fun e ->
-        let ts = us_of e.start_ns in
-        let dur = Int64.to_float e.dur_ns /. 1e3 in
-        end_us := Float.max !end_us (ts +. dur);
-        entry
-          "{\"name\":\"%s\",\"cat\":\"cpr\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":0,\"tid\":%d"
-          (escape e.name) ts dur e.track;
-        if e.args <> [] then begin
-          add ",\"args\":{";
-          List.iteri
-            (fun i (k, v) ->
-              add "%s\"%s\":\"%s\""
-                (if i = 0 then "" else ",")
-                (escape k) (escape v))
-            e.args;
-          add "}"
-        end;
-        add "}")
-      es;
-    List.iter
-      (fun (n, v) ->
-        entry
-          "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"args\":{\"value\":%d}}"
-          (escape n) !end_us v)
-      (counters ());
-    List.iter
-      (fun (n, v) ->
-        entry
-          "{\"name\":\"%s\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":0,\"args\":{\"value\":%.6f}}"
-          (escape n) !end_us v)
-      (gauges ());
-    add "\n]}\n";
-    Buffer.contents b
+    let spans =
+      List.map
+        (fun e ->
+          let ts = us_of e.start_ns in
+          let dur = Int64.to_float e.dur_ns /. 1e3 in
+          end_us := Float.max !end_us (ts +. dur);
+          Json.Obj
+            ([
+               ("name", Json.Str e.name);
+               ("cat", Json.Str "cpr");
+               ("ph", Json.Str "X");
+               ("ts", Json.fixed 3 ts);
+               ("dur", Json.fixed 3 dur);
+               ("pid", Json.Num 0.);
+               ("tid", Json.Num (float_of_int e.track));
+             ]
+            @
+            if e.args = [] then []
+            else
+              [
+                ( "args",
+                  Json.Obj
+                    (List.map (fun (k, v) -> (k, Json.Str v)) e.args) );
+              ]))
+        es
+    in
+    let sample name value =
+      Json.Obj
+        [
+          ("name", Json.Str name);
+          ("ph", Json.Str "C");
+          ("ts", Json.fixed 3 !end_us);
+          ("pid", Json.Num 0.);
+          ("args", Json.Obj [ ("value", value) ]);
+        ]
+    in
+    Json.to_string
+      (Json.Obj
+         [
+           ( "traceEvents",
+             Json.Arr
+               ((metadata "process_name" 0 "cpr" :: threads)
+               @ spans
+               @ List.map
+                   (fun (n, v) -> sample n (Json.Num (float_of_int v)))
+                   (counters ())
+               @ List.map (fun (n, v) -> sample n (Json.fixed 6 v)) (gauges ())
+               ) );
+         ])
 
   let export ~path =
     let oc = open_out path in
     output_string oc (to_string ());
     close_out oc
-
-  (* --- a small but complete JSON reader, for the round-trip test --- *)
-
-  type json =
-    | Null
-    | Bool of bool
-    | Num of float
-    | Str of string
-    | Arr of json list
-    | Obj of (string * json) list
-
-  exception Bad of string
-
-  let parse_json s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = pos := !pos + 1 in
-    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-        advance ();
-        skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      if peek () = Some c then advance ()
-      else fail (Printf.sprintf "expected %c" c)
-    in
-    let literal word v =
-      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        v
-      end
-      else fail ("expected " ^ word)
-    in
-    let utf8 b code =
-      if code < 0x80 then Buffer.add_char b (Char.chr code)
-      else if code < 0x800 then begin
-        Buffer.add_char b (Char.chr (0xC0 lor (code lsr 6)));
-        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else begin
-        Buffer.add_char b (Char.chr (0xE0 lor (code lsr 12)));
-        Buffer.add_char b (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char b (Char.chr (0x80 lor (code land 0x3F)))
-      end
-    in
-    let string_lit () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some '"' -> advance (); Buffer.add_char b '"'; go ()
-          | Some '\\' -> advance (); Buffer.add_char b '\\'; go ()
-          | Some '/' -> advance (); Buffer.add_char b '/'; go ()
-          | Some 'n' -> advance (); Buffer.add_char b '\n'; go ()
-          | Some 't' -> advance (); Buffer.add_char b '\t'; go ()
-          | Some 'r' -> advance (); Buffer.add_char b '\r'; go ()
-          | Some 'b' -> advance (); Buffer.add_char b '\b'; go ()
-          | Some 'f' -> advance (); Buffer.add_char b '\012'; go ()
-          | Some 'u' ->
-            advance ();
-            if !pos + 4 > n then fail "truncated \\u escape";
-            let hex = String.sub s !pos 4 in
-            pos := !pos + 4;
-            (match int_of_string_opt ("0x" ^ hex) with
-            | Some code -> utf8 b code
-            | None -> fail "bad \\u escape");
-            go ()
-          | _ -> fail "bad escape")
-        | Some c ->
-          advance ();
-          Buffer.add_char b c;
-          go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let number () =
-      let start = !pos in
-      let is_num_char = function
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while match peek () with Some c when is_num_char c -> true | _ -> false do
-        advance ()
-      done;
-      match float_of_string_opt (String.sub s start (!pos - start)) with
-      | Some f -> f
-      | None -> fail "bad number"
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '"' -> Str (string_lit ())
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let rec members acc =
-            skip_ws ();
-            let k = string_lit () in
-            skip_ws ();
-            expect ':';
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              members ((k, v) :: acc)
-            | Some '}' ->
-              advance ();
-              List.rev ((k, v) :: acc)
-            | _ -> fail "expected , or }"
-          in
-          Obj (members [])
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec elements acc =
-            let v = value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              elements (v :: acc)
-            | Some ']' ->
-              advance ();
-              List.rev (v :: acc)
-            | _ -> fail "expected , or ]"
-          in
-          Arr (elements [])
-        end
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some _ -> Num (number ())
-      | None -> fail "unexpected end of input"
-    in
-    let v = value () in
-    skip_ws ();
-    if !pos <> n then fail "trailing garbage";
-    v
 
   type parsed_event = {
     pname : string;
@@ -454,37 +293,26 @@ module Trace = struct
   }
 
   let parse text =
-    match parse_json text with
-    | exception Bad msg -> Error msg
-    | Obj fields -> (
-      match List.assoc_opt "traceEvents" fields with
-      | Some (Arr evs) -> (
-        try
-          Ok
-            (List.map
-               (function
-                 | Obj f ->
-                   let str k =
-                     match List.assoc_opt k f with
-                     | Some (Str s) -> s
-                     | _ -> raise (Bad ("event missing " ^ k))
-                   in
-                   let num ?default k =
-                     match (List.assoc_opt k f, default) with
-                     | Some (Num x), _ -> x
-                     | None, Some d -> d
-                     | _ -> raise (Bad ("event missing " ^ k))
-                   in
-                   {
-                     pname = str "name";
-                     pph = str "ph";
-                     ptid = int_of_float (num ~default:0.0 "tid");
-                     pts = num ~default:0.0 "ts";
-                     pdur = num ~default:0.0 "dur";
-                   }
-                 | _ -> raise (Bad "non-object event"))
-               evs)
-        with Bad msg -> Error msg)
-      | _ -> Error "no traceEvents array")
-    | _ -> Error "not a JSON object"
+    Json.decode
+      (fun doc ->
+        match Json.member "traceEvents" doc with
+        | None -> raise (Json.Bad "no traceEvents array")
+        | Some evs ->
+          List.map
+            (fun ev ->
+              let what = "trace event" in
+              let num_or_zero k =
+                match Json.member k ev with
+                | None -> 0.0
+                | Some v -> Json.num (what ^ " " ^ k) v
+              in
+              {
+                pname = Json.str what (Json.field what "name" ev);
+                pph = Json.str what (Json.field what "ph" ev);
+                ptid = int_of_float (num_or_zero "tid");
+                pts = num_or_zero "ts";
+                pdur = num_or_zero "dur";
+              })
+            (Json.arr "traceEvents" evs))
+      text
 end

@@ -101,8 +101,8 @@ module Trace : sig
   (** Chrome-trace-format export: a JSON object whose [traceEvents]
       array holds one complete ("ph":"X") event per span — with the
       recording domain as its track ("tid") — plus thread-name metadata
-      per track and one counter ("ph":"C") sample per counter and gauge.
-      Load the file in [chrome://tracing] or {{:https://ui.perfetto.dev}
+      per track and one counter ("ph":"C") sample per counter and gauge,
+      printed by {!Json.to_string}.  Load the file in [chrome://tracing] or {{:https://ui.perfetto.dev}
       Perfetto}. *)
 
   val to_string : unit -> string
@@ -118,8 +118,7 @@ module Trace : sig
   }
 
   val parse : string -> (parsed_event list, string) result
-  (** Parse a trace produced by {!to_string} back into its events — a
-      full JSON parse (objects, arrays, string escapes), not a line
-      scrape, so the round-trip test also proves the export is
+  (** Parse a trace produced by {!to_string} back into its events, via
+      {!Json.parse}, so the round-trip test also proves the export is
       well-formed JSON. *)
 end

@@ -6,14 +6,12 @@
     path normalization, JSON escaping and regression-detection logic are
     unit-testable — each has regressed silently before.
 
-    The JSON layout is fixed: one key/value pair per line.  The readers
-    below only promise to parse what {!render} writes; they are scanners
-    for that layout, not a general JSON parser (see {!Cpr_obs.Obs.Trace}
-    for one of those). *)
+    Writing and reading both go through {!Cpr_obs.Json}, so any valid
+    JSON spelling of the document (minified, reindented) reads back the
+    same, and anything else is an error rather than an empty baseline. *)
 
 val json_escape : string -> string
-(** Escape for a JSON string literal: quote, backslash, and every
-    control character below [0x20] (as [\n] or [\u00XX]). *)
+(** {!Cpr_obs.Json.escape}. *)
 
 val targets : is_dir:bool -> date:string -> string -> string * string
 (** [targets ~is_dir ~date path]: the [(dated, latest)] file pair for
@@ -40,8 +38,8 @@ val render :
     [verify_total_s]/[suite_total_s], parallel wall-clock numbers,
     micro-benchmark ns/run figures, and (when [pqs] is non-empty) the
     predicate-engine counters ([pqs.queries], [pqs.memo_hits], ...) for
-    the whole run, each on its own line under a ["pqs"] object so
-    {!read_scalar} can read them back by full dotted name. *)
+    the whole run under a ["pqs"] object keyed by full dotted name.
+    Seconds, speedups and ratios are rounded to 4 decimals. *)
 
 val suite_seconds : Report.result list -> float * float
 (** [(verify_total_s, suite_total_s)]: sums over the per-workload
@@ -50,15 +48,7 @@ val suite_seconds : Report.result list -> float * float
 (** {2 Reading back} *)
 
 val read_file : string -> string option
-
-val read_scalar : string -> string -> float option
-(** [read_scalar contents key]: a top-level numeric value. *)
-
-val read_micro : string -> (string * float) list
-(** The [micro_ns_per_run] table. *)
-
-val read_workloads : string -> (string * float * float) list
-(** [(name, verify_s, total_s)] per entry of the [benchmarks] array. *)
+(** The file's contents; [None] when it does not exist. *)
 
 type height_entry = {
   gap : float;
@@ -66,16 +56,29 @@ type height_entry = {
   h_achieved : int;  (** [achieved_cycles] *)
 }
 
-val read_height : string -> (string * height_entry) list
-(** One entry per element of the [benchmarks] array (entries predating
-    the height triple are absent).  [bench --check] warns — without
-    failing — when a workload's gap grows past the baseline's: schedule
-    quality is a trajectory signal, not a hard gate, because the gap
-    also moves when the optimizer legitimately changes the code. *)
+type workload = {
+  name : string;
+  verify_s : float;
+  total_s : float;
+  height : height_entry option;  (** absent in baselines predating it *)
+  pressure : (string * int) list;
+      (** [(class, maxlive)] from the ["pressure"] object; [[]] when the
+          baseline has none *)
+}
 
-val read_pressure : string -> (string * (string * int) list) list
-(** [(name, [class, maxlive; ...])] per entry of the [benchmarks] array
-    carrying a ["pressure"] object (older baselines have none). *)
+type baseline = {
+  verify_total_s : float option;
+  counters : (string * int) list;  (** the ["pqs"] object *)
+  workloads : workload list;  (** the ["benchmarks"] array, in order *)
+  micro : (string * float) list;
+      (** [micro_ns_per_run], without entries recorded as [null] *)
+}
+
+val decode : string -> (baseline, string) result
+(** Decode a document {!render} wrote.  Unknown members are ignored, so
+    older and newer baselines still decode.  Malformed or truncated
+    JSON, a missing ["benchmarks"] array, or a member of the wrong type
+    is an [Error] naming the parser offset or the offending member. *)
 
 val height_gap_floor_cycles : int
 (** 2: minimum growth of the {e absolute} cycle gap
@@ -109,10 +112,10 @@ type delta = {
 
 val check :
   tolerance:float ->
-  baseline:string ->
+  baseline:baseline ->
   current:(string * float * float) list ->
   delta list
-(** Compare a fresh run against baseline JSON [contents].  [current]
+(** Compare a fresh run against a decoded baseline.  [current]
     rows are [(name, verify_s, total_s)].  A metric regresses when it
     exceeds the baseline by more than [tolerance] percent {e and} by
     more than an absolute 20ms noise floor — sub-hundredth-second
@@ -122,7 +125,7 @@ val check :
     cleanly against a full-suite baseline. *)
 
 val missing_from_current :
-  baseline:string -> current:(string * float * float) list -> string list
+  baseline:baseline -> current:(string * float * float) list -> string list
 (** Baseline workloads with no row in the current run.  {!check} skips
     them (a [--quick] run must still gate against a full-suite
     baseline), but silence would also hide a workload that stopped

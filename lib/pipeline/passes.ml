@@ -165,7 +165,7 @@ let speculate ?verify ?verify_time prog inputs =
       let (_ : Cpr_core.Spec.stats) = Cpr_core.Spec.speculate p in
       finish ?verify ?verify_time ~stage:"spec" ~before p inputs)
 
-let full_cpr ?heur ?verify ?verify_time prog inputs =
+let full_cpr ?verify ?verify_time prog inputs =
   with_pass ~stage:"fullcpr" prog (fun () ->
       let p = prepare prog inputs in
       let before = Prog.copy p in
@@ -175,7 +175,7 @@ let full_cpr ?heur ?verify ?verify_time prog inputs =
             let (_ : Cpr_core.Spec.stats) =
               Cpr_core.Spec.speculate_region p r
             in
-            ignore (Cpr_core.Fullcpr.transform_region ?heur p r : bool)
+            ignore (Cpr_core.Fullcpr.transform_region p r : bool)
           end)
         (Prog.regions p);
       finish ?verify ?verify_time ~stage:"fullcpr" ~before p inputs)
@@ -207,8 +207,7 @@ let by_name : string -> entry option = function
   | "frp" -> Some frp_convert
   | "spec" -> Some speculate
   | "unroll" -> Some (fun ?verify ?verify_time p i -> unroll ?verify ?verify_time p i)
-  | "fullcpr" ->
-    Some (fun ?verify ?verify_time p i -> full_cpr ?verify ?verify_time p i)
+  | "fullcpr" -> Some full_cpr
   | "icbm" ->
     Some (fun ?verify ?verify_time p i -> height_reduce ?verify ?verify_time p i)
   | _ -> None
@@ -232,10 +231,6 @@ let protected ?heur ?verify ?verify_time ?(retries = 1) ?bundle_dir ?machine
       Some
         (fun ?verify ?verify_time p i ->
           height_reduce ?heur ?verify ?verify_time p i)
-    | "fullcpr" ->
-      Some
-        (fun ?verify ?verify_time p i ->
-          full_cpr ?heur ?verify ?verify_time p i)
     | s -> by_name s
   in
   match run with

@@ -77,11 +77,10 @@ val speculate :
 (** {!prepare} + FRP conversion + predicate speculation. *)
 
 val full_cpr :
-  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> Prog.t
+  ?verify:bool -> ?verify_time:float ref -> Prog.t
   -> Cpr_sim.Equiv.input list -> compiled
 (** {!prepare} + per-region FRP conversion, speculation and the full
-    (redundant) CPR scheme of Schlansker & Kathail.  [heur] only feeds
-    the optional pressure gate (see {!Cpr_core.Heur.pressure_gate}). *)
+    (redundant) CPR scheme of Schlansker & Kathail. *)
 
 val unroll :
   ?factor:int -> ?verify:bool -> ?verify_time:float ref -> Prog.t

@@ -5,8 +5,8 @@ module Depgraph = Cpr_analysis.Depgraph
 module Deadline = Cpr_deadline.Deadline
 module IntSet = Set.Make (Int)
 
-(* Shared by both schedulers: candidate order is decreasing critical-path
-   priority, ties broken by program order. *)
+(* Candidate order is decreasing critical-path priority, ties broken by
+   program order. *)
 let compare_candidates priority a b =
   match Int.compare priority.(b) priority.(a) with
   | 0 -> Int.compare a b
@@ -22,68 +22,6 @@ let finish machine region ops cycle =
   in
   { Schedule.region; ops; cycle; length }
 
-(* The original O(n^2 * cycles) scheduler: every round rescans all
-   unscheduled ops and recomputes readiness from scratch.  Kept verbatim
-   as the oracle for [schedule] — test/test_sched.ml asserts the two
-   produce identical cycle arrays on every workload, machine and a fuzz
-   battery. *)
-let schedule_reference machine prog liveness (region : Region.t) =
-  let graph = Depgraph.build machine prog liveness region in
-  let n = Depgraph.n_ops graph in
-  let ops = Array.init n (Depgraph.op graph) in
-  let priority = Cpr_analysis.Height.priority graph in
-  let cycle = Array.make n (-1) in
-  let resources = Resource.create machine in
-  let unscheduled = ref n in
-  let ready_time i =
-    (* Defined only once all predecessors are placed. *)
-    List.fold_left
-      (fun acc (e : Depgraph.edge) ->
-        if cycle.(e.Depgraph.src) < 0 then max_int
-        else max acc (cycle.(e.Depgraph.src) + e.Depgraph.latency))
-      0
-      (Depgraph.preds graph i)
-  in
-  let current = ref 0 in
-  (* Upper bound on useful cycles: everything sequential at max latency. *)
-  let fuel = ref ((n + 1) * 16) in
-  while !unscheduled > 0 && !fuel > 0 do
-    decr fuel;
-    (* Cooperative cancellation point: unwinds with [Deadline_exceeded]
-       when the pool watchdog has poisoned this task's budget. *)
-    Deadline.check_current ();
-    (* Zero- and negative-latency edges (branch anticipation, anti
-       dependences) allow producer and consumer in the same cycle, so
-       placements cascade within a cycle until fixpoint. *)
-    let progress = ref true in
-    while !progress do
-      progress := false;
-      let candidates = ref [] in
-      for i = 0 to n - 1 do
-        if cycle.(i) < 0 then begin
-          let r = ready_time i in
-          if r <> max_int && r <= !current then candidates := i :: !candidates
-        end
-      done;
-      let ordered = List.sort (compare_candidates priority) !candidates in
-      List.iter
-        (fun i ->
-          if Resource.available resources ~cycle:!current ops.(i) then begin
-            Resource.reserve resources ~cycle:!current ops.(i);
-            cycle.(i) <- !current;
-            decr unscheduled;
-            progress := true
-          end)
-        ordered
-    done;
-    incr current
-  done;
-  if !unscheduled > 0 then
-    invalid_arg
-      (Printf.sprintf "List_sched: no progress in region %s"
-         region.Region.label);
-  finish machine region ops cycle
-
 (* Ready-queue scheduler: same greedy policy, without the per-round
    rescan.  Each op carries its unplaced-predecessor count and a running
    [earliest] issue bound (the max over already-placed predecessors of
@@ -93,9 +31,10 @@ let schedule_reference machine prog liveness (region : Region.t) =
    placements cascade exactly like the reference: each round sorts the
    live candidates, issues what the resource table admits, and feeds
    zero/negative-latency releases back into the same cycle.  Candidate
-   sets per round are provably the reference's (leftovers keep their
-   readiness; releases join when ready), so the emitted cycle array is
-   identical — the oracle test enforces this.  Idle stretches between
+   sets per round are provably those of the original rescan-everything
+   scheduler (leftovers keep their readiness; releases join when ready),
+   so the emitted cycle array is identical — test/test_sched.ml keeps
+   that scheduler as an oracle and enforces this.  Idle stretches between
    release buckets are skipped in O(log buckets) instead of burning a
    rescan per cycle, with fuel charged for the skipped cycles so the
    no-progress failure mode is unchanged. *)
@@ -128,7 +67,8 @@ let schedule machine prog liveness (region : Region.t) =
   done;
   while !unscheduled > 0 && !fuel > 0 do
     decr fuel;
-    (* Same cancellation point as the reference scheduler. *)
+    (* Cooperative cancellation point: unwinds with [Deadline_exceeded]
+       when the pool watchdog has poisoned this task's budget. *)
     Deadline.check_current ();
     (match Hashtbl.find_opt buckets !current with
     | Some l ->

@@ -13,15 +13,9 @@ val schedule :
   Cpr_machine.Descr.t -> Prog.t -> Cpr_analysis.Liveness.t -> Region.t
   -> Schedule.t
 (** Ready-queue implementation: per-op unplaced-predecessor counters and
-    cycle-keyed release buckets replace the full rescan of the reference
-    scheduler, preserving its greedy policy (and output) exactly. *)
-
-val schedule_reference :
-  Cpr_machine.Descr.t -> Prog.t -> Cpr_analysis.Liveness.t -> Region.t
-  -> Schedule.t
-(** The original rescan-everything scheduler, kept as the equivalence
-    oracle for {!schedule}: both must emit identical cycle arrays on
-    every program.  Quadratic per cycle — use only in tests. *)
+    cycle-keyed release buckets replace a full rescan of the unscheduled
+    ops every cycle, preserving that greedy policy (and its output)
+    exactly. *)
 
 val schedule_prog :
   ?pool:Cpr_par.Pool.t -> ?budget_ms:float -> Cpr_machine.Descr.t -> Prog.t
@@ -31,9 +25,9 @@ val schedule_prog :
     distributes regions across domains (results stay in layout order);
     do not pass a pool whose worker is executing the caller.
 
-    [?budget_ms] bounds each region's scheduling time: both schedulers
-    checkpoint ({!Cpr_deadline.Deadline.check_current}) once per cycle
-    of their main loop and unwind with [Deadline_exceeded] when over
+    [?budget_ms] bounds each region's scheduling time: the scheduler
+    checkpoints ({!Cpr_deadline.Deadline.check_current}) once per cycle
+    of its main loop and unwinds with [Deadline_exceeded] when over
     budget (with a pool, also when the pool watchdog poisons the task).
     Exceptions surface as [Cpr_par.Pool.Task_failed] on the pool path
     and bare on the sequential path. *)

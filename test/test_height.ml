@@ -217,52 +217,6 @@ let resbound_arithmetic () =
   checki "empty region ops" 0 rb_empty.R.total_ops
 
 (* ------------------------------------------------------------------ *)
-(* Profitability gate: off is byte-identical, on stays correct.       *)
-(* ------------------------------------------------------------------ *)
-
-let gate_off_is_identity () =
-  List.iter
-    (fun (w : W.Workload.t) ->
-      let prog = w.W.Workload.build () in
-      let inputs = w.W.Workload.inputs () in
-      let default = P.Passes.height_reduce prog inputs in
-      let explicit_off =
-        P.Passes.height_reduce
-          ~heur:{ Cpr_core.Heur.default with Cpr_core.Heur.height_gate = false }
-          prog inputs
-      in
-      check
-        Alcotest.string
-        (Printf.sprintf "%s: gate off output unchanged" w.W.Workload.name)
-        (Printer.to_text default.P.Passes.prog)
-        (Printer.to_text explicit_off.P.Passes.prog))
-    [ List.hd W.Registry.all; List.nth W.Registry.all 3 ]
-
-let gate_on_stays_equivalent () =
-  List.iter
-    (fun (w : W.Workload.t) ->
-      let prog = w.W.Workload.build () in
-      let inputs = w.W.Workload.inputs () in
-      let gated =
-        P.Passes.height_reduce
-          ~heur:
-            {
-              Cpr_core.Heur.default with
-              Cpr_core.Heur.height_gate = true;
-              height_slack_min = 1;
-            }
-          prog inputs
-      in
-      checkb
-        (Printf.sprintf "%s: gated output validates" w.W.Workload.name)
-        true
-        (Validate.check gated.P.Passes.prog = []);
-      expect_equiv
-        ~msg:(Printf.sprintf "%s: gated output equivalent" w.W.Workload.name)
-        prog gated.P.Passes.prog inputs)
-    [ List.hd W.Registry.all; List.nth W.Registry.all 5 ]
-
-(* ------------------------------------------------------------------ *)
 (* Heightcheck lint plumbing.                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -309,8 +263,5 @@ let suite =
       case "disjoint guards do not serialize branch height"
         disjoint_branches_do_not_serialize;
       case "resource bound arithmetic" resbound_arithmetic;
-      case "height gate off is the identity configuration"
-        gate_off_is_identity;
-      case "height gate on preserves semantics" gate_on_stays_equivalent;
       case "heightcheck rows and findings" heightcheck_rows_and_findings;
     ] )

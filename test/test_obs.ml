@@ -1,9 +1,11 @@
 (* The observability subsystem: span nesting and ordering, counter
    monotonicity, the disabled-mode zero-allocation fast path, and the
-   Chrome-trace export round-trip.  Also covers Bench_io, the bench
-   harness's JSON writer/reader and perf-regression gate. *)
+   Chrome-trace export round-trip.  Also covers the Json codec and
+   Bench_io, the bench harness's JSON writer/decoder and perf-regression
+   gate. *)
 
 module Obs = Cpr_obs.Obs
+module Json = Cpr_obs.Json
 module B = Cpr_pipeline.Bench_io
 
 (* Telemetry state is process-global; leave it disabled and empty for
@@ -200,7 +202,7 @@ let test_trace_parse_rejects_garbage () =
   | Error _ -> ()
 
 (* ------------------------------------------------------------------ *)
-(* Bench_io: escaping, --json target normalization, the perf gate      *)
+(* Json: the one codec                                                 *)
 
 let test_json_escape () =
   Alcotest.(check string)
@@ -209,6 +211,68 @@ let test_json_escape () =
   Alcotest.(check string)
     "control characters" "tab\\u0009bell\\u0007"
     (B.json_escape "tab\tbell\007")
+
+(* Strip the whitespace outside string literals. *)
+let minify text =
+  let b = Buffer.create (String.length text) in
+  let in_string = ref false and escaped = ref false in
+  String.iter
+    (fun c ->
+      if !in_string then begin
+        Buffer.add_char b c;
+        if !escaped then escaped := false
+        else if c = '\\' then escaped := true
+        else if c = '"' then in_string := false
+      end
+      else
+        match c with
+        | ' ' | '\n' | '\t' | '\r' -> ()
+        | '"' ->
+          in_string := true;
+          Buffer.add_char b c
+        | c -> Buffer.add_char b c)
+    text;
+  Buffer.contents b
+
+let json =
+  Alcotest.testable (fun ppf v -> Fmt.string ppf (Json.to_string v)) ( = )
+
+let test_json_roundtrip () =
+  let every_byte = String.init 256 Char.chr in
+  let v =
+    Json.Obj
+      [
+        ("bytes", Json.Str every_byte);
+        ("k\"ey\n", Json.Arr [ Json.Num 1.; Json.Num (-0.25); Json.Null ]);
+        ("nested", Json.Obj [ ("t", Json.Bool true); ("e", Json.Arr []) ]);
+        ("big", Json.Num 15146630.);
+        ("third", Json.Num (1. /. 3.));
+      ]
+  in
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | Ok back -> Alcotest.check json "round-trips" v back
+      | Error e -> Alcotest.failf "printer output does not parse: %s" e)
+    [ Json.to_string v; minify (Json.to_string v) ];
+  Alcotest.(check string)
+    "integers print without a fraction" "[ 990, 0.0513 ]\n"
+    (Json.to_string (Json.Arr [ Json.Num 990.; Json.fixed 4 0.05128 ]))
+
+let test_json_rejects () =
+  List.iter
+    (fun text ->
+      match Json.parse text with
+      | Ok _ -> Alcotest.failf "accepted %S" text
+      | Error e ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%S: error names an offset (%s)" text e)
+          true
+          (Astring_like.contains e "at offset"))
+    [ ""; "{"; "[1,]"; "{\"a\" 1}"; "\"\\q\""; "nul"; "1 2"; "{\"a\":1}}" ]
+
+(* ------------------------------------------------------------------ *)
+(* Bench_io: --json targets, the decoder, the perf gate                *)
 
 let test_targets_bare_filename () =
   (* The historical bug: a bare --json filename went through
@@ -243,93 +307,40 @@ let test_targets_dir_and_nested () =
     (Filename.concat "out" "BENCH_latest.json")
     latest
 
-let bench_json entries =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf "{\n  \"benchmarks\": [";
-  List.iteri
-    (fun i (name, verify_s, total_s) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "%s\n    { \"name\": \"%s\",\n      \"verify_s\": %.4f,\n      \
-            \"total_s\": %.4f,\n      \"baseline_cycles\": { \"Seq\": 1 } }"
-           (if i = 0 then "" else ",")
-           name verify_s total_s))
-    entries;
-  Buffer.add_string buf "\n  ]\n}\n";
-  Buffer.contents buf
+let decoded text =
+  match B.decode text with
+  | Ok b -> b
+  | Error e -> Alcotest.failf "baseline does not decode: %s" e
+
+(* A baseline holding just the gate's inputs, as [(name, verify_s,
+   total_s)] rows. *)
+let baseline entries =
+  decoded
+    (Json.to_string
+       (Json.Obj
+          [
+            ( "benchmarks",
+              Json.Arr
+                (List.map
+                   (fun (name, verify_s, total_s) ->
+                     Json.Obj
+                       [
+                         ("name", Json.Str name);
+                         ("verify_s", Json.Num verify_s);
+                         ("total_s", Json.Num total_s);
+                       ])
+                   entries) );
+          ]))
 
 let test_read_workloads () =
-  let s = bench_json [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ] in
+  let rows (b : B.baseline) =
+    List.map (fun (w : B.workload) -> (w.B.name, w.B.verify_s, w.B.total_s))
+      b.B.workloads
+  in
   Alcotest.(check (list (triple string (float 1e-9) (float 1e-9))))
     "parsed back"
     [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ]
-    (B.read_workloads s)
-
-let test_check_passes_on_equal () =
-  let entries = [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ] in
-  let baseline = bench_json entries in
-  let deltas =
-    B.check ~tolerance:25.0 ~baseline
-      ~current:(List.map (fun (n, v, t) -> (n, v, t)) entries)
-  in
-  Alcotest.(check int) "two workloads + suite row" 5 (List.length deltas);
-  Alcotest.(check int) "no regressions" 0 (List.length (B.regressions deltas))
-
-let test_check_fails_on_regression () =
-  let baseline = bench_json [ ("w1", 0.1, 1.0) ] in
-  let deltas =
-    B.check ~tolerance:25.0 ~baseline ~current:[ ("w1", 0.1, 2.0) ]
-  in
-  let regs = B.regressions deltas in
-  Alcotest.(check bool) "gate trips" true (regs <> []);
-  Alcotest.(check bool)
-    "total_s row tripped" true
-    (List.exists (fun (d : B.delta) -> d.B.metric = "total_s") regs)
-
-let test_check_noise_floor () =
-  (* 10x relative regression but only 9ms absolute: below the 20ms
-     floor, so a shared-runner blip does not fail CI. *)
-  let baseline = bench_json [ ("w1", 0.0, 0.001) ] in
-  let deltas =
-    B.check ~tolerance:25.0 ~baseline ~current:[ ("w1", 0.0, 0.01) ]
-  in
-  Alcotest.(check int)
-    "absolute floor holds" 0
-    (List.length (B.regressions deltas))
-
-let test_check_ignores_unmatched () =
-  let baseline = bench_json [ ("w1", 0.1, 1.0) ] in
-  let deltas =
-    B.check ~tolerance:25.0 ~baseline
-      ~current:[ ("w1", 0.1, 1.0); ("only-in-current", 9.0, 9.0) ]
-  in
-  Alcotest.(check bool)
-    "unmatched workload not compared" true
-    (not
-       (List.exists
-          (fun (d : B.delta) -> d.B.workload = "only-in-current")
-          deltas));
-  Alcotest.(check int) "still clean" 0 (List.length (B.regressions deltas))
-
-let test_check_warns_missing_baseline () =
-  (* The gate skips baseline workloads with no current row (a --quick
-     run against a full-suite baseline must still pass), but the bench
-     driver warns with this list so a workload that silently stopped
-     running is visible. *)
-  let baseline = bench_json [ ("w1", 0.1, 1.0); ("gone", 0.2, 2.0) ] in
-  Alcotest.(check (list string))
-    "baseline-only workload reported" [ "gone" ]
-    (B.missing_from_current ~baseline ~current:[ ("w1", 0.1, 1.0) ]);
-  Alcotest.(check (list string))
-    "full match reports nothing" []
-    (B.missing_from_current ~baseline
-       ~current:[ ("w1", 0.1, 1.0); ("gone", 0.2, 2.0) ]);
-  let deltas =
-    B.check ~tolerance:25.0 ~baseline ~current:[ ("w1", 0.1, 1.0) ]
-  in
-  Alcotest.(check int)
-    "missing workload never regresses the gate" 0
-    (List.length (B.regressions deltas))
+    (rows (baseline [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ]))
 
 let quality_json =
   (* The single-line height/pressure objects exactly as render writes
@@ -357,23 +368,191 @@ let quality_json =
     ]
 
 let test_read_height_and_pressure () =
-  (match B.read_height quality_json with
-  | [ ("w1", h1); ("w2", h2) ] ->
-    Alcotest.(check (float 1e-9)) "w1 gap" 0.1 h1.B.gap;
-    Alcotest.(check int) "w1 bound" 100 h1.B.h_bound;
-    Alcotest.(check int) "w1 achieved" 110 h1.B.h_achieved;
-    Alcotest.(check int) "w2 abs gap" 0 (h2.B.h_achieved - h2.B.h_bound)
-  | hs -> Alcotest.failf "expected 2 height entries, got %d" (List.length hs));
-  match B.read_pressure quality_json with
-  | [ ("w1", classes) ] ->
+  match (decoded quality_json).B.workloads with
+  | [ w1; w2 ] ->
+    (match (w1.B.height, w2.B.height) with
+    | Some h1, Some h2 ->
+      Alcotest.(check (float 1e-9)) "w1 gap" 0.1 h1.B.gap;
+      Alcotest.(check int) "w1 bound" 100 h1.B.h_bound;
+      Alcotest.(check int) "w1 achieved" 110 h1.B.h_achieved;
+      Alcotest.(check int) "w2 abs gap" 0 (h2.B.h_achieved - h2.B.h_bound)
+    | _ -> Alcotest.fail "expected a height entry on both workloads");
     Alcotest.(check (list (pair string int)))
       "w1 classes"
       [ ("gpr", 14); ("pred", 5); ("btr", 4) ]
-      classes
-  | ps ->
-    Alcotest.failf "expected 1 pressure entry (w2 predates the object), \
-                    got %d"
-      (List.length ps)
+      w1.B.pressure;
+    Alcotest.(check (list (pair string int)))
+      "w2 predates the pressure object" [] w2.B.pressure
+  | ws -> Alcotest.failf "expected 2 workloads, got %d" (List.length ws)
+
+let committed_baseline () =
+  match B.read_file (Filename.concat ".." "BENCH_latest.json") with
+  | Some text -> text
+  | None -> Alcotest.fail "committed BENCH_latest.json not found"
+
+let test_decode_committed () =
+  let text = committed_baseline () in
+  let b = decoded text in
+  Alcotest.(check int) "24 workloads" 24 (List.length b.B.workloads);
+  Alcotest.(check bool)
+    "verify_total_s present" true
+    (b.B.verify_total_s <> None);
+  Alcotest.(check bool) "micro table present" true (b.B.micro <> []);
+  Alcotest.(check bool) "pqs counters present" true
+    (List.mem_assoc "pqs.memo_hits" b.B.counters);
+  (match
+     List.find_opt (fun (w : B.workload) -> w.B.name = "strcpy") b.B.workloads
+   with
+  | None -> Alcotest.fail "strcpy missing"
+  | Some w ->
+    Alcotest.(check (float 1e-9)) "strcpy total_s" 0.0069 w.B.total_s;
+    (match w.B.height with
+    | Some h ->
+      Alcotest.(check (float 1e-9)) "strcpy gap" 0.3938 h.B.gap;
+      Alcotest.(check int) "strcpy bound" 650 h.B.h_bound;
+      Alcotest.(check int) "strcpy achieved" 906 h.B.h_achieved
+    | None -> Alcotest.fail "strcpy height missing");
+    Alcotest.(check (list (pair string int)))
+      "strcpy pressure"
+      [ ("gpr", 19); ("pred", 9); ("btr", 7) ]
+      w.B.pressure);
+  (* Layout is not part of the format. *)
+  Alcotest.(check bool)
+    "minified copy decodes to an equal value" true
+    (decoded (minify text) = b)
+
+let test_decode_rejects () =
+  let text = committed_baseline () in
+  let expect_error what input =
+    match B.decode input with
+    | Ok _ -> Alcotest.failf "%s decoded" what
+    | Error _ -> ()
+  in
+  expect_error "truncated baseline"
+    (String.sub text 0 (String.length text / 2));
+  expect_error "garbage" "not json at all";
+  expect_error "empty file" "";
+  expect_error "no benchmarks array" "{ \"date\": \"2026-08-09\" }";
+  expect_error "ill-typed total_s"
+    "{ \"benchmarks\": [ { \"name\": \"w\", \"verify_s\": 0, \"total_s\": \
+     \"fast\" } ] }";
+  (* Unknown members, such as counters a later harness drops, are
+     ignored. *)
+  let extra =
+    "{ \"benchmarks\": [], \"pqs\": { \"retired.counter\": 0 }, \
+     \"future\": [ 1 ] }"
+  in
+  Alcotest.(check int) "unknown fields ignored" 0
+    (List.length (decoded extra).B.workloads)
+
+let test_render_decode_roundtrip () =
+  let w = Option.get (Cpr_workloads.Registry.find "strcpy") in
+  let r =
+    Cpr_pipeline.Report.run ~name:"strcpy" (w.Cpr_workloads.Workload.build ())
+      (w.Cpr_workloads.Workload.inputs ())
+  in
+  let b =
+    decoded
+      (B.render
+         ~date:"2026-08-09" ~domains:1 ~results:[ r ]
+         ~micro:[ ("m", Some 12.34); ("gone", None) ]
+         ~par:((0., 0.), (0., 0.))
+         ())
+  in
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "micro without nulls" [ ("m", 12.3) ] b.B.micro;
+  match b.B.workloads with
+  | [ w ] ->
+    Alcotest.(check string) "name" "strcpy" w.B.name;
+    Alcotest.(check (list (pair string int)))
+      "pressure" r.Cpr_pipeline.Report.pressure w.B.pressure;
+    Alcotest.(check (option int))
+      "achieved cycles"
+      (Some r.Cpr_pipeline.Report.achieved_cycles)
+      (Option.map (fun h -> h.B.h_achieved) w.B.height)
+  | ws -> Alcotest.failf "expected 1 workload, got %d" (List.length ws)
+
+let test_render_pqs_counters () =
+  let render pqs =
+    decoded
+      (B.render ~pqs ~date:"2026-08-09" ~domains:1 ~results:[] ~micro:[]
+         ~par:((0., 0.), (0., 0.))
+         ())
+  in
+  Alcotest.(check (list (pair string int)))
+    "counters read back sorted"
+    [ ("pqs.memo_hits", 90); ("pqs.memo_misses", 10); ("pqs.queries", 55) ]
+    (render
+       [ ("pqs.memo_misses", 10); ("pqs.memo_hits", 90); ("pqs.queries", 55) ])
+      .B.counters;
+  Alcotest.(check (list (pair string int)))
+    "absent when not provided" [] (render []).B.counters
+
+let test_check_passes_on_equal () =
+  let entries = [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ] in
+  let deltas =
+    B.check ~tolerance:25.0 ~baseline:(baseline entries) ~current:entries
+  in
+  Alcotest.(check int) "two workloads + suite row" 5 (List.length deltas);
+  Alcotest.(check int) "no regressions" 0 (List.length (B.regressions deltas))
+
+let test_check_fails_on_regression () =
+  let deltas =
+    B.check ~tolerance:25.0
+      ~baseline:(baseline [ ("w1", 0.1, 1.0) ])
+      ~current:[ ("w1", 0.1, 2.0) ]
+  in
+  let regs = B.regressions deltas in
+  Alcotest.(check bool) "gate trips" true (regs <> []);
+  Alcotest.(check bool)
+    "total_s row tripped" true
+    (List.exists (fun (d : B.delta) -> d.B.metric = "total_s") regs)
+
+let test_check_noise_floor () =
+  (* 10x relative regression but only 9ms absolute: below the 20ms
+     floor, so a shared-runner blip does not fail CI. *)
+  let deltas =
+    B.check ~tolerance:25.0
+      ~baseline:(baseline [ ("w1", 0.0, 0.001) ])
+      ~current:[ ("w1", 0.0, 0.01) ]
+  in
+  Alcotest.(check int)
+    "absolute floor holds" 0
+    (List.length (B.regressions deltas))
+
+let test_check_ignores_unmatched () =
+  let deltas =
+    B.check ~tolerance:25.0
+      ~baseline:(baseline [ ("w1", 0.1, 1.0) ])
+      ~current:[ ("w1", 0.1, 1.0); ("only-in-current", 9.0, 9.0) ]
+  in
+  Alcotest.(check bool)
+    "unmatched workload not compared" true
+    (not
+       (List.exists
+          (fun (d : B.delta) -> d.B.workload = "only-in-current")
+          deltas));
+  Alcotest.(check int) "still clean" 0 (List.length (B.regressions deltas))
+
+let test_check_warns_missing_baseline () =
+  (* The gate skips baseline workloads with no current row (a --quick
+     run against a full-suite baseline must still pass), but the bench
+     driver warns with this list so a workload that silently stopped
+     running is visible. *)
+  let baseline = baseline [ ("w1", 0.1, 1.0); ("gone", 0.2, 2.0) ] in
+  Alcotest.(check (list string))
+    "baseline-only workload reported" [ "gone" ]
+    (B.missing_from_current ~baseline ~current:[ ("w1", 0.1, 1.0) ]);
+  Alcotest.(check (list string))
+    "full match reports nothing" []
+    (B.missing_from_current ~baseline
+       ~current:[ ("w1", 0.1, 1.0); ("gone", 0.2, 2.0) ]);
+  let deltas =
+    B.check ~tolerance:25.0 ~baseline ~current:[ ("w1", 0.1, 1.0) ]
+  in
+  Alcotest.(check int)
+    "missing workload never regresses the gate" 0
+    (List.length (B.regressions deltas))
 
 let test_height_gap_floor () =
   let e gap h_bound h_achieved = { B.gap; h_bound; h_achieved } in
@@ -405,30 +584,6 @@ let test_pressure_floor () =
     "improvement never regresses" false
     (B.pressure_regressed ~base:12 ~cur:10)
 
-let test_render_pqs_counters () =
-  let contents =
-    B.render
-      ~pqs:
-        [ ("pqs.memo_misses", 10); ("pqs.memo_hits", 90); ("pqs.queries", 55) ]
-      ~date:"2026-08-09" ~domains:1 ~results:[] ~micro:[]
-      ~par:((0., 0.), (0., 0.))
-      ()
-  in
-  Alcotest.(check (option (float 1e-9)))
-    "memo_hits read back" (Some 90.)
-    (B.read_scalar contents "pqs.memo_hits");
-  Alcotest.(check (option (float 1e-9)))
-    "queries read back" (Some 55.)
-    (B.read_scalar contents "pqs.queries");
-  let without =
-    B.render ~date:"2026-08-09" ~domains:1 ~results:[] ~micro:[]
-      ~par:((0., 0.), (0., 0.))
-      ()
-  in
-  Alcotest.(check (option (float 1e-9)))
-    "absent when not provided" None
-    (B.read_scalar without "pqs.memo_hits")
-
 let suite =
   ( "obs",
     [
@@ -453,11 +608,21 @@ let suite =
       Alcotest.test_case "trace parser rejects garbage" `Quick
         (with_obs test_trace_parse_rejects_garbage);
       Alcotest.test_case "bench json_escape" `Quick test_json_escape;
+      Alcotest.test_case "json round-trips escapes and control bytes" `Quick
+        test_json_roundtrip;
+      Alcotest.test_case "json parser rejects malformed input" `Quick
+        test_json_rejects;
       Alcotest.test_case "bench --json bare filename" `Quick
         test_targets_bare_filename;
+      Alcotest.test_case "bench decode committed baseline" `Quick
+        test_decode_committed;
+      Alcotest.test_case "bench decode rejects malformed baselines" `Quick
+        test_decode_rejects;
       Alcotest.test_case "bench --json dir and nested" `Quick
         test_targets_dir_and_nested;
       Alcotest.test_case "bench read_workloads" `Quick test_read_workloads;
+      Alcotest.test_case "bench read_height / read_pressure" `Quick
+        test_read_height_and_pressure;
       Alcotest.test_case "perf gate passes on equal" `Quick
         test_check_passes_on_equal;
       Alcotest.test_case "perf gate trips on regression" `Quick
@@ -467,12 +632,12 @@ let suite =
         test_check_ignores_unmatched;
       Alcotest.test_case "perf gate lists missing baseline workloads" `Quick
         test_check_warns_missing_baseline;
-      Alcotest.test_case "bench read_height / read_pressure" `Quick
-        test_read_height_and_pressure;
       Alcotest.test_case "height-gap warning absolute floor" `Quick
         test_height_gap_floor;
       Alcotest.test_case "pressure warning absolute floor" `Quick
         test_pressure_floor;
       Alcotest.test_case "bench json pqs counters" `Quick
         test_render_pqs_counters;
+      Alcotest.test_case "bench json render/decode round-trip" `Quick
+        test_render_decode_roundtrip;
     ] )

@@ -275,57 +275,6 @@ let pressurecheck_rows_and_findings () =
        (fun f -> not (Cpr_verify.Finding.is_error f))
        growth)
 
-(* ------------------------------------------------------------------ *)
-(* Pressure gate: off is byte-identical, on stays correct.             *)
-(* ------------------------------------------------------------------ *)
-
-let gate_off_is_identity () =
-  List.iter
-    (fun (w : W.Workload.t) ->
-      let prog = w.W.Workload.build () in
-      let inputs = w.W.Workload.inputs () in
-      let default = P.Passes.height_reduce prog inputs in
-      let explicit_off =
-        P.Passes.height_reduce
-          ~heur:
-            { Cpr_core.Heur.default with Cpr_core.Heur.pressure_gate = false }
-          prog inputs
-      in
-      check
-        Alcotest.string
-        (Printf.sprintf "%s: pressure gate off output unchanged"
-           w.W.Workload.name)
-        (Printer.to_text default.P.Passes.prog)
-        (Printer.to_text explicit_off.P.Passes.prog))
-    [ List.hd W.Registry.all; List.nth W.Registry.all 3 ]
-
-let gate_on_stays_equivalent () =
-  List.iter
-    (fun (w : W.Workload.t) ->
-      let prog = w.W.Workload.build () in
-      let inputs = w.W.Workload.inputs () in
-      let gated =
-        P.Passes.height_reduce
-          ~heur:
-            {
-              Cpr_core.Heur.default with
-              Cpr_core.Heur.pressure_gate = true;
-              pressure_margin = 8;
-            }
-          prog inputs
-      in
-      checkb
-        (Printf.sprintf "%s: pressure-gated output validates"
-           w.W.Workload.name)
-        true
-        (Validate.check gated.P.Passes.prog = []);
-      expect_equiv
-        ~msg:
-          (Printf.sprintf "%s: pressure-gated output equivalent"
-             w.W.Workload.name)
-        prog gated.P.Passes.prog inputs)
-    [ List.hd W.Registry.all; List.nth W.Registry.all 5 ]
-
 let suite =
   ( "pressure",
     [
@@ -337,7 +286,4 @@ let suite =
       case "sweep contributions telescope" contributions_telescope;
       case "pressurecheck rows, findings, severity split"
         pressurecheck_rows_and_findings;
-      case "pressure gate off is the identity configuration"
-        gate_off_is_identity;
-      case "pressure gate on preserves semantics" gate_on_stays_equivalent;
     ] )
