@@ -11,6 +11,7 @@
 open Cpr_ir
 module W = Cpr_workloads
 module P = Cpr_pipeline
+module Recover = Cpr_resilience.Recover
 
 let load_program spec =
   match W.Registry.find spec with
@@ -84,26 +85,16 @@ let show_cmd spec phase =
    fallback; exit code 3 says so. *)
 let run_cmd spec =
   let prog, inputs = load_program spec in
-  let failures = ref [] in
-  let protected stage =
-    match
-      P.Passes.protected ~bundle_dir:Cpr_resilience.Bundle.default_dir ~stage
-        prog inputs
-    with
-    | Cpr_resilience.Recover.Committed c -> c
-    | Cpr_resilience.Recover.Fell_back (c, f) ->
-      failures := f :: !failures;
-      Format.eprintf "DEGRADED: %a@." Cpr_resilience.Recover.pp_failure f;
-      c
+  let base_p, reduced_p =
+    P.Passes.compile ~bundle_dir:Cpr_resilience.Bundle.default_dir prog inputs
   in
-  let base = protected "superblock" in
-  let reduced = protected "icbm" in
+  let failures = List.filter_map Recover.failure [ base_p; reduced_p ] in
+  List.iter (Format.eprintf "DEGRADED: %a@." Recover.pp_failure) failures;
+  let base = Recover.value base_p and reduced = Recover.value reduced_p in
   (match reduced.P.Passes.icbm with
   | Some s -> Format.printf "icbm: %a@." Cpr_core.Icbm.pp_stats s
   | None -> ());
-  (match
-     Cpr_sim.Equiv.check_many base.P.Passes.prog reduced.P.Passes.prog inputs
-   with
+  (match P.Passes.equivalent base reduced inputs with
   | Ok () -> Format.printf "baseline and height-reduced code are equivalent@."
   | Error e -> Format.printf "EQUIVALENCE FAILURE: %s@." e);
   let sb = Stats_ir.of_prog base.P.Passes.prog in
@@ -118,7 +109,7 @@ let run_cmd spec =
       Format.printf "%-6s%12d%12d%10.3f@." m.Cpr_machine.Descr.name b t
         (P.Perf.speedup ~baseline:b ~transformed:t))
     Cpr_machine.Descr.all;
-  if !failures = [] then 0 else 3
+  if failures = [] then 0 else 3
 
 let schedule_cmd spec machine region cpr =
   let prog, inputs = load_program spec in

@@ -74,7 +74,9 @@ let sweep_stage_corpus dir ~f =
   List.iter
     (fun (path, loaded) ->
       match loaded with
-      | Error msg -> Format.printf "%s: ERROR %s@." path msg
+      | Error msg ->
+        incr errors;
+        Format.printf "%s: ERROR %s@." path msg
       | Ok (entry : F.Corpus.entry) -> (
         match F.Stage.find entry.F.Corpus.stage with
         | None ->

@@ -53,50 +53,72 @@ let strip_prefix prefix line =
     Some (String.trim (String.sub line n (String.length line - n)))
   else None
 
+(* Metadata lines keep their 1-based line numbers so a malformed one is
+   reported as [path:line: ...]. *)
 let load path =
-  match
-    let ic = open_in path in
-    let n = in_channel_length ic in
-    let text = really_input_string ic n in
-    close_in ic;
-    text
-  with
+  match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error msg -> Error msg
   | text -> (
-    let lines = String.split_on_char '\n' text in
+    let lines =
+      List.mapi (fun i l -> (i + 1, l)) (String.split_on_char '\n' text)
+    in
     let meta, body =
-      List.partition
-        (fun l -> String.length l > 0 && l.[0] = '#')
-        lines
+      List.partition (fun (_, l) -> String.length l > 0 && l.[0] = '#') lines
+    in
+    let error n fmt =
+      Printf.ksprintf (fun m -> Error (Printf.sprintf "%s:%d: %s" path n m)) fmt
+    in
+    (* The last line carrying [prefix], with its number. *)
+    let last prefix =
+      List.fold_left
+        (fun acc (n, l) ->
+          match strip_prefix prefix l with Some v -> Some (n, v) | None -> acc)
+        None meta
     in
     let field prefix default =
-      List.fold_left
-        (fun acc l ->
-          match strip_prefix prefix l with Some v -> v | None -> acc)
-        default meta
+      match last prefix with Some (_, v) -> v | None -> default
     in
-    let inputs =
-      List.filter_map (strip_prefix "# input:") meta
-      |> List.map input_of_string
+    let rec parse_inputs acc = function
+      | [] -> Ok (List.rev acc)
+      | (n, l) :: rest -> (
+        match strip_prefix "# input:" l with
+        | None -> parse_inputs acc rest
+        | Some v -> (
+          match input_of_string v with
+          | input -> parse_inputs (input :: acc) rest
+          | exception (Invalid_argument msg | Failure msg) ->
+            error n "malformed input %S: %s" v msg))
     in
-    match Parser_.of_text (String.concat "\n" body) with
-    | exception Parser_.Parse_error (line, msg) ->
-      Error (Printf.sprintf "%s: parse error at line %d: %s" path line msg)
-    | prog -> (
-      match Validate.check prog with
-      | e :: _ ->
-        Error (Format.asprintf "%s: invalid program: %a" path Validate.pp_error e)
-      | [] ->
-        Ok
-          {
-            path;
-            seed = (try int_of_string (field "# seed:" "-1") with _ -> -1);
-            stage = field "# stage:" "icbm";
-            reason = field "# reason:" "";
-            shape = field "# shape:" "";
-            prog;
-            inputs;
-          }))
+    let seed =
+      match last "# seed:" with
+      | None -> Ok (-1)
+      | Some (n, v) -> (
+        match int_of_string_opt v with
+        | Some s -> Ok s
+        | None -> error n "malformed seed %S" v)
+    in
+    match (seed, parse_inputs [] meta) with
+    | Error e, _ | _, Error e -> Error e
+    | Ok seed, Ok inputs -> (
+      match Parser_.of_text (String.concat "\n" (List.map snd body)) with
+      | exception Parser_.Parse_error (line, msg) ->
+        Error (Printf.sprintf "%s: parse error at line %d: %s" path line msg)
+      | prog -> (
+        match Validate.check prog with
+        | e :: _ ->
+          Error
+            (Format.asprintf "%s: invalid program: %a" path Validate.pp_error e)
+        | [] ->
+          Ok
+            {
+              path;
+              seed;
+              stage = field "# stage:" "icbm";
+              reason = field "# reason:" "";
+              shape = field "# shape:" "";
+              prog;
+              inputs;
+            })))
 
 let load_dir dir =
   if not (Sys.file_exists dir) then []

@@ -28,6 +28,12 @@ val save : dir:string -> Shrink.t -> string
 (** Write the artifact (creating [dir] if needed); returns its path. *)
 
 val load : string -> (entry, string) result
+(** Read one artifact (or crash-bundle [input.cpr]).  Every failure is
+    an [Error], never an exception: an unreadable file, a malformed
+    [# input:] or [# seed:] line (reported as ["<path>:<line>: ..."]),
+    a parse error or an invalid program.  A missing [# seed:] line reads
+    as seed [-1] (crash bundles carry none). *)
+
 val load_dir : string -> (string * (entry, string) result) list
 (** Every [.cpr] file in the directory, sorted by filename. *)
 

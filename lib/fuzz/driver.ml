@@ -35,24 +35,21 @@ let inputs_for check seed =
   @ List.init check.extra_inputs (fun k ->
         W.Gen.input_of_seed seed ~seed:(seed + ((k + 5) * 101)))
 
+(* The reference's observations on every input, kept for the
+   equivalence verdict so the reference is interpreted only once. *)
 let reference_ok prog inputs =
   match Validate.check prog with
   | e :: _ ->
     Error (Format.asprintf "reference invalid: %a" Validate.pp_error e)
   | [] -> (
-    match
-      List.iter
-        (fun input ->
-          ignore (Cpr_sim.Equiv.run_on prog input : Cpr_sim.Interp.outcome))
-        inputs
-    with
-    | () -> Ok ()
+    match List.map (Cpr_sim.Equiv.observe prog) inputs with
+    | observed -> Ok observed
     | exception Cpr_sim.Interp.Stuck msg -> Error ("reference stuck: " ^ msg))
 
 let run_prog check (stage : Stage.t) prog inputs =
   match reference_ok prog inputs with
   | Error msg -> Skip msg
-  | Ok () -> (
+  | Ok observed -> (
     match stage.Stage.apply prog inputs with
     | exception e -> Fail ("transform raised: " ^ Printexc.to_string e)
     | candidate -> (
@@ -83,7 +80,12 @@ let run_prog check (stage : Stage.t) prog inputs =
         with
         | Error e -> Fail e
         | Ok () -> (
-        match Cpr_sim.Equiv.check_many prog candidate inputs with
+        (* The candidate is interpreted fresh: a fault may have been
+           injected after the stage's own profiling run. *)
+        match
+          Cpr_sim.Equiv.verdict (Cpr_sim.Equiv.Observed observed)
+            (Cpr_sim.Equiv.Run candidate) inputs
+        with
         | Error e -> Fail ("equivalence: " ^ e)
         | exception Cpr_sim.Interp.Stuck msg ->
           Fail ("candidate stuck: " ^ msg)

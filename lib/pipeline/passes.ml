@@ -7,6 +7,7 @@ module Deadline = Cpr_deadline.Deadline
 type compiled = {
   prog : Prog.t;
   icbm : Cpr_core.Icbm.region_stats option;
+  observed : Cpr_sim.Equiv.observation list option;
 }
 
 let c_regions_formed = Obs.counter "superblock.regions_formed"
@@ -49,29 +50,26 @@ let record_icbm before (stats : Cpr_core.Icbm.region_stats) after =
     Obs.add c_branches_bypassed (max 0 (branches before - branches after))
   end
 
-let profile prog inputs =
+(* The one profiling loop: clear, then interpret every input with
+   profile recording on, keeping [f] of each outcome (and never the
+   interpreter state itself). *)
+let interpret prog inputs f =
   Obs.span "profile" (fun () ->
       Prog.clear_profile prog;
-      List.iter
-        (fun input ->
-          let st = Cpr_sim.State.create () in
-          Cpr_sim.State.set_memory st input.Cpr_sim.Equiv.memory;
-          List.iter
-            (fun (r, v) -> Cpr_sim.State.write_gpr st r v)
-            input.Cpr_sim.Equiv.gprs;
-          List.iter
-            (fun (r, v) -> Cpr_sim.State.write_pred st r v)
-            input.Cpr_sim.Equiv.preds;
-          let (_ : Cpr_sim.Interp.outcome) =
-            Cpr_sim.Interp.run ~state:st ~profile:true prog
-          in
-          ())
+      List.map
+        (fun input -> f (Cpr_sim.Equiv.run_on ~profile:true prog input))
         inputs)
+
+let profile prog inputs = ignore (interpret prog inputs ignore : unit list)
+
+let profile_observed prog inputs =
+  interpret prog inputs (Cpr_sim.Equiv.observation_of prog)
 
 (* Both compiled codes start from the same superblock formation — the
    paper's baseline is "optimized superblock code produced by the IMPACT
-   compiler", not the raw region graph. *)
-let prepare prog inputs =
+   compiler", not the raw region graph.  [final] is the closing profile
+   run, whose result is returned beside the program. *)
+let prepare_with final prog inputs =
   Obs.span "pass/prepare" (fun () ->
       (* Program boundary: trim the predicate engine's arena and memo
          tables so a long suite/fuzz run's footprint stays bounded by
@@ -83,8 +81,9 @@ let prepare prog inputs =
       Obs.add c_regions_formed formed;
       let (_ : int) = Cpr_core.Superblock.prune_unreachable p in
       Validate.check_exn p;
-      profile p inputs;
-      p)
+      (p, final p inputs))
+
+let prepare prog inputs = fst (prepare_with profile prog inputs)
 
 (* Static verification of one transformation step: raises
    {!Cpr_verify.Verify.Verify_error} on any error-severity finding.  The
@@ -106,22 +105,25 @@ let verify_stage ?(verify = true) ?verify_time ~stage ~before p =
 
 let baseline ?verify ?verify_time prog inputs =
   with_pass ~stage:"baseline" prog (fun () ->
-      let p = prepare prog inputs in
+      let p, observed = prepare_with profile_observed prog inputs in
       Chaos.trip ~stage:"superblock" p;
       verify_stage ?verify ?verify_time ~stage:"superblock" ~before:prog p;
-      { prog = p; icbm = None })
+      { prog = p; icbm = None; observed = Some observed })
+
+let height_reduce_prepared ?heur ?verify ?verify_time p inputs =
+  let before = Prog.copy p in
+  let stats = Cpr_core.Icbm.run ?heur p in
+  Chaos.trip ~stage:"icbm" p;
+  Validate.check_exn p;
+  verify_stage ?verify ?verify_time ~stage:"icbm" ~before p;
+  let observed = profile_observed p inputs in
+  record_icbm before stats p;
+  { prog = p; icbm = Some stats; observed = Some observed }
 
 let height_reduce ?heur ?verify ?verify_time prog inputs =
   with_pass ~stage:"icbm" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      let stats = Cpr_core.Icbm.run ?heur p in
-      Chaos.trip ~stage:"icbm" p;
-      Validate.check_exn p;
-      verify_stage ?verify ?verify_time ~stage:"icbm" ~before p;
-      profile p inputs;
-      record_icbm before stats p;
-      { prog = p; icbm = Some stats })
+      height_reduce_prepared ?heur ?verify ?verify_time (prepare prog inputs)
+        inputs)
 
 (* Per-stage entry points: each runs one transformation (plus its
    prerequisites) on a prepared copy, re-validates and re-profiles.  The
@@ -138,7 +140,7 @@ let finish ?verify ?verify_time ~stage ~before p inputs =
   Validate.check_exn p;
   verify_stage ?verify ?verify_time ~stage ~before p;
   profile p inputs;
-  { prog = p; icbm = None }
+  { prog = p; icbm = None; observed = None }
 
 let superblock_only ?verify ?verify_time prog inputs =
   baseline ?verify ?verify_time prog inputs
@@ -220,8 +222,25 @@ let by_name : string -> entry option = function
    fallback), hence the best-effort profile. *)
 let fallback_compiled prog inputs =
   let p = Prog.copy prog in
-  (try profile p inputs with _ -> Prog.clear_profile p);
-  { prog = p; icbm = None }
+  let observed =
+    try Some (profile_observed p inputs)
+    with _ ->
+      Prog.clear_profile p;
+      None
+  in
+  { prog = p; icbm = None; observed }
+
+(* Sandbox [run], a stage over [prog]: the fallback and any crash
+   bundle always describe [prog], the raw pre-pass input. *)
+let guard ~retries ?bundle_dir ?machine ~stage prog inputs run =
+  let on_failure =
+    Option.map
+      (fun dir fail -> Recover.bundle_to ~dir ?machine ~inputs prog fail)
+      bundle_dir
+  in
+  Recover.protect ~retries ?on_failure ~stage
+    ~fallback:(fun () -> fallback_compiled prog inputs)
+    run
 
 let protected ?heur ?verify ?verify_time ?(retries = 1) ?bundle_dir ?machine
     ~stage prog inputs =
@@ -236,11 +255,36 @@ let protected ?heur ?verify ?verify_time ?(retries = 1) ?bundle_dir ?machine
   match run with
   | None -> invalid_arg ("Passes.protected: unknown stage " ^ stage)
   | Some run ->
-    let on_failure =
-      Option.map
-        (fun dir fail -> Recover.bundle_to ~dir ?machine ~inputs prog fail)
-        bundle_dir
-    in
-    Recover.protect ~retries ?on_failure ~stage
-      ~fallback:(fun () -> fallback_compiled prog inputs)
-      (fun () -> run ?verify ?verify_time prog inputs)
+    guard ~retries ?bundle_dir ?machine ~stage prog inputs (fun () ->
+        run ?verify ?verify_time prog inputs)
+
+(* The paper's two compiled codes from one preparation: ICBM starts from
+   a fresh copy of the committed baseline (made inside the retried thunk,
+   so a retry starts clean) instead of preparing the input again.  A
+   degraded baseline is no starting point; ICBM then prepares for
+   itself. *)
+let compile ?heur ?verify_time ?bundle_dir prog inputs =
+  let base =
+    protected ?verify_time ?bundle_dir ~stage:"superblock" prog inputs
+  in
+  let reduced =
+    match base with
+    | Recover.Committed b ->
+      guard ~retries:1 ?bundle_dir ~stage:"icbm" prog inputs (fun () ->
+          with_pass ~stage:"icbm" prog (fun () ->
+              (* The trim [prepare] would have done. *)
+              Cpr_analysis.Pqs.trim ();
+              height_reduce_prepared ?heur ?verify_time (Prog.copy b.prog)
+                inputs))
+    | Recover.Fell_back _ ->
+      protected ?heur ?verify_time ?bundle_dir ~stage:"icbm" prog inputs
+  in
+  (base, reduced)
+
+let equivalent base reduced inputs =
+  let side c =
+    match c.observed with
+    | Some obs -> Cpr_sim.Equiv.Observed obs
+    | None -> Cpr_sim.Equiv.Run c.prog
+  in
+  Cpr_sim.Equiv.verdict (side base) (side reduced) inputs

@@ -7,11 +7,23 @@ open Cpr_ir
     conversion and the ICBM schema (predicate speculation, match,
     restructure, off-trace motion, DCE), re-profiled on the same training
     inputs so that the estimator and Table 3 see the transformed program's
-    own execution frequencies. *)
+    own execution frequencies.
+
+    {!compile} builds both from one {!prepare}: the baseline's prepared
+    program is the height reduction's starting point, and each code's
+    final profiling run also yields the {!Cpr_sim.Equiv.observation}s
+    that {!equivalent} compares.  Each training input is interpreted
+    three times in all (twice to prepare, once to re-profile the
+    height-reduced code). *)
 
 type compiled = {
   prog : Prog.t;
   icbm : Cpr_core.Icbm.region_stats option;  (** None for the baseline *)
+  observed : Cpr_sim.Equiv.observation list option;
+      (** one per training input, from the final profiling run of
+          [prog]: set by {!baseline}, {!height_reduce},
+          {!height_reduce_prepared} and {!fallback_compiled} (unless its
+          best-effort profile raised); [None] for the other stages *)
 }
 
 val profile : Prog.t -> Cpr_sim.Equiv.input list -> unit
@@ -43,9 +55,17 @@ val baseline :
 val height_reduce :
   ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> Prog.t
   -> Cpr_sim.Equiv.input list -> compiled
-(** Full pipeline on a fresh copy: profile, FRP-convert, ICBM, validate,
-    re-profile.  Raises [Invalid_argument] if the transformed program
-    fails structural validation. *)
+(** {!prepare} followed by {!height_reduce_prepared}, inside a
+    [pass/icbm] span; the input program is untouched. *)
+
+val height_reduce_prepared :
+  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> Prog.t
+  -> Cpr_sim.Equiv.input list -> compiled
+(** The ICBM step on an already {!prepare}d program, which it mutates
+    and returns: FRP conversion and ICBM, validation, verification
+    against the prepared program, re-profiling.  Raises
+    [Invalid_argument] if the transformed program fails structural
+    validation. *)
 
 (** {2 Per-stage entry points}
 
@@ -130,3 +150,27 @@ val protected :
     crash bundle on failure ([machine] is recorded in its metadata;
     [heur] applies to the [icbm] stage).  Raises [Invalid_argument] on
     an unknown stage name. *)
+
+(** {2 Both compiled codes} *)
+
+val compile :
+  ?heur:Cpr_core.Heur.t ->
+  ?verify_time:float ref ->
+  ?bundle_dir:string ->
+  Prog.t ->
+  Cpr_sim.Equiv.input list ->
+  compiled Cpr_resilience.Recover.protected
+  * compiled Cpr_resilience.Recover.protected
+(** [(baseline, height_reduced)], each stage sandboxed as by
+    {!protected}.  When the baseline commits, the ICBM stage runs
+    {!height_reduce_prepared} on a fresh copy of it instead of preparing
+    the input again; when the baseline degraded, the ICBM stage is
+    [protected ~stage:"icbm"] unchanged.  Either way a failed ICBM stage
+    falls back to the pre-pass input, and crash bundles record the raw
+    input program. *)
+
+val equivalent :
+  compiled -> compiled -> Cpr_sim.Equiv.input list -> (unit, string) result
+(** [equivalent baseline reduced inputs]: the
+    {!Cpr_sim.Equiv.check_many} verdict, computed from the two codes'
+    observations; a code without observations is interpreted again. *)

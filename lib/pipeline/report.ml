@@ -24,35 +24,28 @@ type result = {
 
 let degraded r = r.failures <> []
 
-let run ?heur ?(recover = true) ?bundle_dir ~name prog inputs =
+let run ?heur ?bundle_dir ~name prog inputs =
   Cpr_obs.Obs.span ~args:[ ("workload", name) ] ("workload/" ^ name)
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let verify_time = ref 0.0 in
-  let stage_p stage =
-    if recover then
-      Passes.protected ?heur ~verify_time ?bundle_dir ~stage prog inputs
-    else
-      Recover.Committed
-        (match stage with
-        | "icbm" -> Passes.height_reduce ?heur ~verify_time prog inputs
-        | _ -> Passes.baseline ~verify_time prog inputs)
+  let base_p, reduced_p =
+    Passes.compile ?heur ~verify_time ?bundle_dir prog inputs
   in
-  let base_p = stage_p "superblock" in
-  let reduced_p = stage_p "icbm" in
-  let base = Recover.value base_p in
-  let reduced = Recover.value reduced_p in
-  let equivalent =
-    Cpr_sim.Equiv.check_many base.Passes.prog reduced.Passes.prog inputs
-  in
+  let failures = List.filter_map Recover.failure [ base_p; reduced_p ] in
+  let base = Recover.value base_p and reduced = Recover.value reduced_p in
+  let equivalent = Passes.equivalent base reduced inputs in
+  (* Keep the programs only: the observations die with the verdict. *)
+  let icbm = reduced.Passes.icbm in
+  let base = base.Passes.prog and reduced = reduced.Passes.prog in
   let baseline_cycles =
     List.map
-      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate m base.Passes.prog))
+      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate m base))
       Descr.all
   in
   let reduced_cycles =
     List.map
-      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate m reduced.Passes.prog))
+      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate m reduced))
       Descr.all
   in
   let speedups =
@@ -65,7 +58,7 @@ let run ?heur ?(recover = true) ?bundle_dir ~name prog inputs =
      entry-weighted.  The gap is tracked by bench --check (warn-only)
      so scheduler or analyzer regressions show up in the perf
      trajectory, not just wall time. *)
-  let bound_cycles = Perf.bound_estimate Descr.medium reduced.Passes.prog in
+  let bound_cycles = Perf.bound_estimate Descr.medium reduced in
   let achieved_cycles =
     Option.value ~default:0
       (List.assoc_opt Descr.medium.Descr.name reduced_cycles)
@@ -81,11 +74,10 @@ let run ?heur ?(recover = true) ?bundle_dir ~name prog inputs =
   let pressure =
     List.map
       (fun (cls, v) -> (Cpr_verify.Pressurecheck.cls_name cls, v))
-      (Cpr_verify.Pressurecheck.summary ~machine:Descr.medium
-         reduced.Passes.prog)
+      (Cpr_verify.Pressurecheck.summary ~machine:Descr.medium reduced)
   in
-  let sb = Stats_ir.of_prog base.Passes.prog in
-  let sr = Stats_ir.of_prog reduced.Passes.prog in
+  let sb = Stats_ir.of_prog base in
+  let sr = Stats_ir.of_prog reduced in
   let s_tot, s_br, d_tot, d_br = Stats_ir.ratio sr sb in
   {
     name;
@@ -96,12 +88,9 @@ let run ?heur ?(recover = true) ?bundle_dir ~name prog inputs =
     d_br;
     baseline_cycles;
     reduced_cycles;
-    icbm =
-      (match reduced.Passes.icbm with
-      | Some s -> s
-      | None -> Cpr_core.Icbm.zero_stats);
+    icbm = Option.value ~default:Cpr_core.Icbm.zero_stats icbm;
     equivalent;
-    failures = List.filter_map Recover.failure [ base_p; reduced_p ];
+    failures;
     bound_cycles;
     achieved_cycles;
     height_gap;
@@ -112,11 +101,11 @@ let run ?heur ?(recover = true) ?bundle_dir ~name prog inputs =
 
 let c_workloads = Cpr_obs.Obs.counter "report.workloads"
 
-let run_many ?pool ?heur ?recover ?bundle_dir jobs =
+let run_many ?pool ?heur ?bundle_dir jobs =
   Cpr_obs.Obs.span "report/run_many" @@ fun () ->
   Cpr_obs.Obs.add c_workloads (List.length jobs);
   let one (name, prog, inputs) =
-    run ?heur ?recover ?bundle_dir ~name prog inputs
+    run ?heur ?bundle_dir ~name prog inputs
   in
   match pool with
   | Some p ->

@@ -53,16 +53,18 @@ val degraded : result -> bool
 (** [failures <> []]. *)
 
 val run :
-  ?heur:Cpr_core.Heur.t -> ?recover:bool -> ?bundle_dir:string
+  ?heur:Cpr_core.Heur.t -> ?bundle_dir:string
   -> name:string -> Prog.t -> Cpr_sim.Equiv.input list -> result
-(** [recover] (default [true]) runs both compilations under
-    {!Passes.protected}: a pass failure degrades the workload (see
-    {!type:result.failures}) instead of aborting the suite.  With
-    [~recover:false] exceptions propagate as before.  [bundle_dir]
-    writes a replayable crash bundle per recovered failure. *)
+(** Both compilations come from {!Passes.compile}, each stage
+    sandboxed: a pass failure degrades the workload (see
+    {!type:result.failures}) instead of aborting the suite.
+    [bundle_dir] writes a replayable crash bundle per recovered
+    failure.  The equivalence verdict is {!Passes.equivalent}, taken
+    from the final profiling runs; the observations are dropped once it
+    is computed. *)
 
 val run_many :
-  ?pool:Cpr_par.Pool.t -> ?heur:Cpr_core.Heur.t -> ?recover:bool
+  ?pool:Cpr_par.Pool.t -> ?heur:Cpr_core.Heur.t
   -> ?bundle_dir:string
   -> (string * Prog.t * Cpr_sim.Equiv.input list) list -> result list
 (** {!run} over a whole suite.  [?pool] distributes benchmarks across

@@ -9,12 +9,19 @@ type input = {
 let no_input = { memory = []; gprs = []; preds = [] }
 let input_of_memory memory = { no_input with memory }
 
-let run_on prog input =
+let run_on ?profile prog input =
   let st = State.create () in
   State.set_memory st input.memory;
   List.iter (fun (r, v) -> State.write_gpr st r v) input.gprs;
   List.iter (fun (r, v) -> State.write_pred st r v) input.preds;
-  Interp.run ~state:st prog
+  Interp.run ~state:st ?profile prog
+
+type observation = {
+  exit_label : string option;
+  final_memory : (int * int) list;
+  stores : (int * int list) list;
+  live : (Reg.t * int) list;
+}
 
 let per_address trace =
   let tbl = Hashtbl.create 64 in
@@ -26,41 +33,69 @@ let per_address trace =
   Hashtbl.fold (fun a vs acc -> (a, List.rev vs) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let check reference candidate input =
+let observation_of prog (out : Interp.outcome) =
+  let st = out.Interp.state in
+  {
+    exit_label = out.Interp.exit_label;
+    final_memory = State.memory_snapshot st;
+    stores = per_address (State.store_trace st);
+    live =
+      List.filter_map
+        (fun r -> if Reg.is_pred r then None else Some (r, State.read_gpr st r))
+        prog.Prog.live_out;
+  }
+
+let observe prog input = observation_of prog (run_on prog input)
+
+let diff reference candidate =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
-  match (run_on reference input, run_on candidate input) with
-  | exception Interp.Stuck msg -> fail "interpreter stuck: %s" msg
-  | ref_out, cand_out ->
-    if ref_out.Interp.exit_label <> cand_out.Interp.exit_label then
-      fail "exit labels differ: %s vs %s"
-        (Option.value ~default:"<end>" ref_out.Interp.exit_label)
-        (Option.value ~default:"<end>" cand_out.Interp.exit_label)
-    else if
-      State.memory_snapshot ref_out.Interp.state
-      <> State.memory_snapshot cand_out.Interp.state
-    then fail "final memories differ"
-    else if
-      per_address (State.store_trace ref_out.Interp.state)
-      <> per_address (State.store_trace cand_out.Interp.state)
-    then fail "store sequences differ"
-    else begin
-      let bad_reg =
-        List.find_opt
-          (fun r ->
-            Reg.is_pred r = false
-            && State.read_gpr ref_out.Interp.state r
-               <> State.read_gpr cand_out.Interp.state r)
-          reference.Prog.live_out
-      in
-      match bad_reg with
-      | Some r -> fail "live-out register %s differs" (Reg.to_string r)
-      | None -> Ok ()
-    end
+  if reference.exit_label <> candidate.exit_label then
+    fail "exit labels differ: %s vs %s"
+      (Option.value ~default:"<end>" reference.exit_label)
+      (Option.value ~default:"<end>" candidate.exit_label)
+  else if reference.final_memory <> candidate.final_memory then
+    fail "final memories differ"
+  else if reference.stores <> candidate.stores then
+    fail "store sequences differ"
+  else
+    match
+      List.find_opt
+        (fun (r, v) -> List.assoc_opt r candidate.live <> Some v)
+        reference.live
+    with
+    | Some (r, _) -> fail "live-out register %s differs" (Reg.to_string r)
+    | None -> Ok ()
+
+type side =
+  | Observed of observation list
+  | Run of Prog.t
+
+let verdict reference candidate inputs =
+  let nth = function
+    | Observed obs ->
+      let obs = Array.of_list obs in
+      fun i _ -> obs.(i)
+    | Run prog -> fun _ input -> observe prog input
+  in
+  let reference = nth reference and candidate = nth candidate in
+  let rec go i = function
+    | [] -> Ok ()
+    | input :: rest -> (
+      (* The candidate runs first: when both are stuck, its message is
+         the one reported. *)
+      match
+        let c = candidate i input in
+        (reference i input, c)
+      with
+      | exception Interp.Stuck msg -> Error ("interpreter stuck: " ^ msg)
+      | r, c -> ( match diff r c with Ok () -> go (i + 1) rest | e -> e))
+  in
+  go 0 inputs
 
 let check_many reference candidate inputs =
-  List.fold_left
-    (fun acc input -> match acc with Error _ -> acc | Ok () -> check reference candidate input)
-    (Ok ()) inputs
+  verdict (Run reference) (Run candidate) inputs
+
+let check reference candidate input = check_many reference candidate [ input ]
 
 (* ------------------------------------------------------------------ *)
 (* One-line textual input serialization, shared by the fuzz corpus

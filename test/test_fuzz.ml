@@ -97,6 +97,67 @@ let seed_52_fullpipe () =
   | F.Driver.Fail r -> Alcotest.failf "seed 52 regressed: %s" r
   | F.Driver.Skip r -> Alcotest.failf "seed 52 reference broke: %s" r
 
+(* Reader faults: a garbled or truncated artifact is an [Error] naming
+   the file (and, for a metadata line, its line number), never an
+   exception and never a silently defaulted field. *)
+let with_text text f =
+  let path = Filename.temp_file "cpr-corpus" ".cpr" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      f path)
+
+let artifact = Filename.concat corpus_dir "icbm-seed0017.cpr"
+
+let load_text text =
+  with_text text (fun path ->
+      match F.Corpus.load path with
+      | result -> (path, result)
+      | exception e ->
+        Alcotest.failf "Corpus.load raised %s" (Printexc.to_string e))
+
+let expect_error ~what text expected =
+  match load_text text with
+  | _, Ok _ -> Alcotest.failf "%s: loaded" what
+  | path, Error msg ->
+    check Alcotest.string what (Printf.sprintf "%s:%s" path expected) msg
+
+let corpus_garbled () =
+  let text = In_channel.with_open_bin artifact In_channel.input_all in
+  let lines = String.split_on_char '\n' text in
+  let replace n line =
+    String.concat "\n"
+      (List.mapi (fun i l -> if i = n - 1 then line else l) lines)
+  in
+  check Alcotest.string "line 2 is the seed" "# seed: 17" (List.nth lines 1);
+  expect_error ~what:"bad seed" (replace 2 "# seed: seventeen")
+    "2: malformed seed \"seventeen\"";
+  expect_error ~what:"bad input value" (replace 7 "# input: mem 1063=x")
+    "7: malformed input \"mem 1063=x\": int_of_string";
+  expect_error ~what:"bad input group" (replace 8 "# input: heap 1=2")
+    "8: malformed input \"heap 1=2\": bad input group heap";
+  expect_error ~what:"bad binding" (replace 9 "# input: gpr r1")
+    "9: malformed input \"gpr r1\": bad binding r1";
+  (* A well-formed artifact without a seed line reads as seed -1. *)
+  match
+    load_text
+      (String.concat "\n" (List.filteri (fun i _ -> i <> 1) lines))
+  with
+  | _, Ok e -> checki "missing seed" (-1) e.F.Corpus.seed
+  | _, Error msg -> Alcotest.failf "no seed line: %s" msg
+
+(* Every prefix of an artifact loads or fails with an [Error]. *)
+let corpus_truncated () =
+  let text = In_channel.with_open_bin artifact In_channel.input_all in
+  let errors = ref 0 in
+  for len = 0 to String.length text - 1 do
+    match load_text (String.sub text 0 len) with
+    | _, Ok _ -> ()
+    | _, Error _ -> incr errors
+  done;
+  checkb "truncations are reported" true (!errors > 0)
+
 let suite =
   ( "fuzz",
     [
@@ -105,4 +166,6 @@ let suite =
       case "determinism" determinism;
       case "faults are caught" faults_are_caught;
       case "seed 52 fullpipe regression" seed_52_fullpipe;
+      case "corpus loader: garbled metadata" corpus_garbled;
+      case "corpus loader: every truncation" corpus_truncated;
     ] )
