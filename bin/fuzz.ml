@@ -9,11 +9,11 @@
      dune exec bin/fuzz.exe -- --seeds 0..5000 --stages icbm,fullcpr \
        --shrink --out test/corpus
 
-   Two further modes: --chaos injects faults (exceptions, deadline
-   overruns, corrupted IR) at randomized pipeline points and checks the
-   resilience invariant (verified output or clean degraded result plus
-   crash bundle — never an escaped exception); --replay-bundle re-runs a
-   crash bundle's quarantined input through the full oracle battery.
+   Two further modes: --chaos injects faults (exceptions, corrupted IR)
+   at randomized pipeline points and checks the resilience invariant
+   (verified output or clean degraded result plus crash bundle — never
+   an escaped exception); --replay-bundle re-runs a crash bundle's
+   quarantined input through the full oracle battery.
 
    Everything is a deterministic function of the flags: running the
    same command twice prints the identical summary.
@@ -234,11 +234,11 @@ let trace_arg =
 let chaos_flag =
   Arg.(value & flag
        & info [ "chaos" ]
-           ~doc:"Chaos mode: for each seed, inject a fault (exception, \
-                 deadline overrun or corrupted IR) at a seed-determined \
-                 pipeline stage and check that the protected pipeline \
-                 either commits verified output or degrades cleanly with \
-                 a crash bundle — an escaped exception fails the run.")
+           ~doc:"Chaos mode: for each seed, inject a fault (exception \
+                 or corrupted IR) at a seed-determined pipeline stage \
+                 and check that the protected pipeline either commits \
+                 verified output or degrades cleanly with a crash \
+                 bundle — an escaped exception fails the run.")
 
 let bundle_dir_arg =
   Arg.(value & opt (some string) None

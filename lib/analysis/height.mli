@@ -27,8 +27,8 @@ open Cpr_ir
 
     This module also owns the list scheduler's critical-path priority
     (longest path from each op to a sink) — one implementation serves
-    the scheduler, the CPR profitability gate and the schedule-quality
-    lint, so their notions of "critical path" cannot drift. *)
+    the scheduler and the slack analysis behind [lint --heights], so
+    their notions of "critical path" cannot drift. *)
 
 type summary = {
   dep_height : int;

@@ -8,7 +8,8 @@ open Cpr_ir
 
     - {!sweep} counts live registers at every program point of an
       {e unscheduled} region, walking the {!Liveness} transfer backward —
-      a cheap pre-schedule estimate used by the CPR gates.
+      a cheap pre-schedule estimate; [lint --pressure] checks the
+      larger of it and the scheduled count against the register file.
     - {!of_schedule} counts live values at every {e cycle} of a
       {!Cpr_sched}-style schedule (passed as parallel ops/cycle arrays so
       this library does not depend on the scheduler): each demand for a

@@ -14,8 +14,9 @@ open Cpr_ir
 
     Deliberately {e not} an exact resource model (no slot assignment, no
     issue-window packing): the bound must be sound and cheap — it is
-    queried per candidate block inside the CPR profitability gate — and
-    counting per class over {!Cpr_machine.Descr} issue widths is both.
+    queried for every region on every machine by [lint --heights] and
+    the medium-machine bound estimate — and counting per class over
+    {!Cpr_machine.Descr} issue widths is both.
     Exactness is the scheduler's job; see DESIGN.md "Static height
     analysis". *)
 

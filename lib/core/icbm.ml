@@ -138,23 +138,12 @@ let block_legal liveness (region : Region.t) graph ops
     let hazard_edge =
       List.exists
         (fun (e : Depgraph.edge) ->
-          let hit =
-            in_move.(e.Depgraph.src)
-            && (not in_move.(e.Depgraph.dst))
-            && e.Depgraph.dst <= last_branch
-            && not (skip e)
-          in
-          if hit && Sys.getenv_opt "CPR_DEBUG_LEGAL" <> None then
-            Format.eprintf "  hazard edge %d -> %d@."
-              ops.(e.Depgraph.src).Op.id ops.(e.Depgraph.dst).Op.id;
-          hit)
+          in_move.(e.Depgraph.src)
+          && (not in_move.(e.Depgraph.dst))
+          && e.Depgraph.dst <= last_branch
+          && not (skip e))
         (Depgraph.edges graph)
     in
-    (if Sys.getenv_opt "CPR_DEBUG_LEGAL" <> None then
-       Format.eprintf "block last_branch=%d moveset=[%s]@." last_branch
-         (String.concat ","
-            (List.filteri (fun i _ -> in_move.(i)) (List.init n Fun.id)
-            |> List.map (fun i -> string_of_int ops.(i).Op.id))));
     let substitutable i =
       match ops.(i).Op.guard with
       | Op.True -> true
@@ -203,12 +192,7 @@ let block_legal liveness (region : Region.t) graph ops
     let mark i =
       if in_move.(i) && not needed.(i) then begin
         needed.(i) <- true;
-        if not (splittable i) then begin
-          if Sys.getenv_opt "CPR_DEBUG_LEGAL" <> None then
-            Format.eprintf "  unsplittable needed: %a@." Op.pp ops.(i);
-          bad := true
-        end
-        else Queue.add i work
+        if not (splittable i) then bad := true else Queue.add i work
       end
     in
     for i = 0 to n - 1 do
@@ -258,25 +242,6 @@ let block_legal liveness (region : Region.t) graph ops
           | _ -> ())
         (Depgraph.preds graph m)
     done;
-    (if Sys.getenv_opt "CPR_DEBUG_LEGAL" <> None then
-       if hazard_edge || !bad then begin
-         Format.eprintf "DEMOTE block (branches %s): hazard=%b bad_split=%b@."
-           (String.concat ","
-              (List.map string_of_int block.Restructure.branch_ids))
-           hazard_edge !bad;
-         if hazard_edge then
-           List.iter
-             (fun (e : Depgraph.edge) ->
-               if
-                 in_move.(e.Depgraph.src)
-                 && (not in_move.(e.Depgraph.dst))
-                 && e.Depgraph.dst <= last_branch
-                 && not (skip e)
-               then
-                 Format.eprintf "  hazard: %d -> %d@." ops.(e.Depgraph.src).Op.id
-                   ops.(e.Depgraph.dst).Op.id)
-             (Depgraph.edges graph)
-       end);
     (not hazard_edge) && not !bad
   end
 
@@ -311,13 +276,6 @@ let transform_region_with_blocks prog (region : Region.t) block_refs =
     (fun block ->
       if not !stopped then begin
         let plan = Restructure.transform_block prog region ~subst block in
-        if Sys.getenv_opt "CPR_DEBUG_OFFTRACE" <> None then
-          Format.eprintf "plan: bypass=%d comp=%s compares=[%s] branches=[%s]@."
-            plan.Restructure.bypass_id plan.Restructure.comp_label
-            (String.concat ","
-               (List.map string_of_int block.Restructure.compare_ids))
-            (String.concat ","
-               (List.map string_of_int block.Restructure.branch_ids));
         plans := plan :: !plans;
         if block.Restructure.taken_variation then stopped := true
       end)

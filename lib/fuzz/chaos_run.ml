@@ -17,14 +17,17 @@ type outcome = {
 }
 
 (* Deterministic fault plan: a multiplicative hash of the seed picks the
-   stage and the fault kind, so every (seed, plan) pair is reproducible
-   from the seed alone and the sweep covers the full stage x kind grid. *)
+   stage from [h mod n_stages] and the fault kind from the digits above
+   it, [h / n_stages mod n_kinds], so every (seed, plan) pair is
+   reproducible from the seed alone and consecutive seeds walk the full
+   stage x kind grid. *)
 let plan_of_seed seed =
   let stages = Passes.stage_names in
+  let n_stages = List.length stages in
   let h = seed * 2654435761 land max_int in
-  let stage = List.nth stages (h mod List.length stages) in
+  let stage = List.nth stages (h mod n_stages) in
   let kinds = Inject.all_kinds in
-  let kind = List.nth kinds (h / 31 mod List.length kinds) in
+  let kind = List.nth kinds (h / n_stages mod List.length kinds) in
   (stage, kind)
 
 (* The invariant under test: with a fault armed at an arbitrary pipeline

@@ -23,8 +23,6 @@ let full_pipeline prog inputs =
         ignore (Cpr_core.Unroll.unroll_region p r ~factor:2 : bool))
     (Prog.regions p);
   P.Passes.profile p inputs;
-  if Sys.getenv_opt "CPR_DEBUG_FULLPIPE" <> None then
-    prerr_string (Printer.to_text p);
   let (_ : Cpr_core.Icbm.region_stats) = Cpr_core.Icbm.run p in
   Validate.check_exn p;
   P.Passes.profile p inputs;

@@ -65,7 +65,7 @@ val all : t list
 val regfile_size : t -> Reg.cls -> int
 (** Architectural register-file capacity for a class.  The paper's cost
     model is cycles-only; these sizes (HPL-PD-flavoured, scaled with
-    issue width) give the pressure analyzer a budget to lint and gate
+    issue width) give the pressure analyzer a capacity to lint
     against.  The infinite machine is effectively unconstrained. *)
 
 val slots : t -> fu -> int

@@ -28,7 +28,6 @@ let default_domains () = min 8 (Domain.recommended_domain_count ())
    batches went through the pool, cumulative busy vs wall nanoseconds,
    and a utilization gauge (busy / (wall * domains)) for the last batch. *)
 module Obs = Cpr_obs.Obs
-module Deadline = Cpr_deadline.Deadline
 
 let c_tasks = Obs.counter "pool.tasks"
 let c_batches = Obs.counter "pool.batches"
@@ -51,21 +50,6 @@ let () =
            (Int64.to_float elapsed_ns /. 1e6)
            (Printexc.to_string cause))
     | _ -> None)
-
-(* The watchdog: poisons any running token past its budget; the owning
-   task unwinds at its next cooperative checkpoint.  Polls rather than
-   waits — stdlib [Condition] has no timed wait — but only exists for
-   deadline-carrying batches, so the idle cost is zero on the default
-   path. *)
-let watch tokens stopped =
-  while not (Atomic.get stopped) do
-    Array.iter
-      (fun d ->
-        if Deadline.running d && Deadline.overdue d && not (Deadline.poisoned d)
-        then Deadline.poison d)
-      tokens;
-    Unix.sleepf 0.001
-  done
 
 (* Run tasks from [b] until its cursor is exhausted.  Called with
    [t.mutex] held; returns with it held. *)
@@ -123,7 +107,7 @@ let shutdown t =
   List.iter Domain.join t.workers;
   t.workers <- []
 
-let map ?budget_ms ?label t f xs =
+let map ?label t f xs =
   let args = Array.of_list xs in
   let n = Array.length args in
   if n = 0 then begin
@@ -135,35 +119,16 @@ let map ?budget_ms ?label t f xs =
     let lbl i =
       match label with Some g -> g args.(i) | None -> "#" ^ string_of_int i
     in
-    let tokens =
-      Option.map
-        (fun ms -> Array.init n (fun i -> Deadline.of_ms ~label:(lbl i) ms))
-        budget_ms
-    in
     let busy = Atomic.make 0 in
     let wall0 = if observed then Obs.now_ns () else 0L in
     let results = Array.make n None in
     (* Every task runs under this wrapper on whichever domain claims it:
        a failure lands in the result slot wrapped with the submission
        index, label and elapsed time, so a pool failure is attributable
-       without re-running; the ambient deadline token (when a budget was
-       given) lets nested checkpoints — List_sched's scheduling loop,
-       the pipeline's pass entries — cancel the task cooperatively. *)
+       without re-running. *)
     let run_one i =
       let t0 = Obs.now_ns () in
-      (match
-         match tokens with
-         | None -> f args.(i)
-         | Some ts ->
-           let d = ts.(i) in
-           Deadline.start d;
-           Deadline.set_current (Some d);
-           Fun.protect
-             ~finally:(fun () ->
-               Deadline.set_current None;
-               Deadline.finish d)
-             (fun () -> f args.(i))
-       with
+      (match f args.(i) with
       | y -> results.(i) <- Some (Ok y)
       | exception cause ->
         let bt = Printexc.get_raw_backtrace () in
@@ -184,35 +149,26 @@ let map ?budget_ms ?label t f xs =
              (Int64.to_int (Int64.sub (Obs.now_ns ()) t0))
             : int)
     in
-    let stopped = Atomic.make false in
-    let monitor =
-      Option.map (fun ts -> Domain.spawn (fun () -> watch ts stopped)) tokens
-    in
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.set stopped true;
-        Option.iter Domain.join monitor)
-      (fun () ->
-        if t.domains = 1 then
-          for i = 0 to n - 1 do
-            run_one i
-          done
-        else begin
-          let tasks = Array.init n (fun i -> fun () -> run_one i) in
-          let b = { tasks; next = 0; finished = 0 } in
-          Mutex.lock t.mutex;
-          (* Serialize concurrent maps: wait for any in-flight batch. *)
-          while t.batch <> None do
-            Condition.wait t.batch_done t.mutex
-          done;
-          t.batch <- Some b;
-          Condition.broadcast t.work_available;
-          drain t b;
-          while b.finished < n do
-            Condition.wait t.batch_done t.mutex
-          done;
-          Mutex.unlock t.mutex
-        end);
+    if t.domains = 1 then
+      for i = 0 to n - 1 do
+        run_one i
+      done
+    else begin
+      let tasks = Array.init n (fun i -> fun () -> run_one i) in
+      let b = { tasks; next = 0; finished = 0 } in
+      Mutex.lock t.mutex;
+      (* Serialize concurrent maps: wait for any in-flight batch. *)
+      while t.batch <> None do
+        Condition.wait t.batch_done t.mutex
+      done;
+      t.batch <- Some b;
+      Condition.broadcast t.work_available;
+      drain t b;
+      while b.finished < n do
+        Condition.wait t.batch_done t.mutex
+      done;
+      Mutex.unlock t.mutex
+    end;
     if observed then begin
       let wall = Int64.to_int (Int64.sub (Obs.now_ns ()) wall0) in
       Obs.add c_tasks n;

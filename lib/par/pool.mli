@@ -33,8 +33,7 @@ exception
     attributable (which task, how long it ran) without re-running the
     batch.  Match on [cause] for the underlying exception. *)
 
-val map :
-  ?budget_ms:float -> ?label:('a -> string) -> t -> ('a -> 'b) -> 'a list -> 'b list
+val map : ?label:('a -> string) -> t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map pool f xs] applies [f] to every element of [xs], possibly in
     parallel, and returns the results in the order of [xs].
 
@@ -44,15 +43,7 @@ val map :
     time — after every task of the batch has finished, so the pool
     remains usable afterwards.  At most one batch runs at a time per
     pool; concurrent {!map} calls on the same pool are serialized.
-
-    [budget_ms] gives every task a per-task deadline: a watchdog domain
-    poisons the token of any task running past its budget, and the task
-    unwinds with [Deadline_exceeded] at its next cooperative checkpoint
-    ({!Cpr_deadline.Deadline.check_current} — the scheduler's main loop
-    and the pipeline's pass entries call it).  The watchdog only exists
-    for deadline-carrying batches; without [budget_ms] the path is
-    unchanged.  [label] names tasks for {!Task_failed} and deadline
-    reports (defaults to ["#<index>"]). *)
+    [label] names tasks for {!Task_failed} (defaults to ["#<index>"]). *)
 
 val shutdown : t -> unit
 (** Join the worker domains.  Idempotent; the pool must not be used

@@ -2,7 +2,6 @@ open Cpr_ir
 module Obs = Cpr_obs.Obs
 module Chaos = Cpr_resilience.Chaos
 module Recover = Cpr_resilience.Recover
-module Deadline = Cpr_deadline.Deadline
 
 type compiled = {
   prog : Prog.t;
@@ -20,9 +19,6 @@ let c_blocks_demoted = Obs.counter "icbm.blocks_demoted"
    the way in and out ("ops in/out per pass").  The counts are only
    computed when a telemetry sink is listening. *)
 let with_pass ~stage input f =
-  (* Cooperative cancellation point: a pooled caller running past its
-     budget unwinds here rather than starting another pass. *)
-  Deadline.check_current ();
   Obs.span ("pass/" ^ stage) (fun () ->
       let ops_in =
         if Obs.enabled () then Prog.static_op_count input else 0
@@ -232,30 +228,21 @@ let fallback_compiled prog inputs =
 
 (* Sandbox [run], a stage over [prog]: the fallback and any crash
    bundle always describe [prog], the raw pre-pass input. *)
-let guard ~retries ?bundle_dir ?machine ~stage prog inputs run =
+let guard ?bundle_dir ~stage prog inputs run =
   let on_failure =
     Option.map
-      (fun dir fail -> Recover.bundle_to ~dir ?machine ~inputs prog fail)
+      (fun dir fail -> Recover.bundle_to ~dir ~inputs prog fail)
       bundle_dir
   in
-  Recover.protect ~retries ?on_failure ~stage
+  Recover.protect ?on_failure ~stage
     ~fallback:(fun () -> fallback_compiled prog inputs)
     run
 
-let protected ?heur ?verify ?verify_time ?(retries = 1) ?bundle_dir ?machine
-    ~stage prog inputs =
-  let run =
-    match stage with
-    | "icbm" ->
-      Some
-        (fun ?verify ?verify_time p i ->
-          height_reduce ?heur ?verify ?verify_time p i)
-    | s -> by_name s
-  in
-  match run with
+let protected ?verify ?verify_time ?bundle_dir ~stage prog inputs =
+  match by_name stage with
   | None -> invalid_arg ("Passes.protected: unknown stage " ^ stage)
   | Some run ->
-    guard ~retries ?bundle_dir ?machine ~stage prog inputs (fun () ->
+    guard ?bundle_dir ~stage prog inputs (fun () ->
         run ?verify ?verify_time prog inputs)
 
 (* The paper's two compiled codes from one preparation: ICBM starts from
@@ -263,21 +250,20 @@ let protected ?heur ?verify ?verify_time ?(retries = 1) ?bundle_dir ?machine
    so a retry starts clean) instead of preparing the input again.  A
    degraded baseline is no starting point; ICBM then prepares for
    itself. *)
-let compile ?heur ?verify_time ?bundle_dir prog inputs =
+let compile ?verify_time ?bundle_dir prog inputs =
   let base =
     protected ?verify_time ?bundle_dir ~stage:"superblock" prog inputs
   in
   let reduced =
     match base with
     | Recover.Committed b ->
-      guard ~retries:1 ?bundle_dir ~stage:"icbm" prog inputs (fun () ->
+      guard ?bundle_dir ~stage:"icbm" prog inputs (fun () ->
           with_pass ~stage:"icbm" prog (fun () ->
               (* The trim [prepare] would have done. *)
               Cpr_analysis.Pqs.trim ();
-              height_reduce_prepared ?heur ?verify_time (Prog.copy b.prog)
-                inputs))
+              height_reduce_prepared ?verify_time (Prog.copy b.prog) inputs))
     | Recover.Fell_back _ ->
-      protected ?heur ?verify_time ?bundle_dir ~stage:"icbm" prog inputs
+      protected ?verify_time ?bundle_dir ~stage:"icbm" prog inputs
   in
   (base, reduced)
 

@@ -132,12 +132,9 @@ val fallback_compiled : Prog.t -> Cpr_sim.Equiv.input list -> compiled
     the fallback thunk. *)
 
 val protected :
-  ?heur:Cpr_core.Heur.t ->
   ?verify:bool ->
   ?verify_time:float ref ->
-  ?retries:int ->
   ?bundle_dir:string ->
-  ?machine:string ->
   stage:string ->
   Prog.t ->
   Cpr_sim.Equiv.input list ->
@@ -145,16 +142,13 @@ val protected :
 (** Run the named stage under {!Cpr_resilience.Recover.protect}: on an
     exception or a verifier rejection the result is
     [Fell_back (fallback_compiled prog inputs, failure)] instead of a
-    raised exception, with one retry for transient faults (default
-    [retries = 1]).  [bundle_dir] additionally writes a replayable
-    crash bundle on failure ([machine] is recorded in its metadata;
-    [heur] applies to the [icbm] stage).  Raises [Invalid_argument] on
-    an unknown stage name. *)
+    raised exception, with one retry for transient faults.
+    [bundle_dir] additionally writes a replayable crash bundle on
+    failure.  Raises [Invalid_argument] on an unknown stage name. *)
 
 (** {2 Both compiled codes} *)
 
 val compile :
-  ?heur:Cpr_core.Heur.t ->
   ?verify_time:float ref ->
   ?bundle_dir:string ->
   Prog.t ->

@@ -24,13 +24,13 @@ type result = {
 
 let degraded r = r.failures <> []
 
-let run ?heur ?bundle_dir ~name prog inputs =
+let run ?bundle_dir ~name prog inputs =
   Cpr_obs.Obs.span ~args:[ ("workload", name) ] ("workload/" ^ name)
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let verify_time = ref 0.0 in
   let base_p, reduced_p =
-    Passes.compile ?heur ~verify_time ?bundle_dir prog inputs
+    Passes.compile ~verify_time ?bundle_dir prog inputs
   in
   let failures = List.filter_map Recover.failure [ base_p; reduced_p ] in
   let base = Recover.value base_p and reduced = Recover.value reduced_p in
@@ -101,11 +101,11 @@ let run ?heur ?bundle_dir ~name prog inputs =
 
 let c_workloads = Cpr_obs.Obs.counter "report.workloads"
 
-let run_many ?pool ?heur ?bundle_dir jobs =
+let run_many ?pool ?bundle_dir jobs =
   Cpr_obs.Obs.span "report/run_many" @@ fun () ->
   Cpr_obs.Obs.add c_workloads (List.length jobs);
   let one (name, prog, inputs) =
-    run ?heur ?bundle_dir ~name prog inputs
+    run ?bundle_dir ~name prog inputs
   in
   match pool with
   | Some p ->

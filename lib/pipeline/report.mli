@@ -53,8 +53,8 @@ val degraded : result -> bool
 (** [failures <> []]. *)
 
 val run :
-  ?heur:Cpr_core.Heur.t -> ?bundle_dir:string
-  -> name:string -> Prog.t -> Cpr_sim.Equiv.input list -> result
+  ?bundle_dir:string -> name:string -> Prog.t -> Cpr_sim.Equiv.input list
+  -> result
 (** Both compilations come from {!Passes.compile}, each stage
     sandboxed: a pass failure degrades the workload (see
     {!type:result.failures}) instead of aborting the suite.
@@ -64,8 +64,7 @@ val run :
     is computed. *)
 
 val run_many :
-  ?pool:Cpr_par.Pool.t -> ?heur:Cpr_core.Heur.t
-  -> ?bundle_dir:string
+  ?pool:Cpr_par.Pool.t -> ?bundle_dir:string
   -> (string * Prog.t * Cpr_sim.Equiv.input list) list -> result list
 (** {!run} over a whole suite.  [?pool] distributes benchmarks across
     domains; results come back in input order either way, so the two

@@ -18,7 +18,7 @@ let write_file path contents =
   output_string oc contents;
   close_out oc
 
-let write ?(dir = default_dir) ?machine ?(retries = 0) ?(findings = [])
+let write ?(dir = default_dir) ?(retries = 0) ?(findings = [])
     ?(inputs = []) ~stage ~reason ~prog () =
   match
     let text = Cpr_ir.Printer.to_text prog in
@@ -54,12 +54,9 @@ let write ?(dir = default_dir) ?machine ?(retries = 0) ?(findings = [])
              ("stage", Str stage);
              ("reason", Str (one_line reason));
              ("retries", Num (float_of_int retries));
-           ]
-          @ Option.fold ~none:[] ~some:(fun m -> [ ("machine", Str m) ]) machine
-          @ [
-              ("inputs", Num (float_of_int (List.length inputs)));
-              ("findings", Arr (List.map (fun f -> Str f) rendered_findings));
-            ]))
+             ("inputs", Num (float_of_int (List.length inputs)));
+             ("findings", Arr (List.map (fun f -> Str f) rendered_findings));
+           ]))
     in
     write_file (Filename.concat bdir "meta.json") (Json.to_string meta);
     if rendered_findings <> [] then

@@ -10,7 +10,7 @@
                     (the fuzz-corpus artifact format, so Cpr_fuzz.Corpus
                     loads it unchanged)
       meta.json     structured failure record: stage, reason, retries,
-                    machine config, findings
+                    input count, findings
       findings.txt  pretty-printed verifier findings (when any)
       trace.json    Chrome-trace telemetry snapshot (when Cpr_obs is
                     enabled)
@@ -27,7 +27,6 @@ val default_dir : string
 
 val write :
   ?dir:string ->
-  ?machine:string ->
   ?retries:int ->
   ?findings:Cpr_verify.Finding.t list ->
   ?inputs:Cpr_sim.Equiv.input list ->

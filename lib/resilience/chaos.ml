@@ -1,15 +1,13 @@
 open Cpr_ir
 module Obs = Cpr_obs.Obs
 
-type kind = Raise | Corrupt | Stall
+type kind = Raise | Corrupt
 
 let kind_name = function
   | Raise -> "raise"
   | Corrupt -> "corrupt"
-  | Stall -> "stall"
 
-let all_kinds = [ Raise; Corrupt; Stall ]
-let kind_of_string s = List.find_opt (fun k -> kind_name k = s) all_kinds
+let all_kinds = [ Raise; Corrupt ]
 
 exception Chaos_fault of string
 
@@ -92,11 +90,5 @@ let trip ~stage prog =
     if first then Obs.incr c_injected;
     (match a.kind with
     | Raise -> raise (Chaos_fault ("injected exception at stage " ^ stage))
-    | Stall ->
-      (* As if a watchdog had poisoned this task's token and the pass
-         hit its next checkpoint. *)
-      raise
-        (Cpr_deadline.Deadline.Deadline_exceeded
-           { label = "chaos:" ^ stage; elapsed_ns = 0L; budget_ns = 0L })
     | Corrupt -> corrupt prog)
   | _ -> ()

@@ -6,14 +6,11 @@
     per-domain ([Domain.DLS]), so a pool fanning chaos seeds across
     domains keeps each seed's injection isolated.
 
-    Kinds model the three failure classes the resilience layer must
+    Kinds model the two failure classes the resilience layer must
     absorb:
 
     - {!Raise}: a pass exception.  Fires {e once} — a transient fault,
       so {!Recover.protect}'s single retry recovers it cleanly.
-    - {!Stall}: a deadline overrun, simulated by raising
-      {!Deadline.Deadline_exceeded} as a watchdog-poisoned checkpoint
-      would.  Also fires once.
     - {!Corrupt}: silently drops an op — preferring a store, then an op
       defining a predicate a later op in its region consumes, the two
       corruption classes the translation validator and the dataflow
@@ -22,10 +19,9 @@
       the retry fails too and the run degrades to the verified
       fallback. *)
 
-type kind = Raise | Corrupt | Stall
+type kind = Raise | Corrupt
 
 val kind_name : kind -> string
-val kind_of_string : string -> kind option
 val all_kinds : kind list
 
 exception Chaos_fault of string

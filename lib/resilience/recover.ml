@@ -41,17 +41,17 @@ let findings_of = function
 
 (* A verifier rejection is a pure function of the IR: re-running the
    stage reproduces it exactly, so retrying only doubles the cost.
-   Everything else — a pass exception, a deadline trip, an injected
-   chaos fault — may be once-only, and one retry is cheap next to
-   losing the optimization level. *)
+   Everything else — a pass exception, an injected chaos fault — may
+   be once-only, and one retry is cheap next to losing the optimization
+   level. *)
 let transient = function Cpr_verify.Verify.Verify_error _ -> false | _ -> true
 
-let protect ?(retries = 1) ?on_failure ~stage ~fallback f =
+let protect ?on_failure ~stage ~fallback f =
   let rec attempt n =
     match f () with
     | v -> Committed v
     | exception e ->
-      if n < retries && transient e then begin
+      if n = 0 && transient e then begin
         Obs.incr c_retries;
         attempt (n + 1)
       end
@@ -76,9 +76,9 @@ let protect ?(retries = 1) ?on_failure ~stage ~fallback f =
   in
   attempt 0
 
-let bundle_to ?dir ?machine ?(inputs = []) prog fail =
+let bundle_to ?dir ?(inputs = []) prog fail =
   match
-    Bundle.write ?dir ?machine ~retries:fail.retries ~findings:fail.findings
+    Bundle.write ?dir ~retries:fail.retries ~findings:fail.findings
       ~inputs ~stage:fail.stage ~reason:fail.reason ~prog ()
   with
   | Ok path -> Some path

@@ -41,7 +41,6 @@ val degraded : 'a protected -> bool
 val pp_failure : Format.formatter -> failure -> unit
 
 val protect :
-  ?retries:int ->
   ?on_failure:(failure -> string option) ->
   stage:string ->
   fallback:(unit -> 'a) ->
@@ -49,12 +48,12 @@ val protect :
   'a protected
 (** [protect ~stage ~fallback f] runs [f ()].  On success the result is
     [Committed].  On [Verify_error] it falls back immediately (the
-    verifier is deterministic); on any other exception it retries up to
-    [retries] times (default 1) and then falls back.  [on_failure] runs
-    once, after the failure record is built but before the fallback is
-    computed — the hook for writing a crash bundle; its return value
-    lands in [failure.bundle], and an exception it raises is swallowed
-    (recovery must not crash on a full disk).
+    verifier is deterministic); on any other exception it retries once
+    and then falls back.  [on_failure] runs once, after the failure
+    record is built but before the fallback is computed — the hook for
+    writing a crash bundle; its return value lands in [failure.bundle],
+    and an exception it raises is swallowed (recovery must not crash on
+    a full disk).
 
     The fallback thunk itself is {b not} sandboxed: it must be
     infallible (a pre-validated copy of the input IR).  If it raises,
@@ -62,7 +61,6 @@ val protect :
 
 val bundle_to :
   ?dir:string ->
-  ?machine:string ->
   ?inputs:Cpr_sim.Equiv.input list ->
   Cpr_ir.Prog.t ->
   failure ->

@@ -2,7 +2,6 @@ open Cpr_ir
 module Descr = Cpr_machine.Descr
 module Resource = Cpr_machine.Resource
 module Depgraph = Cpr_analysis.Depgraph
-module Deadline = Cpr_deadline.Deadline
 module IntSet = Set.Make (Int)
 
 (* Candidate order is decreasing critical-path priority, ties broken by
@@ -67,9 +66,6 @@ let schedule machine prog liveness (region : Region.t) =
   done;
   while !unscheduled > 0 && !fuel > 0 do
     decr fuel;
-    (* Cooperative cancellation point: unwinds with [Deadline_exceeded]
-       when the pool watchdog has poisoned this task's budget. *)
-    Deadline.check_current ();
     (match Hashtbl.find_opt buckets !current with
     | Some l ->
       avail := List.rev_append l !avail;
@@ -118,21 +114,8 @@ let schedule machine prog liveness (region : Region.t) =
          region.Region.label);
   finish machine region ops cycle
 
-let schedule_prog ?pool ?budget_ms machine prog =
+let schedule_prog machine prog =
   let liveness = Cpr_analysis.Liveness.analyze prog in
-  let one (r : Region.t) =
-    (r.Region.label, schedule machine prog liveness r)
-  in
-  let label (r : Region.t) = r.Region.label in
-  match pool with
-  | Some p -> Cpr_par.Pool.map ?budget_ms ~label p one (Prog.regions prog)
-  | None -> (
-    match budget_ms with
-    | None -> List.map one (Prog.regions prog)
-    | Some ms ->
-      (* No pool, but still honor the budget: without a watchdog domain
-         the token is only checked (never poisoned) — the elapsed test
-         in [check_current] still trips overdue regions. *)
-      List.map
-        (fun r -> Deadline.with_budget ~label:(label r) ~ms (fun () -> one r))
-        (Prog.regions prog))
+  List.map
+    (fun (r : Region.t) -> (r.Region.label, schedule machine prog liveness r))
+    (Prog.regions prog)

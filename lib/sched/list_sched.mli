@@ -18,16 +18,6 @@ val schedule :
     exactly. *)
 
 val schedule_prog :
-  ?pool:Cpr_par.Pool.t -> ?budget_ms:float -> Cpr_machine.Descr.t -> Prog.t
-  -> (string * Schedule.t) list
+  Cpr_machine.Descr.t -> Prog.t -> (string * Schedule.t) list
 (** Schedule every region of the program (computing liveness once);
-    association list keyed by region label in layout order.  [?pool]
-    distributes regions across domains (results stay in layout order);
-    do not pass a pool whose worker is executing the caller.
-
-    [?budget_ms] bounds each region's scheduling time: the scheduler
-    checkpoints ({!Cpr_deadline.Deadline.check_current}) once per cycle
-    of its main loop and unwinds with [Deadline_exceeded] when over
-    budget (with a pool, also when the pool watchdog poisons the task).
-    Exceptions surface as [Cpr_par.Pool.Task_failed] on the pool path
-    and bare on the sequential path. *)
+    association list keyed by region label in layout order. *)
