@@ -109,27 +109,7 @@ let print_table2 results =
   Format.printf
     "@.Table 2: the effectiveness of ICBM for processors with branch \
      latency 1 (speedups)@.@.";
-  P.Report.print_table2 Format.std_formatter results;
-  let spec95 =
-    List.filter
-      (fun (r : P.Report.result) ->
-        List.mem r.P.Report.name W.Registry.spec95_names)
-      results
-  in
-  if spec95 <> [] then begin
-    Format.printf "%-14s" "Gmean-spec95";
-    List.iter
-      (fun (m : Cpr_machine.Descr.t) ->
-        let col =
-          List.map
-            (fun (r : P.Report.result) ->
-              List.assoc m.Cpr_machine.Descr.name r.P.Report.speedups)
-            spec95
-        in
-        Format.printf "%8.2f" (P.Report.gmean col))
-      Cpr_machine.Descr.all;
-    Format.printf "@."
-  end
+  P.Report.print_table2 Format.std_formatter results
 
 let print_table3 results =
   Format.printf

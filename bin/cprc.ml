@@ -48,36 +48,20 @@ let list_cmd () =
     W.Registry.all;
   0
 
-let phases =
-  [ "baseline"; "superblock"; "unroll"; "frp"; "spec"; "icbm"; "fullcpr" ]
+let phase_names =
+  String.concat ", " (List.map (fun s -> s.P.Passes.name) P.Passes.stages)
 
+(* The program the pipeline itself produces at that stage, verified as
+   the pipeline verifies it. *)
 let show_cmd spec phase =
-  let prog, inputs = load_program spec in
-  P.Passes.profile prog inputs;
-  (match phase with
-  | "baseline" -> ()
-  | "superblock" ->
-    ignore (Cpr_core.Superblock.form prog : int);
-    ignore (Cpr_core.Superblock.prune_unreachable prog : int)
-  | "unroll" ->
-    List.iter
-      (fun (r : Region.t) ->
-        if Cpr_core.Unroll.unrollable prog r then
-          ignore (Cpr_core.Unroll.unroll_region prog r ~factor:4 : bool))
-      (Prog.regions prog)
-  | "frp" -> ignore (Cpr_core.Frp.convert prog)
-  | "spec" ->
-    ignore (Cpr_core.Frp.convert prog);
-    ignore (Cpr_core.Spec.speculate prog)
-  | "icbm" -> ignore (Cpr_core.Icbm.run prog)
-  | "fullcpr" ->
-    ignore (Cpr_core.Frp.convert prog);
-    ignore (Cpr_core.Spec.speculate prog);
-    ignore (Cpr_core.Fullcpr.transform prog : int)
-  | p -> failwith (Printf.sprintf "unknown phase %S (%s)" p (String.concat "/" phases)));
-  Validate.check_exn prog;
-  print_string (Printer.to_text prog);
-  0
+  match P.Passes.find phase with
+  | None ->
+    failwith (Printf.sprintf "unknown phase %S (%s)" phase phase_names)
+  | Some stage ->
+    let prog, inputs = load_program spec in
+    let compiled = P.Passes.run stage prog inputs in
+    print_string (Printer.to_text compiled.P.Passes.prog);
+    0
 
 (* The pipeline subcommand runs both compilations sandboxed: a pass
    failure degrades to the verified pre-pass IR (with a crash bundle
@@ -207,8 +191,10 @@ let list_t =
 
 let show_t =
   let phase =
-    Arg.(value & opt string "icbm" & info [ "phase" ] ~docv:"PHASE"
-         ~doc:"baseline, superblock, unroll, frp, spec, icbm or fullcpr.")
+    Arg.(value & opt string P.Passes.icbm.P.Passes.name
+         & info [ "phase" ] ~docv:"PHASE"
+             ~doc:("A pipeline stage: " ^ phase_names
+                   ^ "; baseline names the superblock stage too."))
   in
   Cmd.v (Cmd.info "show" ~doc:"Print the program after a pipeline phase")
     Term.(const (fun s p trace -> wrap ?trace (fun () -> show_cmd s p))

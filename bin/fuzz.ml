@@ -58,8 +58,8 @@ let replay_bundle dir =
     Format.eprintf "%s@." msg;
     1
   | Ok entry -> (
-    Format.printf "replaying bundle %s (stage %s: %s)@." dir entry.F.Corpus.stage
-      entry.F.Corpus.reason;
+    Format.printf "replaying bundle %s (stage %s: %s)@." dir
+      entry.F.Corpus.stage.F.Stage.name entry.F.Corpus.reason;
     match F.Corpus.replay entry with
     | Ok () ->
       Format.printf "bundle passes the differential oracle@.";

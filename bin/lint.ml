@@ -34,37 +34,36 @@ let pp_finding ppf (where, f) =
 (* Shared per-stage sweep runner: every registry workload (or corpus
    artifact) through every requested stage, folding a per-program report
    [f ~stage ~where ~before after -> (errors, warnings)].  A raising
-   transform counts as one error.  [before] is the program the stage
-   started from (the prepared copy; the raw input for superblock), for
-   reports that compare across the transformation.  The correctness
+   transform counts as one error.  [before] is {!Cpr_pipeline.Passes.before},
+   the program the stage started from, for reports that compare across
+   the transformation; it is computed only when forced.  The correctness
    sweep, --heights and --pressure all ride on this. *)
+let sweep_stage prog inputs (stage : F.Stage.t) ~where ~f =
+  match stage.F.Stage.apply prog inputs with
+  | exception e ->
+    Format.printf "%s: transform raised: %s@." where (Printexc.to_string e);
+    (1, 0)
+  | after ->
+    let stage = stage.F.Stage.name in
+    f ~stage ~where
+      ~before:(lazy (Cpr_pipeline.Passes.before ~stage prog inputs))
+      after
+
 let sweep_stage_workloads stages ~f =
   let errors = ref 0 and warnings = ref 0 in
   List.iter
     (fun (w : Cpr_workloads.Workload.t) ->
       let prog = w.Cpr_workloads.Workload.build () in
       let inputs = w.Cpr_workloads.Workload.inputs () in
-      let prepared = Cpr_pipeline.Passes.prepare prog inputs in
       List.iter
         (fun (stage : F.Stage.t) ->
           let where =
             Printf.sprintf "%s/%s" w.Cpr_workloads.Workload.name
               stage.F.Stage.name
           in
-          match stage.F.Stage.apply prog inputs with
-          | exception e ->
-            incr errors;
-            Format.printf "%s: transform raised: %s@." where
-              (Printexc.to_string e)
-          | after ->
-            let before =
-              if stage.F.Stage.name = "superblock" then
-                Cpr_ir.Prog.copy prog
-              else prepared
-            in
-            let e, m = f ~stage:stage.F.Stage.name ~where ~before after in
-            errors := !errors + e;
-            warnings := !warnings + m)
+          let e, m = sweep_stage prog inputs stage ~where ~f in
+          errors := !errors + e;
+          warnings := !warnings + m)
         stages)
     Cpr_workloads.Registry.all;
   (!errors, !warnings)
@@ -77,26 +76,13 @@ let sweep_stage_corpus dir ~f =
       | Error msg ->
         incr errors;
         Format.printf "%s: ERROR %s@." path msg
-      | Ok (entry : F.Corpus.entry) -> (
-        match F.Stage.find entry.F.Corpus.stage with
-        | None ->
-          Format.printf "%s: unknown stage %s@." path entry.F.Corpus.stage
-        | Some stage -> (
-          match
-            stage.F.Stage.apply entry.F.Corpus.prog entry.F.Corpus.inputs
-          with
-          | exception e ->
-            incr errors;
-            Format.printf "%s: transform raised: %s@." path
-              (Printexc.to_string e)
-          | after ->
-            let e, m =
-              f ~stage:entry.F.Corpus.stage
-                ~where:(Filename.basename path)
-                ~before:entry.F.Corpus.prog after
-            in
-            errors := !errors + e;
-            warnings := !warnings + m)))
+      | Ok (entry : F.Corpus.entry) ->
+        let e, m =
+          sweep_stage entry.F.Corpus.prog entry.F.Corpus.inputs
+            entry.F.Corpus.stage ~where:(Filename.basename path) ~f
+        in
+        errors := !errors + e;
+        warnings := !warnings + m)
     (F.Corpus.load_dir dir);
   (!errors, !warnings)
 
@@ -104,7 +90,9 @@ let lint_workloads stages quiet =
   let proved = ref 0 and unknown = ref 0 in
   let errors, warnings =
     sweep_stage_workloads stages ~f:(fun ~stage ~where ~before after ->
-        let report = V.Verify.check_stage ~stage ~before after in
+        let report =
+          V.Verify.check_stage ~stage ~before:(Lazy.force before) after
+        in
         proved := !proved + report.V.Verify.stats.V.Finding.proved;
         unknown := !unknown + report.V.Verify.stats.V.Finding.unknown;
         match report.V.Verify.findings with
@@ -194,7 +182,9 @@ let pressure_header () =
 let pressure_of_prog ~stage ~where ~before quiet prog =
   let rows = V.Pressurecheck.rows prog in
   let stats = V.Finding.new_stats () in
-  let baseline = if is_cpr_stage stage then Some before else None in
+  let baseline =
+    if is_cpr_stage stage then Some (Lazy.force before) else None
+  in
   let findings = V.Pressurecheck.check ?baseline ~stats prog in
   if not quiet then begin
     let worst cls =

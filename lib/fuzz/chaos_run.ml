@@ -22,7 +22,7 @@ type outcome = {
    reproducible from the seed alone and consecutive seeds walk the full
    stage x kind grid. *)
 let plan_of_seed seed =
-  let stages = Passes.stage_names in
+  let stages = List.map (fun s -> s.Passes.name) Passes.stages in
   let n_stages = List.length stages in
   let h = seed * 2654435761 land max_int in
   let stage = List.nth stages (h mod n_stages) in

@@ -3,7 +3,7 @@ open Cpr_ir
 type entry = {
   path : string;
   seed : int;
-  stage : string;
+  stage : Stage.t;
   reason : string;
   shape : string;
   prog : Prog.t;
@@ -97,9 +97,17 @@ let load path =
         | Some s -> Ok s
         | None -> error n "malformed seed %S" v)
     in
-    match (seed, parse_inputs [] meta) with
-    | Error e, _ | _, Error e -> Error e
-    | Ok seed, Ok inputs -> (
+    let stage =
+      match last "# stage:" with
+      | None -> Ok (Option.get (Stage.find Cpr_pipeline.Passes.icbm.name))
+      | Some (n, v) -> (
+        match Stage.find v with
+        | Some s -> Ok s
+        | None -> error n "unknown stage %S" v)
+    in
+    match (seed, stage, parse_inputs [] meta) with
+    | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e
+    | Ok seed, Ok stage, Ok inputs -> (
       match Parser_.of_text (String.concat "\n" (List.map snd body)) with
       | exception Parser_.Parse_error (line, msg) ->
         Error (Printf.sprintf "%s: parse error at line %d: %s" path line msg)
@@ -113,7 +121,7 @@ let load path =
             {
               path;
               seed;
-              stage = field "# stage:" "icbm";
+              stage;
               reason = field "# reason:" "";
               shape = field "# shape:" "";
               prog;
@@ -131,13 +139,12 @@ let load_dir dir =
            (path, load path))
 
 let replay entry =
-  match Stage.find entry.stage with
-  | None -> Error (Printf.sprintf "unknown stage %S" entry.stage)
-  | Some stage -> (
-    let inputs =
-      if entry.inputs = [] then [ Cpr_sim.Equiv.no_input ] else entry.inputs
-    in
-    match Driver.run_prog Driver.default_check stage entry.prog inputs with
-    | Driver.Pass -> Ok ()
-    | Driver.Fail r -> Error r
-    | Driver.Skip r -> Error ("reference unusable: " ^ r))
+  let inputs =
+    if entry.inputs = [] then [ Cpr_sim.Equiv.no_input ] else entry.inputs
+  in
+  match
+    Driver.run_prog Driver.default_check entry.stage entry.prog inputs
+  with
+  | Driver.Pass -> Ok ()
+  | Driver.Fail r -> Error r
+  | Driver.Skip r -> Error ("reference unusable: " ^ r)

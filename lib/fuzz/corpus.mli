@@ -13,7 +13,7 @@ open Cpr_ir
 type entry = {
   path : string;
   seed : int;
-  stage : string;
+  stage : Stage.t;  (** [icbm] when the artifact names none *)
   reason : string;  (** the failure this artifact was shrunk from *)
   shape : string;  (** advisory, human-readable *)
   prog : Prog.t;
@@ -30,7 +30,8 @@ val save : dir:string -> Shrink.t -> string
 val load : string -> (entry, string) result
 (** Read one artifact (or crash-bundle [input.cpr]).  Every failure is
     an [Error], never an exception: an unreadable file, a malformed
-    [# input:] or [# seed:] line (reported as ["<path>:<line>: ..."]),
+    [# input:] or [# seed:] line or an unknown [# stage:] (reported as
+    ["<path>:<line>: ..."]),
     a parse error or an invalid program.  A missing [# seed:] line reads
     as seed [-1] (crash bundles carry none). *)
 

@@ -61,12 +61,9 @@ let run_prog check (stage : Stage.t) prog inputs =
           if not check.verify then Ok ()
           else begin
             (* Pre-simulation oracle: the static verifier alone, against
-               the same pre-transformation program the stage started
-               from ([prepare] is deterministic, so recomputing it here
-               reproduces the stage's input exactly). *)
+               the program the stage started from. *)
             let before =
-              if stage.Stage.name = "superblock" then Prog.copy prog
-              else Cpr_pipeline.Passes.prepare prog inputs
+              Cpr_pipeline.Passes.before ~stage:stage.Stage.name prog inputs
             in
             match
               Cpr_verify.Verify.errors

@@ -11,13 +11,13 @@ open Cpr_ir
 
 type t = {
   name : string;
-  descr : string;
   apply : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t;
 }
 
 val all : t list
-(** [superblock], [ifconv], [frp], [spec], [unroll], [fullcpr], [icbm],
-    [fullpipe] — in dependency order. *)
+(** Every row of {!Cpr_pipeline.Passes.stages}, in pipeline order, then
+    [fullpipe]: if-conversion, unrolling and ICBM composed from those
+    rows' transforms. *)
 
 val find : string -> t option
 

@@ -12,42 +12,38 @@ type entry_result = {
 }
 
 let check_entry (e : Corpus.entry) =
-  match Stage.find e.Corpus.stage with
-  | None -> Error (Printf.sprintf "unknown stage %S" e.Corpus.stage)
-  | Some stage -> (
-    (* [prepare] is deterministic, so this is exactly the program the
-       stage transformed. *)
-    let before =
-      if stage.Stage.name = "superblock" then Prog.copy e.Corpus.prog
-      else Cpr_pipeline.Passes.prepare e.Corpus.prog e.Corpus.inputs
+  let stage = e.Corpus.stage in
+  let before =
+    Cpr_pipeline.Passes.before ~stage:stage.Stage.name e.Corpus.prog
+      e.Corpus.inputs
+  in
+  let errors prog =
+    Cpr_verify.Verify.errors
+      (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name ~before prog)
+  in
+  match stage.Stage.apply e.Corpus.prog e.Corpus.inputs with
+  | exception ex -> Error ("transform raised: " ^ Printexc.to_string ex)
+  | candidate ->
+    let clean =
+      match errors candidate with
+      | [] -> Ok ()
+      | f :: _ -> Error (Format.asprintf "%a" Cpr_verify.Finding.pp f)
     in
-    let errors prog =
-      Cpr_verify.Verify.errors
-        (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name ~before prog)
+    let faults =
+      List.map
+        (fun fault ->
+          let cand = stage.Stage.apply e.Corpus.prog e.Corpus.inputs in
+          let pristine = Printer.to_text cand in
+          Fault.inject fault cand;
+          if Printer.to_text cand = pristine then (fault, Inapplicable)
+          else
+            match errors cand with
+            | [] -> (fault, Missed)
+            | f :: _ ->
+              (fault, Caught (Format.asprintf "%a" Cpr_verify.Finding.pp f)))
+        Fault.all
     in
-    match stage.Stage.apply e.Corpus.prog e.Corpus.inputs with
-    | exception ex -> Error ("transform raised: " ^ Printexc.to_string ex)
-    | candidate ->
-      let clean =
-        match errors candidate with
-        | [] -> Ok ()
-        | f :: _ -> Error (Format.asprintf "%a" Cpr_verify.Finding.pp f)
-      in
-      let faults =
-        List.map
-          (fun fault ->
-            let cand = stage.Stage.apply e.Corpus.prog e.Corpus.inputs in
-            let pristine = Printer.to_text cand in
-            Fault.inject fault cand;
-            if Printer.to_text cand = pristine then (fault, Inapplicable)
-            else
-              match errors cand with
-              | [] -> (fault, Missed)
-              | f :: _ ->
-                (fault, Caught (Format.asprintf "%a" Cpr_verify.Finding.pp f)))
-          Fault.all
-      in
-      Ok { entry = e; clean; faults })
+    Ok { entry = e; clean; faults }
 
 let check_dir dir =
   List.map

@@ -26,7 +26,7 @@ type entry_result = {
 }
 
 val check_entry : Corpus.entry -> (entry_result, string) result
-(** [Error] when the stage is unknown or the transform raises. *)
+(** [Error] when the transform raises. *)
 
 val check_dir : string -> (string * (entry_result, string) result) list
 (** {!check_entry} over {!Corpus.load_dir}, keyed by path; load errors

@@ -81,134 +81,162 @@ let prepare_with final prog inputs =
 
 let prepare prog inputs = fst (prepare_with profile prog inputs)
 
+(* The stage table: every pipeline stage, in pipeline order.  A row's
+   [transform] rewrites a {!prepare}d copy in place and returns ICBM's
+   statistics ([None] for every other stage); {!run} drives each row the
+   same way.  [superblock] is {!prepare} itself, so its transform has
+   nothing left to do. *)
+type stage = {
+  name : string;
+  transform :
+    Cpr_core.Heur.t -> Prog.t -> Cpr_core.Icbm.region_stats option;
+}
+
+let rewrite f _heur p =
+  f p;
+  None
+
+let each_region f = rewrite (fun p -> List.iter (f p) (Prog.regions p))
+
+(* Profile-guided superblock formation (tail duplication). *)
+let superblock = { name = "superblock"; transform = rewrite ignore }
+
+(* The ICBM schema: FRP conversion, speculation, match, restructure,
+   off-trace motion, DCE. *)
+let icbm =
+  {
+    name = "icbm";
+    transform = (fun heur p -> Some (Cpr_core.Icbm.run ~heur p));
+  }
+
+let stages =
+  [
+    superblock;
+    (* Classic if-conversion of unbiased side exits. *)
+    {
+      name = "ifconv";
+      transform =
+        rewrite (fun p ->
+            ignore (Cpr_core.Ifconv.convert p : Cpr_core.Ifconv.stats));
+    };
+    (* Fully-resolved-predicate conversion. *)
+    {
+      name = "frp";
+      transform = rewrite (fun p -> ignore (Cpr_core.Frp.convert p : int));
+    };
+    (* FRP conversion + predicate speculation. *)
+    {
+      name = "spec";
+      transform =
+        rewrite (fun p ->
+            ignore (Cpr_core.Frp.convert p : int);
+            ignore (Cpr_core.Spec.speculate p : Cpr_core.Spec.stats));
+    };
+    (* Superblock loop unrolling, factor 2. *)
+    {
+      name = "unroll";
+      transform =
+        each_region (fun p r ->
+            if Cpr_core.Unroll.unrollable p r then
+              ignore (Cpr_core.Unroll.unroll_region p r ~factor:2 : bool));
+    };
+    (* Full (redundant) CPR after Schlansker & Kathail, region by
+       region after FRP conversion and speculation. *)
+    {
+      name = "fullcpr";
+      transform =
+        each_region (fun p r ->
+            if Cpr_core.Frp.convert_region p r then begin
+              ignore
+                (Cpr_core.Spec.speculate_region p r : Cpr_core.Spec.stats);
+              ignore (Cpr_core.Fullcpr.transform_region p r : bool)
+            end);
+    };
+    icbm;
+  ]
+
+(* [baseline] names the superblock stage where the paper's word is the
+   natural one: its [pass/baseline] span and the [cprc show] phase. *)
+let baseline_name = "baseline"
+
+let find name =
+  if name = baseline_name then Some superblock
+  else List.find_opt (fun s -> s.name = name) stages
+
+(* The program a stage's verifier compares its output against: the raw
+   input for superblock formation, whose transform is [prepare] itself;
+   the prepared program for every other stage ([prepare] is
+   deterministic, so this is exactly the program the stage rewrote). *)
+let before ~stage prog inputs =
+  if stage = superblock.name then Prog.copy prog else prepare prog inputs
+
 (* Static verification of one transformation step: raises
    {!Cpr_verify.Verify.Verify_error} on any error-severity finding.  The
    whole check runs inside a [verify/<stage>] span; the [verify_time]
    ref keeps the pre-span accounting contract (the <10%-of-suite budget
    the bench harness tracks) for callers that do not read traces. *)
-let verify_stage ?(verify = true) ?verify_time ~stage ~before p =
+let verify_stage ?(verify = true) ?verify_time stage ~before p =
   if verify then
-    Obs.span ("verify/" ^ stage) (fun () ->
+    Obs.span ("verify/" ^ stage.name) (fun () ->
         let t0 = Unix.gettimeofday () in
         (* Superblock formation lays out traces without reordering ops,
            so the schedule-hazard re-derivation cannot find anything the
            transformed stages would not also see; skip it there. *)
-        let sched = stage <> "superblock" in
-        Cpr_verify.Verify.check_stage_exn ~sched ~stage ~before p;
+        let sched = stage.name <> superblock.name in
+        Cpr_verify.Verify.check_stage_exn ~sched ~stage:stage.name ~before p;
         match verify_time with
         | Some r -> r := !r +. (Unix.gettimeofday () -. t0)
         | None -> ())
 
+(* The runner's tail on an already prepared [p]: transform, then the
+   chaos injection point, validation, verification and the closing
+   profile run.  The chaos point fires only when the chaos harness armed
+   this stage on this domain (a no-op in production); it sits after the
+   transform and before validation so a [Corrupt] fault takes exactly
+   the detection path (validate -> verify -> fallback) a real miscompile
+   would. *)
+let finish ?(heur = Cpr_core.Heur.default) ?verify ?verify_time stage p
+    inputs =
+  let before = Prog.copy p in
+  let stats = stage.transform heur p in
+  Chaos.trip ~stage:stage.name p;
+  Validate.check_exn p;
+  verify_stage ?verify ?verify_time stage ~before p;
+  (* Only the height-reduced code needs observations, for {!equivalent};
+     the other stages' outputs are just re-profiled. *)
+  let observed =
+    if stage.name = icbm.name then Some (profile_observed p inputs)
+    else begin
+      profile p inputs;
+      None
+    end
+  in
+  Option.iter (fun s -> record_icbm before s p) stats;
+  { prog = p; icbm = stats; observed }
+
+(* The one runner every row goes through, inside its [pass/<stage>]
+   span.  Superblock formation is [prepare] alone: its observations come
+   from [prepare]'s closing profile run and it is verified against the
+   raw input. *)
+let run ?heur ?verify ?verify_time stage prog inputs =
+  if stage.name = superblock.name then
+    with_pass ~stage:baseline_name prog (fun () ->
+        let p, observed = prepare_with profile_observed prog inputs in
+        Chaos.trip ~stage:stage.name p;
+        verify_stage ?verify ?verify_time stage ~before:prog p;
+        { prog = p; icbm = None; observed = Some observed })
+  else
+    with_pass ~stage:stage.name prog (fun () ->
+        finish ?heur ?verify ?verify_time stage (prepare prog inputs) inputs)
+
 let baseline ?verify ?verify_time prog inputs =
-  with_pass ~stage:"baseline" prog (fun () ->
-      let p, observed = prepare_with profile_observed prog inputs in
-      Chaos.trip ~stage:"superblock" p;
-      verify_stage ?verify ?verify_time ~stage:"superblock" ~before:prog p;
-      { prog = p; icbm = None; observed = Some observed })
+  run ?verify ?verify_time superblock prog inputs
 
 let height_reduce_prepared ?heur ?verify ?verify_time p inputs =
-  let before = Prog.copy p in
-  let stats = Cpr_core.Icbm.run ?heur p in
-  Chaos.trip ~stage:"icbm" p;
-  Validate.check_exn p;
-  verify_stage ?verify ?verify_time ~stage:"icbm" ~before p;
-  let observed = profile_observed p inputs in
-  record_icbm before stats p;
-  { prog = p; icbm = Some stats; observed = Some observed }
+  finish ?heur ?verify ?verify_time icbm p inputs
 
 let height_reduce ?heur ?verify ?verify_time prog inputs =
-  with_pass ~stage:"icbm" prog (fun () ->
-      height_reduce_prepared ?heur ?verify ?verify_time (prepare prog inputs)
-        inputs)
-
-(* Per-stage entry points: each runs one transformation (plus its
-   prerequisites) on a prepared copy, re-validates and re-profiles.  The
-   differential fuzzer drives these individually so a miscompile is
-   attributed to the narrowest stage that exhibits it. *)
-
-let finish ?verify ?verify_time ~stage ~before p inputs =
-  (* Chaos injection point: fires only when the chaos harness armed this
-     stage on this domain; a no-op in production.  Placed after the
-     transform and before validation so a [Corrupt] fault exercises
-     exactly the detection path (validate -> verify -> fallback) a real
-     miscompile would take. *)
-  Chaos.trip ~stage p;
-  Validate.check_exn p;
-  verify_stage ?verify ?verify_time ~stage ~before p;
-  profile p inputs;
-  { prog = p; icbm = None; observed = None }
-
-let superblock_only ?verify ?verify_time prog inputs =
-  baseline ?verify ?verify_time prog inputs
-
-let if_convert ?verify ?verify_time prog inputs =
-  with_pass ~stage:"ifconv" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      let (_ : Cpr_core.Ifconv.stats) = Cpr_core.Ifconv.convert p in
-      finish ?verify ?verify_time ~stage:"ifconv" ~before p inputs)
-
-let frp_convert ?verify ?verify_time prog inputs =
-  with_pass ~stage:"frp" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      let (_ : int) = Cpr_core.Frp.convert p in
-      finish ?verify ?verify_time ~stage:"frp" ~before p inputs)
-
-let speculate ?verify ?verify_time prog inputs =
-  with_pass ~stage:"spec" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      let (_ : int) = Cpr_core.Frp.convert p in
-      let (_ : Cpr_core.Spec.stats) = Cpr_core.Spec.speculate p in
-      finish ?verify ?verify_time ~stage:"spec" ~before p inputs)
-
-let full_cpr ?verify ?verify_time prog inputs =
-  with_pass ~stage:"fullcpr" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      List.iter
-        (fun (r : Region.t) ->
-          if Cpr_core.Frp.convert_region p r then begin
-            let (_ : Cpr_core.Spec.stats) =
-              Cpr_core.Spec.speculate_region p r
-            in
-            ignore (Cpr_core.Fullcpr.transform_region p r : bool)
-          end)
-        (Prog.regions p);
-      finish ?verify ?verify_time ~stage:"fullcpr" ~before p inputs)
-
-let unroll ?(factor = 2) ?verify ?verify_time prog inputs =
-  with_pass ~stage:"unroll" prog (fun () ->
-      let p = prepare prog inputs in
-      let before = Prog.copy p in
-      List.iter
-        (fun (r : Region.t) ->
-          if Cpr_core.Unroll.unrollable p r then
-            ignore (Cpr_core.Unroll.unroll_region p r ~factor : bool))
-        (Prog.regions p);
-      finish ?verify ?verify_time ~stage:"unroll" ~before p inputs)
-
-type entry =
-  ?verify:bool ->
-  ?verify_time:float ref ->
-  Prog.t ->
-  Cpr_sim.Equiv.input list ->
-  compiled
-
-let stage_names =
-  [ "superblock"; "ifconv"; "frp"; "spec"; "unroll"; "fullcpr"; "icbm" ]
-
-let by_name : string -> entry option = function
-  | "superblock" | "baseline" -> Some baseline
-  | "ifconv" -> Some if_convert
-  | "frp" -> Some frp_convert
-  | "spec" -> Some speculate
-  | "unroll" -> Some (fun ?verify ?verify_time p i -> unroll ?verify ?verify_time p i)
-  | "fullcpr" -> Some full_cpr
-  | "icbm" ->
-    Some (fun ?verify ?verify_time p i -> height_reduce ?verify ?verify_time p i)
-  | _ -> None
+  run ?heur ?verify ?verify_time icbm prog inputs
 
 (* The verified fallback: a plain copy of the pre-pass IR, the last
    program known good.  Never a partially transformed working copy —
@@ -239,11 +267,11 @@ let guard ?bundle_dir ~stage prog inputs run =
     run
 
 let protected ?verify ?verify_time ?bundle_dir ~stage prog inputs =
-  match by_name stage with
+  match find stage with
   | None -> invalid_arg ("Passes.protected: unknown stage " ^ stage)
-  | Some run ->
+  | Some s ->
     guard ?bundle_dir ~stage prog inputs (fun () ->
-        run ?verify ?verify_time prog inputs)
+        run ?verify ?verify_time s prog inputs)
 
 (* The paper's two compiled codes from one preparation: ICBM starts from
    a fresh copy of the committed baseline (made inside the retried thunk,
@@ -252,18 +280,18 @@ let protected ?verify ?verify_time ?bundle_dir ~stage prog inputs =
    itself. *)
 let compile ?verify_time ?bundle_dir prog inputs =
   let base =
-    protected ?verify_time ?bundle_dir ~stage:"superblock" prog inputs
+    protected ?verify_time ?bundle_dir ~stage:superblock.name prog inputs
   in
   let reduced =
     match base with
     | Recover.Committed b ->
-      guard ?bundle_dir ~stage:"icbm" prog inputs (fun () ->
-          with_pass ~stage:"icbm" prog (fun () ->
+      guard ?bundle_dir ~stage:icbm.name prog inputs (fun () ->
+          with_pass ~stage:icbm.name prog (fun () ->
               (* The trim [prepare] would have done. *)
               Cpr_analysis.Pqs.trim ();
               height_reduce_prepared ?verify_time (Prog.copy b.prog) inputs))
     | Recover.Fell_back _ ->
-      protected ?verify_time ?bundle_dir ~stage:"icbm" prog inputs
+      protected ?verify_time ?bundle_dir ~stage:icbm.name prog inputs
   in
   (base, reduced)
 

@@ -22,8 +22,9 @@ type compiled = {
   observed : Cpr_sim.Equiv.observation list option;
       (** one per training input, from the final profiling run of
           [prog]: set by {!baseline}, {!height_reduce},
-          {!height_reduce_prepared} and {!fallback_compiled} (unless its
-          best-effort profile raised); [None] for the other stages *)
+          {!height_reduce_prepared} ([run] on the [superblock] and [icbm]
+          stages) and {!fallback_compiled} (unless its best-effort
+          profile raised); [None] for the other stages *)
 }
 
 val profile : Prog.t -> Cpr_sim.Equiv.input list -> unit
@@ -37,9 +38,9 @@ val prepare : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t
 val baseline :
   ?verify:bool -> ?verify_time:float ref -> Prog.t
   -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} only; the input program is untouched.
+(** [run superblock]: {!prepare} only; the input program is untouched.
 
-    Every entry point statically verifies its own output by default
+    Every stage statically verifies its own output by default
     ([verify] defaults to [true]): the {!Cpr_verify} lint plus per-stage
     translation validation against the pre-transformation program, with
     error findings raised as {!Cpr_verify.Verify.Verify_error}.  Pass
@@ -47,7 +48,7 @@ val baseline :
     separately), and [~verify_time] to accumulate the wall time spent
     verifying.
 
-    Every entry point also runs inside a [pass/<stage>] {!Cpr_obs.Obs}
+    Every stage also runs inside a [pass/<stage>] {!Cpr_obs.Obs}
     span, with the verifier under a nested [verify/<stage>] span and
     op-count/ICBM counters alongside — all dark unless a [--trace] sink
     enabled telemetry.  [~verify_time] keeps working either way. *)
@@ -55,8 +56,8 @@ val baseline :
 val height_reduce :
   ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> Prog.t
   -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} followed by {!height_reduce_prepared}, inside a
-    [pass/icbm] span; the input program is untouched. *)
+(** [run icbm]: {!prepare} followed by {!height_reduce_prepared}, inside
+    a [pass/icbm] span; the input program is untouched. *)
 
 val height_reduce_prepared :
   ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> Prog.t
@@ -67,61 +68,40 @@ val height_reduce_prepared :
     [Invalid_argument] if the transformed program fails structural
     validation. *)
 
-(** {2 Per-stage entry points}
+(** {2 The stage table} *)
 
-    Each runs one transformation (with its prerequisites) on a
-    {!prepare}d copy, then re-validates and re-profiles.  The
-    differential fuzzer ({!Cpr_fuzz}) drives these individually so that a
-    miscompile is attributed to the narrowest stage exhibiting it; they
-    are also convenient for ablation benches.  All raise
-    [Invalid_argument] on a validation failure, like {!height_reduce}. *)
+type stage = {
+  name : string;
+  transform :
+    Cpr_core.Heur.t -> Prog.t -> Cpr_core.Icbm.region_stats option;
+      (** rewrites a {!prepare}d program in place; ICBM's statistics for
+          the [icbm] stage, [None] for the others *)
+}
 
-val superblock_only :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** Alias of {!baseline}: superblock formation is the whole stage. *)
+val stages : stage list
+(** Every pipeline stage, in pipeline order: [superblock] (formation is
+    {!prepare} itself), [ifconv], [frp], [spec], [unroll] (factor 2),
+    [fullcpr], [icbm]. *)
 
-val if_convert :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + classic if-conversion of unbiased side exits. *)
+val icbm : stage
+(** The last row, whose output is the height-reduced code. *)
 
-val frp_convert :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + FRP conversion of every region. *)
+val find : string -> stage option
+(** A row of {!stages} by name; [baseline] is an alias of [superblock].
+    [None] for unknown names. *)
 
-val speculate :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + FRP conversion + predicate speculation. *)
+val run :
+  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> stage
+  -> Prog.t -> Cpr_sim.Equiv.input list -> compiled
+(** The one runner: {!prepare} a copy, apply the stage's transform,
+    re-validate, verify against {!before}, and re-profile, all inside a
+    [pass/<stage>] span ([pass/baseline] for superblock formation).
+    [heur] reaches the ICBM transform only. *)
 
-val full_cpr :
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + per-region FRP conversion, speculation and the full
-    (redundant) CPR scheme of Schlansker & Kathail. *)
-
-val unroll :
-  ?factor:int -> ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-(** {!prepare} + unrolling of every unrollable self-loop ([factor]
-    default 2). *)
-
-(** {2 Stage dispatch and sandboxed execution} *)
-
-type entry =
-  ?verify:bool -> ?verify_time:float ref -> Prog.t
-  -> Cpr_sim.Equiv.input list -> compiled
-
-val stage_names : string list
-(** Every dispatchable stage name, in pipeline order: [superblock],
-    [ifconv], [frp], [spec], [unroll], [fullcpr], [icbm]. *)
-
-val by_name : string -> entry option
-(** The entry point for a stage name ([baseline] is an alias of
-    [superblock]); [None] for unknown names.  Crash-bundle replay and
-    the chaos harness dispatch through this. *)
+val before : stage:string -> Prog.t -> Cpr_sim.Equiv.input list -> Prog.t
+(** The program a stage's output is verified against: a copy of the raw
+    input for [superblock], {!prepare} of it for every other stage
+    name. *)
 
 val fallback_compiled : Prog.t -> Cpr_sim.Equiv.input list -> compiled
 (** The verified fallback for a failed stage: a plain profiled copy of
@@ -139,10 +119,11 @@ val protected :
   Prog.t ->
   Cpr_sim.Equiv.input list ->
   compiled Cpr_resilience.Recover.protected
-(** Run the named stage under {!Cpr_resilience.Recover.protect}: on an
-    exception or a verifier rejection the result is
-    [Fell_back (fallback_compiled prog inputs, failure)] instead of a
-    raised exception, with one retry for transient faults.
+(** Run the named stage ({!find}) under
+    {!Cpr_resilience.Recover.protect}: on an exception or a verifier
+    rejection the result is [Fell_back (fallback_compiled prog inputs,
+    failure)] instead of a raised exception, with one retry for
+    transient faults.
     [bundle_dir] additionally writes a replayable crash bundle on
     failure.  Raises [Invalid_argument] on an unknown stage name. *)
 

@@ -130,13 +130,22 @@ let print_table2 ppf results =
       List.iter (fun (_, s) -> Format.fprintf ppf "%8.2f" s) r.speedups;
       Format.fprintf ppf "@.")
     results;
-  Format.fprintf ppf "%-14s" "Gmean-all";
-  List.iter
-    (fun m ->
-      let col = List.map (fun r -> List.assoc m r.speedups) results in
-      Format.fprintf ppf "%8.2f" (gmean col))
-    machine_names;
-  Format.fprintf ppf "@."
+  let gmean_row label rows =
+    Format.fprintf ppf "%-14s" label;
+    List.iter
+      (fun m ->
+        let col = List.map (fun r -> List.assoc m r.speedups) rows in
+        Format.fprintf ppf "%8.2f" (gmean col))
+      machine_names;
+    Format.fprintf ppf "@."
+  in
+  gmean_row "Gmean-all" results;
+  let spec95 =
+    List.filter
+      (fun r -> List.mem r.name Cpr_workloads.Registry.spec95_names)
+      results
+  in
+  if spec95 <> [] then gmean_row "Gmean-spec95" spec95
 
 let print_table3 ppf results =
   Format.fprintf ppf "%-14s%8s%8s%8s%8s@." "Benchmark" "S tot" "S br" "D tot"

@@ -75,6 +75,8 @@ val gmean : float list -> float
 
 val print_table2 : Format.formatter -> result list -> unit
 (** Rows per benchmark, columns Seq/Nar/Med/Wid/Inf, with geometric
-    means — the layout of Table 2. *)
+    means over all rows and over the SPECint95 rows
+    ({!Cpr_workloads.Registry.spec95_names}, when any are present) — the
+    layout of Table 2. *)
 
 val print_table3 : Format.formatter -> result list -> unit

@@ -155,7 +155,7 @@ let corpus_faults_match () =
       | Error msg -> Alcotest.failf "%s: %s" path msg
       | Ok (entry : F.Corpus.entry) ->
         run ~what:path
-          (Option.get (F.Stage.find entry.F.Corpus.stage))
+          entry.F.Corpus.stage
           entry.F.Corpus.prog
           (if entry.F.Corpus.inputs = [] then [ Equiv.no_input ]
            else entry.F.Corpus.inputs))

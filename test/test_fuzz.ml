@@ -133,6 +133,8 @@ let corpus_garbled () =
   check Alcotest.string "line 2 is the seed" "# seed: 17" (List.nth lines 1);
   expect_error ~what:"bad seed" (replace 2 "# seed: seventeen")
     "2: malformed seed \"seventeen\"";
+  expect_error ~what:"bad stage" (replace 3 "# stage: nosuch")
+    "3: unknown stage \"nosuch\"";
   expect_error ~what:"bad input value" (replace 7 "# input: mem 1063=x")
     "7: malformed input \"mem 1063=x\": int_of_string";
   expect_error ~what:"bad input group" (replace 8 "# input: heap 1=2")

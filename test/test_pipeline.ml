@@ -255,6 +255,33 @@ let three_profiles () =
     (r.P.Report.failures = [] && r.P.Report.equivalent = Ok ());
   checki "profile spans" 3 (List.length profiles)
 
+(* [cprc show] prints the program the pipeline itself produces at a
+   stage.  099.go is a workload where skipping [prepare] or unrolling by
+   another factor changes the ICBM output. *)
+let cprc_show_is_pipeline () =
+  let w = Option.get (Cpr_workloads.Registry.find "099.go") in
+  let show phase =
+    let ic =
+      Unix.open_process_args_in "../bin/cprc.exe"
+        [| "cprc"; "show"; "099.go"; "--phase"; phase |]
+    in
+    let out = In_channel.input_all ic in
+    match Unix.close_process_in ic with
+    | Unix.WEXITED 0 -> out
+    | _ -> Alcotest.failf "cprc show --phase %s failed" phase
+  in
+  let text f =
+    let prog = w.Cpr_workloads.Workload.build () in
+    let inputs = w.Cpr_workloads.Workload.inputs () in
+    Printer.to_text (f prog inputs).P.Passes.prog
+  in
+  check Alcotest.string "icbm"
+    (text (fun p i -> P.Passes.height_reduce p i))
+    (show "icbm");
+  check Alcotest.string "baseline"
+    (text (fun p i -> P.Passes.baseline p i))
+    (show "baseline")
+
 let suite =
   ( "pipeline & report",
     [
@@ -271,4 +298,5 @@ let suite =
       case "chaos: icbm retry starts clean" chaos_icbm_retry;
       case "chaos: degraded icbm, same failure record" chaos_icbm;
       case "clean report profiles three times" three_profiles;
+      case "cprc show prints the pipeline's program" cprc_show_is_pipeline;
     ] )

@@ -116,7 +116,8 @@ let bundle_roundtrip () =
     match F.Corpus.load (Bundle.input_file bdir) with
     | Error msg -> Alcotest.failf "corpus loader rejected bundle: %s" msg
     | Ok entry ->
-      check Alcotest.string "stage round-trips" "icbm" entry.F.Corpus.stage;
+      check Alcotest.string "stage round-trips" "icbm"
+        entry.F.Corpus.stage.F.Stage.name;
       check Alcotest.string "reason round-trips" "unit-test reason"
         entry.F.Corpus.reason;
       checki "inputs round-trip" (List.length inputs)
@@ -153,7 +154,7 @@ let bundle_via_protected () =
       (match F.Corpus.load (Bundle.input_file bdir) with
       | Ok entry ->
         check Alcotest.string "bundle replays at the failing stage" "icbm"
-          entry.F.Corpus.stage
+          entry.F.Corpus.stage.F.Stage.name
       | Error msg -> Alcotest.failf "bundle not loadable: %s" msg))
   | Recover.Committed _ ->
     Alcotest.fail "corrupting fault must degrade the icbm stage"
@@ -176,29 +177,24 @@ let corpus_faults_recover () =
       match loaded with
       | Error msg -> Alcotest.failf "%s: %s" path msg
       | Ok entry -> (
-        let stage =
-          match F.Stage.find entry.F.Corpus.stage with
-          | Some s -> s
-          | None -> Alcotest.failf "%s: unknown stage" path
-        in
+        let stage = entry.F.Corpus.stage in
+        let name = stage.F.Stage.name in
         match F.Static_check.check_entry entry with
         | Error msg -> Alcotest.failf "%s: %s" path msg
         | Ok r ->
           let before =
-            if stage.F.Stage.name = "superblock" then
-              Cpr_ir.Prog.copy entry.F.Corpus.prog
-            else P.Passes.prepare entry.F.Corpus.prog entry.F.Corpus.inputs
+            P.Passes.before ~stage:name entry.F.Corpus.prog
+              entry.F.Corpus.inputs
           in
           let protected_with fault =
-            Recover.protect ~stage:entry.F.Corpus.stage
+            Recover.protect ~stage:name
               ~fallback:(fun () -> Cpr_ir.Prog.copy entry.F.Corpus.prog)
               (fun () ->
                 let cand =
                   stage.F.Stage.apply entry.F.Corpus.prog entry.F.Corpus.inputs
                 in
                 Option.iter (fun f -> F.Fault.inject f cand) fault;
-                Cpr_verify.Verify.check_stage_exn
-                  ~stage:entry.F.Corpus.stage ~before cand;
+                Cpr_verify.Verify.check_stage_exn ~stage:name ~before cand;
                 cand)
           in
           (* Pre-fault: historical reproducers are fixed, so the clean
@@ -313,7 +309,7 @@ let chaos_invariant () =
          outcomes)
   in
   checki "every (stage, kind) pair planned"
-    (List.length P.Passes.stage_names * List.length Chaos.all_kinds)
+    (List.length P.Passes.stages * List.length Chaos.all_kinds)
     (List.length planned);
   checkb "some seed degrades with a bundle" true
     (summary.F.Chaos_run.bundled > 0)
