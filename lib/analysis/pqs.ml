@@ -128,8 +128,8 @@ let packable a b = a.uid < pack_limit && b.uid < pack_limit
 
 (* Query telemetry: totals and constant short-circuits as before, plus
    the cache-effectiveness triple of the hash-consing layer.  The
-   counters are dark (one atomic load each) unless a [--trace] or
-   [--json] sink enabled Cpr_obs. *)
+   counters are dark (one atomic load each) unless a [--trace] sink or
+   the benchmark's traced mode enabled Cpr_obs. *)
 module Obs = Cpr_obs.Obs
 
 let q_queries = Obs.counter "pqs.queries"

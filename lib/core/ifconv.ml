@@ -22,14 +22,17 @@ let controlling_compare ops limit p =
     | _ -> None)
   | _ -> None
 
+(* Bound on the inlined stub's size. *)
+let max_stub_ops = 12
+
 (* A convertible stub: branch-free, unpredicated, rejoining at [join]. *)
-let stub_of prog ~join ~max_ops label =
+let stub_of prog ~join label =
   if Prog.is_exit prog label then None
   else
     match Prog.find prog label with
     | Some (t : Region.t)
       when t.Region.fallthrough = join
-           && List.length t.Region.ops <= max_ops
+           && List.length t.Region.ops <= max_stub_ops
            && List.for_all
                 (fun (op : Op.t) ->
                   (not (Op.is_branch op)) && op.Op.guard = Op.True)
@@ -46,8 +49,7 @@ let unbiased (region : Region.t) (br : Op.t) =
   r >= 0.2 && r <= 0.8
 
 (* Convert the first eligible branch; [true] if one was converted. *)
-let convert_one ?(max_stub_ops = 12) ?(only_unbiased = true) (prog : Prog.t)
-    (region : Region.t) =
+let convert_one ?(only_unbiased = true) (prog : Prog.t) (region : Region.t) =
   let ops = region.Region.ops in
   let eligible (i, (br : Op.t)) =
     Op.is_branch br
@@ -59,9 +61,7 @@ let convert_one ?(max_stub_ops = 12) ?(only_unbiased = true) (prog : Prog.t)
       match
         ( controlling_compare ops i p,
           Option.bind (Region.branch_target region br)
-            (fun l ->
-              stub_of prog ~join:region.Region.fallthrough
-                ~max_ops:max_stub_ops l) )
+            (stub_of prog ~join:region.Region.fallthrough) )
       with
       | Some _, Some _ ->
         (* everything below the branch must be unpredicated so it can be
@@ -95,7 +95,7 @@ let convert_one ?(max_stub_ops = 12) ?(only_unbiased = true) (prog : Prog.t)
     let stub =
       Option.get
         (Option.bind (Region.branch_target region br)
-           (stub_of prog ~join:region.Region.fallthrough ~max_ops:max_stub_ops))
+           (stub_of prog ~join:region.Region.fallthrough))
     in
     let p_fall = Prog.fresh_pred prog in
     (* the branch's pbr, to delete along with it *)
@@ -142,11 +142,11 @@ let convert_one ?(max_stub_ops = 12) ?(only_unbiased = true) (prog : Prog.t)
     region.Region.ops <- rewritten @ inlined;
     Some (List.length inlined)
 
-let convert_region ?max_stub_ops ?only_unbiased prog region =
+let convert_region ?only_unbiased prog region =
   let stats = ref zero in
   let continue_ = ref true in
   while !continue_ do
-    match convert_one ?max_stub_ops ?only_unbiased prog region with
+    match convert_one ?only_unbiased prog region with
     | Some n ->
       stats :=
         {
@@ -157,10 +157,10 @@ let convert_region ?max_stub_ops ?only_unbiased prog region =
   done;
   !stats
 
-let convert ?max_stub_ops ?only_unbiased prog =
+let convert ?only_unbiased prog =
   List.fold_left
     (fun acc r ->
-      let s = convert_region ?max_stub_ops ?only_unbiased prog r in
+      let s = convert_region ?only_unbiased prog r in
       { converted = acc.converted + s.converted;
         inlined_ops = acc.inlined_ops + s.inlined_ops })
     zero (Prog.regions prog)

@@ -19,10 +19,9 @@ type stats = {
   inlined_ops : int;
 }
 
-val convert_region :
-  ?max_stub_ops:int -> ?only_unbiased:bool -> Prog.t -> Region.t -> stats
+val convert_region : ?only_unbiased:bool -> Prog.t -> Region.t -> stats
 (** [only_unbiased] (default true) converts only branches whose profiled
     taken ratio lies in [0.2, 0.8] — biased branches are better left for
-    control CPR.  [max_stub_ops] (default 12) bounds the inlined code. *)
+    control CPR.  A stub of more than 12 operations is never inlined. *)
 
-val convert : ?max_stub_ops:int -> ?only_unbiased:bool -> Prog.t -> stats
+val convert : ?only_unbiased:bool -> Prog.t -> stats

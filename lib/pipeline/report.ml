@@ -55,9 +55,9 @@ let run ?bundle_dir ~name prog inputs =
   in
   (* Schedule quality on the medium machine: the static lower bound the
      height analyzer proves vs the cycles the scheduler achieves, both
-     entry-weighted.  The gap is tracked by bench --check (warn-only)
-     so scheduler or analyzer regressions show up in the perf
-     trajectory, not just wall time. *)
+     entry-weighted.  The gap is part of the deterministic result that
+     the cprbench fingerprint and test_pipeline compare, so a scheduler
+     or analyzer change that moves it shows up there. *)
   let bound_cycles = Perf.bound_estimate Descr.medium reduced in
   let achieved_cycles =
     Option.value ~default:0
@@ -69,8 +69,8 @@ let run ?bundle_dir ~name prog inputs =
   in
   (* Register-pressure summary of the transformed program (worst region,
      predicate-aware scheduled MAXLIVE per class, medium machine) — the
-     resource half of the cost CPR pays for its height win; tracked by
-     bench --check warn-only like the height gap. *)
+     resource half of the cost CPR pays for its height win; compared
+     like the height gap. *)
   let pressure =
     List.map
       (fun (cls, v) -> (Cpr_verify.Pressurecheck.cls_name cls, v))

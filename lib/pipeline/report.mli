@@ -38,12 +38,12 @@ type result = {
       (** class name ("gpr"/"pred"/"btr") -> worst-region predicate-aware
           scheduled MAXLIVE of the height-reduced code on the medium
           machine ({!Cpr_verify.Pressurecheck.summary}): the register
-          cost paid for the height win, tracked warn-only by
-          [bench --check] *)
+          cost paid for the height win; compared, with [height_gap], by
+          the cprbench fingerprint and [test_pipeline] *)
   verify_s : float;
       (** wall time the static verifier spent on this benchmark (both
-          compiled codes); tracked by [bench --json] against its
-          <10%-of-suite budget *)
+          compiled codes); [bench] prints its suite total against the
+          suite's [total_s] *)
   total_s : float;
       (** wall time of the whole [run] for this benchmark — compilation,
           verification, equivalence oracle and performance estimation *)

@@ -105,7 +105,10 @@ let issue machine st (op : Op.t) =
   | _ -> ());
   (List.rev !writes, lat, !redirect)
 
-let run ?state ?(max_cycles = 10_000_000) machine (prog : Prog.t) =
+(* Fuel: a run that exceeds it raises rather than loop forever. *)
+let max_cycles = 10_000_000
+
+let run ?state machine (prog : Prog.t) =
   let st = match state with Some s -> s | None -> State.create () in
   let schedules = Cpr_sched.List_sched.schedule_prog machine prog in
   (* per-region: cycle -> ops issued that cycle, in program order *)

@@ -26,11 +26,10 @@ type outcome = {
 
 exception Vliw_error of string
 
-val run :
-  ?state:State.t -> ?max_cycles:int -> Cpr_machine.Descr.t -> Prog.t
-  -> outcome
+val run : ?state:State.t -> Cpr_machine.Descr.t -> Prog.t -> outcome
 (** Schedules every region with {!Cpr_sched.List_sched} and executes the
-    schedules cycle by cycle from the program entry. *)
+    schedules cycle by cycle from the program entry.  Raises
+    {!Vliw_error} past 10,000,000 cycles. *)
 
 val check_against_interp :
   Cpr_machine.Descr.t -> Prog.t -> Equiv.input list -> (unit, string) result

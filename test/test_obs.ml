@@ -1,8 +1,8 @@
 (* The observability subsystem: span nesting and ordering, counter
    monotonicity, the disabled-mode zero-allocation fast path, and the
-   Chrome-trace export round-trip.  Also covers the Json codec and
-   Bench_io, the bench harness's JSON writer/decoder and perf-regression
-   gate. *)
+   Chrome-trace export round-trip.  Also covers the Json codec: its
+   escaper (through Bench_io.json_escape, the alias cprbench uses), its
+   printer/parser round-trip and its rejection of malformed input. *)
 
 module Obs = Cpr_obs.Obs
 module Json = Cpr_obs.Json
@@ -271,319 +271,6 @@ let test_json_rejects () =
           (Astring_like.contains e "at offset"))
     [ ""; "{"; "[1,]"; "{\"a\" 1}"; "\"\\q\""; "nul"; "1 2"; "{\"a\":1}}" ]
 
-(* ------------------------------------------------------------------ *)
-(* Bench_io: --json targets, the decoder, the perf gate                *)
-
-let test_targets_bare_filename () =
-  (* The historical bug: a bare --json filename went through
-     Filename.dirname/concat and came back as "./BENCH_latest.json", so
-     the dated = latest dedup failed and the file was written twice. *)
-  let dated, latest =
-    B.targets ~is_dir:false ~date:"2026-08-09" "BENCH_latest.json"
-  in
-  Alcotest.(check string) "dated is the given name" "BENCH_latest.json" dated;
-  Alcotest.(check string) "latest not ./-prefixed" "BENCH_latest.json" latest
-
-let test_targets_dir_and_nested () =
-  let dated, latest = B.targets ~is_dir:true ~date:"2026-08-09" "_bench" in
-  Alcotest.(check string)
-    "dated under dir"
-    (Filename.concat "_bench" "BENCH_2026-08-09.json")
-    dated;
-  Alcotest.(check string)
-    "latest under dir"
-    (Filename.concat "_bench" "BENCH_latest.json")
-    latest;
-  let dated, latest =
-    B.targets ~is_dir:false ~date:"2026-08-09"
-      (Filename.concat "out" "custom.json")
-  in
-  Alcotest.(check string)
-    "explicit file kept"
-    (Filename.concat "out" "custom.json")
-    dated;
-  Alcotest.(check string)
-    "latest beside it"
-    (Filename.concat "out" "BENCH_latest.json")
-    latest
-
-let decoded text =
-  match B.decode text with
-  | Ok b -> b
-  | Error e -> Alcotest.failf "baseline does not decode: %s" e
-
-(* A baseline holding just the gate's inputs, as [(name, verify_s,
-   total_s)] rows. *)
-let baseline entries =
-  decoded
-    (Json.to_string
-       (Json.Obj
-          [
-            ( "benchmarks",
-              Json.Arr
-                (List.map
-                   (fun (name, verify_s, total_s) ->
-                     Json.Obj
-                       [
-                         ("name", Json.Str name);
-                         ("verify_s", Json.Num verify_s);
-                         ("total_s", Json.Num total_s);
-                       ])
-                   entries) );
-          ]))
-
-let test_read_workloads () =
-  let rows (b : B.baseline) =
-    List.map (fun (w : B.workload) -> (w.B.name, w.B.verify_s, w.B.total_s))
-      b.B.workloads
-  in
-  Alcotest.(check (list (triple string (float 1e-9) (float 1e-9))))
-    "parsed back"
-    [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ]
-    (rows (baseline [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ]))
-
-let quality_json =
-  (* The single-line height/pressure objects exactly as render writes
-     them, inside a benchmarks entry. *)
-  String.concat "\n"
-    [
-      "{";
-      "  \"benchmarks\": [";
-      "    { \"name\": \"w1\",";
-      "      \"verify_s\": 0.1,";
-      "      \"total_s\": 1.0,";
-      "      \"height\": { \"bound_cycles\": 100, \"achieved_cycles\": 110, \
-       \"gap\": 0.1000 },";
-      "      \"pressure\": { \"gpr_maxlive\": 14, \"pred_maxlive\": 5, \
-       \"btr_maxlive\": 4 },";
-      "      \"baseline_cycles\": { \"Seq\": 1 } },";
-      "    { \"name\": \"w2\",";
-      "      \"verify_s\": 0.2,";
-      "      \"total_s\": 2.0,";
-      "      \"height\": { \"bound_cycles\": 50, \"achieved_cycles\": 50, \
-       \"gap\": 0.0000 },";
-      "      \"baseline_cycles\": { \"Seq\": 1 } }";
-      "  ]";
-      "}";
-    ]
-
-let test_read_height_and_pressure () =
-  match (decoded quality_json).B.workloads with
-  | [ w1; w2 ] ->
-    (match (w1.B.height, w2.B.height) with
-    | Some h1, Some h2 ->
-      Alcotest.(check (float 1e-9)) "w1 gap" 0.1 h1.B.gap;
-      Alcotest.(check int) "w1 bound" 100 h1.B.h_bound;
-      Alcotest.(check int) "w1 achieved" 110 h1.B.h_achieved;
-      Alcotest.(check int) "w2 abs gap" 0 (h2.B.h_achieved - h2.B.h_bound)
-    | _ -> Alcotest.fail "expected a height entry on both workloads");
-    Alcotest.(check (list (pair string int)))
-      "w1 classes"
-      [ ("gpr", 14); ("pred", 5); ("btr", 4) ]
-      w1.B.pressure;
-    Alcotest.(check (list (pair string int)))
-      "w2 predates the pressure object" [] w2.B.pressure
-  | ws -> Alcotest.failf "expected 2 workloads, got %d" (List.length ws)
-
-let committed_baseline () =
-  match B.read_file (Filename.concat ".." "BENCH_latest.json") with
-  | Some text -> text
-  | None -> Alcotest.fail "committed BENCH_latest.json not found"
-
-let test_decode_committed () =
-  let text = committed_baseline () in
-  let b = decoded text in
-  Alcotest.(check int) "24 workloads" 24 (List.length b.B.workloads);
-  Alcotest.(check bool)
-    "verify_total_s present" true
-    (b.B.verify_total_s <> None);
-  Alcotest.(check bool) "micro table present" true (b.B.micro <> []);
-  Alcotest.(check bool) "pqs counters present" true
-    (List.mem_assoc "pqs.memo_hits" b.B.counters);
-  (match
-     List.find_opt (fun (w : B.workload) -> w.B.name = "strcpy") b.B.workloads
-   with
-  | None -> Alcotest.fail "strcpy missing"
-  | Some w ->
-    Alcotest.(check (float 1e-9)) "strcpy total_s" 0.0069 w.B.total_s;
-    (match w.B.height with
-    | Some h ->
-      Alcotest.(check (float 1e-9)) "strcpy gap" 0.3938 h.B.gap;
-      Alcotest.(check int) "strcpy bound" 650 h.B.h_bound;
-      Alcotest.(check int) "strcpy achieved" 906 h.B.h_achieved
-    | None -> Alcotest.fail "strcpy height missing");
-    Alcotest.(check (list (pair string int)))
-      "strcpy pressure"
-      [ ("gpr", 19); ("pred", 9); ("btr", 7) ]
-      w.B.pressure);
-  (* Layout is not part of the format. *)
-  Alcotest.(check bool)
-    "minified copy decodes to an equal value" true
-    (decoded (minify text) = b)
-
-let test_decode_rejects () =
-  let text = committed_baseline () in
-  let expect_error what input =
-    match B.decode input with
-    | Ok _ -> Alcotest.failf "%s decoded" what
-    | Error _ -> ()
-  in
-  expect_error "truncated baseline"
-    (String.sub text 0 (String.length text / 2));
-  expect_error "garbage" "not json at all";
-  expect_error "empty file" "";
-  expect_error "no benchmarks array" "{ \"date\": \"2026-08-09\" }";
-  expect_error "ill-typed total_s"
-    "{ \"benchmarks\": [ { \"name\": \"w\", \"verify_s\": 0, \"total_s\": \
-     \"fast\" } ] }";
-  (* Unknown members, such as counters a later harness drops, are
-     ignored. *)
-  let extra =
-    "{ \"benchmarks\": [], \"pqs\": { \"retired.counter\": 0 }, \
-     \"future\": [ 1 ] }"
-  in
-  Alcotest.(check int) "unknown fields ignored" 0
-    (List.length (decoded extra).B.workloads)
-
-let test_render_decode_roundtrip () =
-  let w = Option.get (Cpr_workloads.Registry.find "strcpy") in
-  let r =
-    Cpr_pipeline.Report.run ~name:"strcpy" (w.Cpr_workloads.Workload.build ())
-      (w.Cpr_workloads.Workload.inputs ())
-  in
-  let b =
-    decoded
-      (B.render
-         ~date:"2026-08-09" ~domains:1 ~results:[ r ]
-         ~micro:[ ("m", Some 12.34); ("gone", None) ]
-         ~par:((0., 0.), (0., 0.))
-         ())
-  in
-  Alcotest.(check (list (pair string (float 1e-9))))
-    "micro without nulls" [ ("m", 12.3) ] b.B.micro;
-  match b.B.workloads with
-  | [ w ] ->
-    Alcotest.(check string) "name" "strcpy" w.B.name;
-    Alcotest.(check (list (pair string int)))
-      "pressure" r.Cpr_pipeline.Report.pressure w.B.pressure;
-    Alcotest.(check (option int))
-      "achieved cycles"
-      (Some r.Cpr_pipeline.Report.achieved_cycles)
-      (Option.map (fun h -> h.B.h_achieved) w.B.height)
-  | ws -> Alcotest.failf "expected 1 workload, got %d" (List.length ws)
-
-let test_render_pqs_counters () =
-  let render pqs =
-    decoded
-      (B.render ~pqs ~date:"2026-08-09" ~domains:1 ~results:[] ~micro:[]
-         ~par:((0., 0.), (0., 0.))
-         ())
-  in
-  Alcotest.(check (list (pair string int)))
-    "counters read back sorted"
-    [ ("pqs.memo_hits", 90); ("pqs.memo_misses", 10); ("pqs.queries", 55) ]
-    (render
-       [ ("pqs.memo_misses", 10); ("pqs.memo_hits", 90); ("pqs.queries", 55) ])
-      .B.counters;
-  Alcotest.(check (list (pair string int)))
-    "absent when not provided" [] (render []).B.counters
-
-let test_check_passes_on_equal () =
-  let entries = [ ("w1", 0.1, 1.0); ("w2", 0.2, 2.0) ] in
-  let deltas =
-    B.check ~tolerance:25.0 ~baseline:(baseline entries) ~current:entries
-  in
-  Alcotest.(check int) "two workloads + suite row" 5 (List.length deltas);
-  Alcotest.(check int) "no regressions" 0 (List.length (B.regressions deltas))
-
-let test_check_fails_on_regression () =
-  let deltas =
-    B.check ~tolerance:25.0
-      ~baseline:(baseline [ ("w1", 0.1, 1.0) ])
-      ~current:[ ("w1", 0.1, 2.0) ]
-  in
-  let regs = B.regressions deltas in
-  Alcotest.(check bool) "gate trips" true (regs <> []);
-  Alcotest.(check bool)
-    "total_s row tripped" true
-    (List.exists (fun (d : B.delta) -> d.B.metric = "total_s") regs)
-
-let test_check_noise_floor () =
-  (* 10x relative regression but only 9ms absolute: below the 20ms
-     floor, so a shared-runner blip does not fail CI. *)
-  let deltas =
-    B.check ~tolerance:25.0
-      ~baseline:(baseline [ ("w1", 0.0, 0.001) ])
-      ~current:[ ("w1", 0.0, 0.01) ]
-  in
-  Alcotest.(check int)
-    "absolute floor holds" 0
-    (List.length (B.regressions deltas))
-
-let test_check_ignores_unmatched () =
-  let deltas =
-    B.check ~tolerance:25.0
-      ~baseline:(baseline [ ("w1", 0.1, 1.0) ])
-      ~current:[ ("w1", 0.1, 1.0); ("only-in-current", 9.0, 9.0) ]
-  in
-  Alcotest.(check bool)
-    "unmatched workload not compared" true
-    (not
-       (List.exists
-          (fun (d : B.delta) -> d.B.workload = "only-in-current")
-          deltas));
-  Alcotest.(check int) "still clean" 0 (List.length (B.regressions deltas))
-
-let test_check_warns_missing_baseline () =
-  (* The gate skips baseline workloads with no current row (a --quick
-     run against a full-suite baseline must still pass), but the bench
-     driver warns with this list so a workload that silently stopped
-     running is visible. *)
-  let baseline = baseline [ ("w1", 0.1, 1.0); ("gone", 0.2, 2.0) ] in
-  Alcotest.(check (list string))
-    "baseline-only workload reported" [ "gone" ]
-    (B.missing_from_current ~baseline ~current:[ ("w1", 0.1, 1.0) ]);
-  Alcotest.(check (list string))
-    "full match reports nothing" []
-    (B.missing_from_current ~baseline
-       ~current:[ ("w1", 0.1, 1.0); ("gone", 0.2, 2.0) ]);
-  let deltas =
-    B.check ~tolerance:25.0 ~baseline ~current:[ ("w1", 0.1, 1.0) ]
-  in
-  Alcotest.(check int)
-    "missing workload never regresses the gate" 0
-    (List.length (B.regressions deltas))
-
-let test_height_gap_floor () =
-  let e gap h_bound h_achieved = { B.gap; h_bound; h_achieved } in
-  (* The historical flap: a 1-cycle schedule blip on a tiny workload is
-     a huge ratio move but must stay below the absolute floor. *)
-  Alcotest.(check bool)
-    "one cycle on a tiny workload is noise" false
-    (B.height_regressed ~base:(e 0.0 10 10) ~cur:(e 0.1 10 11));
-  Alcotest.(check bool)
-    "two cycles past the ratio tolerance regresses" true
-    (B.height_regressed ~base:(e 0.0 10 10) ~cur:(e 0.2 10 12));
-  (* A large absolute move that barely changes the ratio on a big
-     workload is below the percentage-point test. *)
-  Alcotest.(check bool)
-    "ratio within a point is not a regression" false
-    (B.height_regressed ~base:(e 0.100 1000 1100) ~cur:(e 0.105 1000 1105));
-  Alcotest.(check bool)
-    "improvement never regresses" false
-    (B.height_regressed ~base:(e 0.2 10 12) ~cur:(e 0.0 10 10))
-
-let test_pressure_floor () =
-  Alcotest.(check bool)
-    "within the floor is noise" false
-    (B.pressure_regressed ~base:10 ~cur:12);
-  Alcotest.(check bool)
-    "past the floor regresses" true
-    (B.pressure_regressed ~base:10 ~cur:13);
-  Alcotest.(check bool)
-    "improvement never regresses" false
-    (B.pressure_regressed ~base:12 ~cur:10)
-
 let suite =
   ( "obs",
     [
@@ -612,32 +299,4 @@ let suite =
         test_json_roundtrip;
       Alcotest.test_case "json parser rejects malformed input" `Quick
         test_json_rejects;
-      Alcotest.test_case "bench --json bare filename" `Quick
-        test_targets_bare_filename;
-      Alcotest.test_case "bench decode committed baseline" `Quick
-        test_decode_committed;
-      Alcotest.test_case "bench decode rejects malformed baselines" `Quick
-        test_decode_rejects;
-      Alcotest.test_case "bench --json dir and nested" `Quick
-        test_targets_dir_and_nested;
-      Alcotest.test_case "bench read_workloads" `Quick test_read_workloads;
-      Alcotest.test_case "bench read_height / read_pressure" `Quick
-        test_read_height_and_pressure;
-      Alcotest.test_case "perf gate passes on equal" `Quick
-        test_check_passes_on_equal;
-      Alcotest.test_case "perf gate trips on regression" `Quick
-        test_check_fails_on_regression;
-      Alcotest.test_case "perf gate noise floor" `Quick test_check_noise_floor;
-      Alcotest.test_case "perf gate ignores unmatched" `Quick
-        test_check_ignores_unmatched;
-      Alcotest.test_case "perf gate lists missing baseline workloads" `Quick
-        test_check_warns_missing_baseline;
-      Alcotest.test_case "height-gap warning absolute floor" `Quick
-        test_height_gap_floor;
-      Alcotest.test_case "pressure warning absolute floor" `Quick
-        test_pressure_floor;
-      Alcotest.test_case "bench json pqs counters" `Quick
-        test_render_pqs_counters;
-      Alcotest.test_case "bench json render/decode round-trip" `Quick
-        test_render_decode_roundtrip;
     ] )

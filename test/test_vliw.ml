@@ -55,19 +55,51 @@ let cycle_counts_scale_with_machine () =
   checkb "wide at least 2x faster than sequential on strcpy" true
     (wide * 2 <= seq)
 
+(* Cycles the executor spends on [prog], summed over [inputs]. *)
+let executed_cycles m prog inputs =
+  List.fold_left
+    (fun acc (input : Sim.Equiv.input) ->
+      let st = Sim.State.create () in
+      Sim.State.set_memory st input.Sim.Equiv.memory;
+      List.iter (fun (r, v) -> Sim.State.write_gpr st r v) input.Sim.Equiv.gprs;
+      List.iter (fun (r, v) -> Sim.State.write_pred st r v) input.Sim.Equiv.preds;
+      acc + (Sim.Vliw.run ~state:st m prog).Sim.Vliw.cycles)
+    0 inputs
+
 let exit_aware_estimator_matches_vliw () =
-  (* on a single profiled input, the exit-aware estimator equals the
-     VLIW executor's cycle count for baseline region code *)
+  (* the exit-aware estimator over a profile equals the VLIW executor's
+     cycle count on the profiled inputs: for both codes Passes.compile
+     produces from every registry workload, on every machine, and for
+     strcpy unrolled 4 times on one input *)
+  let check_all name prog inputs =
+    List.iter
+      (fun m ->
+        checki
+          (Printf.sprintf "%s on %s" name m.M.name)
+          (Cpr_pipeline.Perf.estimate_exit_aware m prog)
+          (executed_cycles m prog inputs))
+      M.all
+  in
+  List.iter
+    (fun (w : Cpr_workloads.Workload.t) ->
+      let inputs = w.Cpr_workloads.Workload.inputs () in
+      let base, red =
+        Cpr_pipeline.Passes.compile (w.Cpr_workloads.Workload.build ()) inputs
+      in
+      List.iter
+        (fun (code, p) ->
+          match p with
+          | Cpr_resilience.Recover.Committed (c : Cpr_pipeline.Passes.compiled) ->
+            check_all (w.Cpr_workloads.Workload.name ^ " " ^ code)
+              c.Cpr_pipeline.Passes.prog inputs
+          | Cpr_resilience.Recover.Fell_back _ ->
+            Alcotest.failf "%s %s degraded" w.Cpr_workloads.Workload.name code)
+        [ ("baseline", base); ("icbm", red) ])
+    Cpr_workloads.Registry.all;
   let prog = Cpr_workloads.Strcpy.build ~unroll:4 () in
   let input = Cpr_workloads.Strcpy.string_input (List.init 17 (fun i -> i + 1)) in
   Cpr_pipeline.Passes.profile prog [ input ];
-  let m = M.medium in
-  let st = Sim.State.create () in
-  Sim.State.set_memory st input.Sim.Equiv.memory;
-  let vl = Sim.Vliw.run ~state:st m prog in
-  checki "exit-aware estimate = executed cycles"
-    (Cpr_pipeline.Perf.estimate_exit_aware m prog)
-    vl.Sim.Vliw.cycles
+  check_all "strcpy unroll 4" prog [ input ]
 
 let prop_vliw_matches_interp =
   QCheck2.Test.make ~name:"scheduled execution matches the interpreter"
