@@ -171,31 +171,31 @@ let live_out_region t (r : Region.t) =
   | Some l -> live_in t l
   | None -> t.boundary_set
 
-let live_expr_after t env (r : Region.t) idx reg =
+(* Every condition under which [reg] is live after [idx] is one term
+   [pc.(j) ∧ e]: a use under guard [e], or an exit at [j] taken under [e]
+   where [reg] is live at the target, or the fall-through exit ([e] =
+   [tru], [j] = end).  The prefix [pc.(j)] from region entry is shared by
+   every query on the region, so each term is a memo hit after the first
+   query that builds it.  A DNF implies [guard] exactly when each of its
+   conjunctions does, so the disjunction is never built: each term is
+   checked on its own and the scan stops at the first that fails.  An
+   unconditional kill ends the scan — nothing past it can read the value
+   present after [idx]. *)
+let live_after_implies t env (r : Region.t) idx reg guard =
   let ops = Pred_env.ops env in
+  let pc = Pred_env.path_conds env in
   let n = Array.length ops in
-  let acc = ref Pqs.fls in
-  let path = ref Pqs.tru in
-  (try
-     for j = idx + 1 to n - 1 do
-       let op = ops.(j) in
-       if List.exists (Reg.equal reg) (Op.uses op) then
-         acc := Pqs.or_ !acc (Pqs.and_ !path (Pred_env.guard_expr env j));
-       if Op.is_branch op then begin
-         if Reg.Set.mem reg (live_at_target t r op) then
-           acc :=
-             Pqs.or_ !acc (Pqs.and_ !path (Pred_env.taken_expr env j));
-         path := Pqs.and_ !path (Pqs.not_ (Pred_env.taken_expr env j))
-       end;
-       (* An unconditional kill ends the scan: nothing past it can read the
-          value present after [idx]. *)
-       if List.exists (Reg.equal reg) (kills op) then raise Exit
-     done;
-     if Reg.Set.mem reg (live_out_region t r) then
-       acc := Pqs.or_ !acc !path
-   with Exit -> ());
-  (* Everything above is relative to control being at [idx]; conjoining
-     with the path condition that reaches [idx] removes spurious
-     "an earlier exit was taken" disjuncts introduced by negating later
-     branches' taken-expressions. *)
-  Pqs.and_ (Pred_env.path_cond env 0 (idx + 1)) !acc
+  let covered j e = Pqs.implies (Pqs.and_ pc.(j) e) guard in
+  let rec scan j =
+    if j = n then
+      (not (Reg.Set.mem reg (live_out_region t r))) || covered n Pqs.tru
+    else
+      let op = ops.(j) in
+      ((not (List.exists (Reg.equal reg) (Op.uses op)))
+      || covered j (Pred_env.guard_expr env j))
+      && ((not (Op.is_branch op))
+         || (not (Reg.Set.mem reg (live_at_target t r op)))
+         || covered j (Pred_env.taken_expr env j))
+      && (List.exists (Reg.equal reg) (kills op) || scan (j + 1))
+  in
+  scan (idx + 1)

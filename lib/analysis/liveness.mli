@@ -27,9 +27,16 @@ val live_at_target : t -> Region.t -> Op.t -> Reg.Set.t
 val live_out_region : t -> Region.t -> Reg.Set.t
 (** Registers live when the region is exited by falling through. *)
 
-val live_expr_after : t -> Pred_env.t -> Region.t -> int -> Reg.t -> Pqs.t
-(** Symbolic condition under which register [r] is live just after the op
-    at the given index: the disjunction over downstream uses (and exits
-    where [r] is live) of the path condition to reach them conjoined with
-    the use's guard expression.  Over-approximate; used to decide predicate
-    promotion legality ([live_expr] must imply the current guard). *)
+val live_after_implies :
+  t -> Pred_env.t -> Region.t -> int -> Reg.t -> Pqs.t -> bool
+(** [live_after_implies t env r idx reg guard] proves that whenever
+    register [reg] is live just after the op at index [idx], [guard]
+    holds — the promotion-legality test of predicate speculation.  The
+    liveness condition is the disjunction, over the downstream uses of
+    [reg] and the exits where it is live, of the path condition from
+    region entry to the use or exit conjoined with the use's guard or the
+    exit's taken-expression; it is over-approximate, so [true] is sound.
+    Each disjunct is checked against [guard] separately, reusing the
+    region's shared prefix path conditions ({!Pred_env.path_conds}), so a
+    query does work linear in the ops after [idx].  See DESIGN.md
+    "Promotion legality in linear work". *)

@@ -26,6 +26,7 @@ module Make (P : Pqs_intf.S) = struct
     ops : Op.t array;
     before : P.t Reg.Map.t array;  (* predicate env just before each op *)
     at_end : P.t Reg.Map.t;
+    pc : P.t array Lazy.t;  (* prefix path conditions, built on first use *)
   }
 
   let ops t = t.ops
@@ -124,6 +125,21 @@ module Make (P : Pqs_intf.S) = struct
     vn_defs st op;
     env
 
+  (* [pc.(i)] is the condition that control entering the region reaches
+     op [i]: the running conjunction of the negated taken-expressions of
+     the branches before it.  One product per branch, shared by every
+     query on the region. *)
+  let prefix_conds ops before =
+    let n = Array.length ops in
+    let pc = Array.make (n + 1) P.tru in
+    for i = 0 to n - 1 do
+      pc.(i + 1) <-
+        (if Op.is_branch ops.(i) then
+           P.and_ pc.(i) (P.not_ (guard_expr_in before.(i) ops.(i)))
+         else pc.(i))
+    done;
+    pc
+
   let analyze (r : Region.t) =
     let ops = Array.of_list r.Region.ops in
     let n = Array.length ops in
@@ -134,7 +150,7 @@ module Make (P : Pqs_intf.S) = struct
       before.(i) <- !env;
       env := step st !env ops.(i)
     done;
-    { ops; before; at_end = !env }
+    { ops; before; at_end = !env; pc = lazy (prefix_conds ops before) }
 
   let guard_expr t i = guard_expr_in t.before.(i) t.ops.(i)
   let reg_expr_before t i r = lookup t.before.(i) r
@@ -152,18 +168,8 @@ module Make (P : Pqs_intf.S) = struct
     done;
     !acc
 
-  let fallthrough_expr t = path_cond t 0 (Array.length t.ops)
-
-  let path_conds t =
-    let n = Array.length t.ops in
-    let pc = Array.make (n + 1) P.tru in
-    for i = 0 to n - 1 do
-      pc.(i + 1) <-
-        (if Op.is_branch t.ops.(i) then
-           P.and_ pc.(i) (P.not_ (taken_expr t i))
-         else pc.(i))
-    done;
-    pc
+  let path_conds t = Lazy.force t.pc
+  let fallthrough_expr t = (path_conds t).(Array.length t.ops)
 end
 
 include Make (Pqs)

@@ -39,8 +39,10 @@ module type S = sig
 
   val path_conds : t -> pqs array
   (** All prefix path conditions at once: [(path_conds t).(i) = path_cond
-      t 0 i].  One linear product instead of a quadratic family — use it
-      whenever more than one prefix of the same region is needed. *)
+      t 0 i].  One linear product instead of a quadratic family, built on
+      the first call and shared by every later call on the same [t] (the
+      array is shared: read it, never write it).  Use it whenever more
+      than one prefix of the same region is needed. *)
 
   val fallthrough_expr : t -> pqs
   (** Condition that the region is exited by falling through: no branch

@@ -31,27 +31,25 @@ let promote_pass liveness (region : Region.t) =
         let clobber_safe =
           List.for_all
             (fun d ->
-              let live_e = Liveness.live_expr_after liveness env region idx d in
-              Pqs.implies live_e guard_e)
+              Liveness.live_after_implies liveness env region idx d guard_e)
             (Op.defs op)
         in
         if clobber_safe then promoted := (op.Op.id, op.Op.guard) :: !promoted
       end)
     ops;
   let promoted = List.rev !promoted in
-  let ids = List.map fst promoted in
+  let ids = Hashtbl.create 17 in
+  List.iter (fun (id, _) -> Hashtbl.replace ids id ()) promoted;
   region.Region.ops <-
     List.map
       (fun (o : Op.t) ->
-        if List.mem o.Op.id ids then { o with Op.guard = Op.True } else o)
+        if Hashtbl.mem ids o.Op.id then { o with Op.guard = Op.True } else o)
       region.Region.ops;
   promoted
 
 (* A direct flow dependence: [consumer] reads a register [producer]
    defines, with no intervening definition. *)
-let direct_flow_producers region idx =
-  let ops = Array.of_list region.Region.ops in
-  let op = ops.(idx) in
+let direct_flow_producers (ops : Op.t array) idx =
   let producers = ref [] in
   List.iter
     (fun r ->
@@ -62,7 +60,7 @@ let direct_flow_producers region idx =
         else scan (k - 1)
       in
       scan (idx - 1))
-    (Op.uses op);
+    (Op.uses ops.(idx));
   List.sort_uniq Int.compare !producers
 
 (* Second demotion criterion (Section 5.1): a promoted operation that
@@ -91,6 +89,10 @@ let branch_dependent liveness (region : Region.t) env idx (op : Op.t) =
   in
   scan 0 false
 
+(* Each round judges every still-promoted op against the liveness and
+   predicate environments of the region as the round began, then applies
+   the round's demotions in one rewrite; demotions made earlier in the
+   round already count as non-promoted producers. *)
 let demote_pass prog (region : Region.t) promoted =
   let demoted = ref 0 in
   let changed = ref true in
@@ -103,6 +105,7 @@ let demote_pass prog (region : Region.t) promoted =
     let liveness = Liveness.analyze prog in
     let env = Pred_env.analyze region in
     let ops = Pred_env.ops env in
+    let restore = Hashtbl.create 7 in
     Array.iteri
       (fun idx (op : Op.t) ->
         match Hashtbl.find_opt still_promoted op.Op.id with
@@ -122,31 +125,42 @@ let demote_pass prog (region : Region.t) promoted =
                 | Op.If _ ->
                   (not (Hashtbl.mem still_promoted producer.Op.id))
                   && Pqs.implies orig_e (Pred_env.guard_expr env k))
-              (direct_flow_producers region idx)
+              (direct_flow_producers ops idx)
           in
           let should_demote =
             useless_promotion || branch_dependent liveness region env idx op
           in
           if should_demote then begin
             Hashtbl.remove still_promoted op.Op.id;
+            Hashtbl.replace restore op.Op.id original_guard;
             incr demoted;
-            changed := true;
-            region.Region.ops <-
-              List.map
-                (fun (o : Op.t) ->
-                  if o.Op.id = op.Op.id then { o with Op.guard = original_guard }
-                  else o)
-                region.Region.ops
+            changed := true
           end)
-      ops
+      ops;
+    if !changed then
+      region.Region.ops <-
+        List.map
+          (fun (o : Op.t) ->
+            match Hashtbl.find_opt restore o.Op.id with
+            | Some guard -> { o with Op.guard = guard }
+            | None -> o)
+          region.Region.ops
   done;
   !demoted
 
+(* Liveness is whole-program, so it is computed only for a region that
+   has something to promote; demotion runs only when something was
+   promoted. *)
 let speculate_region prog region =
-  let liveness = Liveness.analyze prog in
-  let promoted = promote_pass liveness region in
-  let demoted = demote_pass prog region promoted in
-  { promoted = List.length promoted; demoted }
+  if not (List.exists candidate region.Region.ops) then
+    { promoted = 0; demoted = 0 }
+  else
+    let liveness = Liveness.analyze prog in
+    let promoted = promote_pass liveness region in
+    let demoted =
+      if promoted = [] then 0 else demote_pass prog region promoted
+    in
+    { promoted = List.length promoted; demoted }
 
 let speculate prog =
   List.fold_left

@@ -86,3 +86,28 @@ let paper_transformed_strcpy () =
   let (_ : int) = Cpr_core.Dce.run prog in
   Validate.check_exn prog;
   (prog, inputs, baseline)
+
+(* The kernel shapes of the benchmark's wide-regions ladder (long
+   unrolled hyperblocks where predicate speculation dominates), each
+   with one training input that never takes a side exit. *)
+module K = Cpr_workloads.Kernels
+
+let wide_stream unroll =
+  let spec =
+    { K.default_stream with unroll; work = 2; store = true; counted = true }
+  in
+  ( K.stream_prog spec,
+    [ K.stream_input ~spec ~len:(4 * unroll) ~exit_probability:0. ~seed:1 ] )
+
+let wide_dispatch d_unroll =
+  let spec =
+    {
+      K.default_dispatch with
+      cases =
+        List.init 3 (fun i -> { K.match_value = 3 + (7 * i); handler_work = 4 });
+      d_unroll;
+    }
+  in
+  ( K.dispatch_prog spec,
+    [ K.dispatch_input ~spec ~len:(4 * d_unroll) ~case_probability:0. ~seed:1 ]
+  )

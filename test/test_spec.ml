@@ -119,6 +119,48 @@ let branch_dependent_demotion () =
   in
   checkb "later accumulators demoted" true (List.length guarded >= 1)
 
+(* Promotion legality does linear work per region: counted in predicate
+   expressions interned (a timing-free measure of DNF construction), the
+   cost of [Spec.speculate] on a cold engine grows no faster than a small
+   factor over the growth in program size.  A check that rebuilds a path
+   expression per (candidate, destination) pair grows ×7.5 on the stream
+   ladder and ×5.1 on the dispatch ladder. *)
+module Obs = Cpr_obs.Obs
+
+let interned = Obs.counter "pqs.interned"
+
+let speculate_interned (prog, inputs) =
+  let p = Cpr_pipeline.Passes.prepare prog inputs in
+  ignore (Cpr_core.Frp.convert p : int);
+  Cpr_analysis.Pqs.invalidate ();
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      ignore (Cpr_core.Spec.speculate p : Cpr_core.Spec.stats);
+      (Prog.static_op_count p, Obs.counter_value interned))
+
+let check_growth name ~bound (ops_small, small) (ops_large, large) =
+  let growth = float_of_int large /. float_of_int small in
+  if growth > bound then
+    Alcotest.failf
+      "%s: pqs.interned grew x%.2f (%d -> %d) for ops x%.2f (%d -> %d); \
+       bound x%.1f"
+      name growth small large
+      (float_of_int ops_large /. float_of_int ops_small)
+      ops_small ops_large bound
+
+let speculation_growth () =
+  check_growth "stream unroll 20 -> 64" ~bound:4.
+    (speculate_interned (wide_stream 20))
+    (speculate_interned (wide_stream 64));
+  check_growth "dispatch d_unroll 4 -> 10" ~bound:3.5
+    (speculate_interned (wide_dispatch 4))
+    (speculate_interned (wide_dispatch 10))
+
 let prop_spec_preserves_semantics =
   QCheck2.Test.make ~name:"FRP + speculation preserves semantics" ~count:60
     QCheck2.Gen.(int_range 0 600)
@@ -137,5 +179,6 @@ let suite =
       case "stores never promoted" stores_never_promoted;
       case "clobber blocks promotion" clobber_blocks_promotion;
       case "branch-dependent demotion" branch_dependent_demotion;
+      case "speculation work grows linearly" speculation_growth;
       QCheck_alcotest.to_alcotest prop_spec_preserves_semantics;
     ] )
