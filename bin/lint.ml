@@ -114,9 +114,9 @@ let lint_workloads stages quiet =
 (* --heights: schedule-quality sweep.  Per stage output, the static
    lower bound (dep height vs resource bound, maxed per region and
    summed over the program), the length list scheduling actually
-   achieves, and the gap.  Soundness violations and above-factor quality
-   findings fail the run; missed-opportunity warnings are reported but
-   only counted. *)
+   achieves, and the gap.  Soundness violations fail the run; quality
+   (more than twice the bound) and missed-opportunity warnings are
+   reported but only counted. *)
 
 let heights_header () =
   Format.printf "%-28s %8s %8s %8s %6s@." "workload/stage" "bound"
@@ -136,11 +136,10 @@ let is_cpr_stage = function
   | "icbm" | "fullcpr" | "fullpipe" -> true
   | _ -> false
 
-let heights_of_prog ~stage ~where ~factor quiet prog =
-  let rows = V.Heightcheck.rows prog in
+let heights_of_prog ~stage ~where quiet prog =
   let stats = V.Finding.new_stats () in
-  let findings =
-    V.Heightcheck.check ~factor ~missed:(is_cpr_stage stage) ~stats prog
+  let rows, findings =
+    V.Heightcheck.check ~missed:(is_cpr_stage stage) ~stats prog
   in
   let bound = List.fold_left (fun a (r : V.Heightcheck.row) -> a + r.V.Heightcheck.bound) 0 rows in
   let achieved =
@@ -157,17 +156,17 @@ let heights_summary ~label (errors, warnings) =
   Format.printf "%s: %d error(s), %d warning(s)@." label errors warnings;
   errors = 0
 
-let lint_heights stages factor quiet =
+let lint_heights stages quiet =
   if not quiet then heights_header ();
   heights_summary ~label:"heights"
     (sweep_stage_workloads stages ~f:(fun ~stage ~where ~before:_ after ->
-         heights_of_prog ~stage ~where ~factor quiet after))
+         heights_of_prog ~stage ~where quiet after))
 
-let heights_corpus dir factor quiet =
+let heights_corpus dir quiet =
   if not quiet then heights_header ();
   heights_summary ~label:"corpus heights"
     (sweep_stage_corpus dir ~f:(fun ~stage ~where ~before:_ after ->
-         heights_of_prog ~stage ~where ~factor quiet after))
+         heights_of_prog ~stage ~where quiet after))
 
 (* --pressure: allocatability sweep.  Per stage output, the worst
    region's predicate-aware MAXLIVE against the register-file size for
@@ -180,12 +179,11 @@ let pressure_header () =
     "btr" "margin"
 
 let pressure_of_prog ~stage ~where ~before quiet prog =
-  let rows = V.Pressurecheck.rows prog in
   let stats = V.Finding.new_stats () in
   let baseline =
     if is_cpr_stage stage then Some (Lazy.force before) else None
   in
-  let findings = V.Pressurecheck.check ?baseline ~stats prog in
+  let rows, findings = V.Pressurecheck.check ?baseline ~stats prog in
   if not quiet then begin
     let worst cls =
       List.fold_left
@@ -289,7 +287,7 @@ let lint_bundle dir quiet =
   report_entry quiet dir res
 
 let run files all_workloads corpus replay stages_spec quiet trace heights
-    height_factor pressure =
+    pressure =
   if trace <> None then Cpr_obs.Obs.set_enabled true;
   let stages =
     match F.Stage.parse stages_spec with
@@ -310,10 +308,9 @@ let run files all_workloads corpus replay stages_spec quiet trace heights
          only";
     if heights then begin
       (match corpus with
-      | Some dir -> ok := heights_corpus dir height_factor quiet && !ok
+      | Some dir -> ok := heights_corpus dir quiet && !ok
       | None -> ());
-      if all_workloads then
-        ok := lint_heights stages height_factor quiet && !ok
+      if all_workloads then ok := lint_heights stages quiet && !ok
     end;
     if pressure then begin
       (match corpus with
@@ -384,16 +381,9 @@ let heights_flag =
        & info [ "heights" ]
            ~doc:"Schedule-quality lint: per-stage static lower bound vs \
                  achieved schedule length (bound, achieved, gap), failing \
-                 on soundness violations and above-factor quality \
-                 findings.  Combines with $(b,--all-workloads) and \
-                 $(b,--corpus).")
-
-let height_factor_arg =
-  Arg.(value & opt float 2.0
-       & info [ "height-factor" ] ~docv:"F"
-           ~doc:"Quality threshold for $(b,--heights): flag a region \
-                 when its achieved length exceeds F times the static \
-                 bound (plus a 2-cycle grace).")
+                 on soundness violations and warning on regions more \
+                 than twice the bound.  Combines with \
+                 $(b,--all-workloads) and $(b,--corpus).")
 
 let pressure_flag =
   Arg.(value & flag
@@ -409,17 +399,14 @@ let () =
   let term =
     Term.(
       const
-        (fun files aw corpus replay stages quiet trace heights factor
-             pressure ->
+        (fun files aw corpus replay stages quiet trace heights pressure ->
           try
-            run files aw corpus replay stages quiet trace heights factor
-              pressure
+            run files aw corpus replay stages quiet trace heights pressure
           with Failure msg ->
             prerr_endline msg;
             1)
       $ files_arg $ all_workloads_flag $ corpus_arg $ replay_bundle_arg
-      $ stages_arg $ quiet_flag $ trace_arg $ heights_flag
-      $ height_factor_arg $ pressure_flag)
+      $ stages_arg $ quiet_flag $ trace_arg $ heights_flag $ pressure_flag)
   in
   let info =
     Cmd.info "lint" ~version:"1.0"

@@ -174,7 +174,7 @@ let before ~stage prog inputs =
    {!Cpr_verify.Verify.Verify_error} on any error-severity finding.  The
    whole check runs inside a [verify/<stage>] span; the [verify_time]
    ref keeps the pre-span accounting contract (the <10%-of-suite budget
-   the bench harness tracks) for callers that do not read traces. *)
+   tables.exe reports) for callers that do not read traces. *)
 let verify_stage ?(verify = true) ?verify_time stage ~before p =
   if verify then
     Obs.span ("verify/" ^ stage.name) (fun () ->

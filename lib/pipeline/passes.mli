@@ -44,7 +44,7 @@ val baseline :
     ([verify] defaults to [true]): the {!Cpr_verify} lint plus per-stage
     translation validation against the pre-transformation program, with
     error findings raised as {!Cpr_verify.Verify.Verify_error}.  Pass
-    [~verify:false] to skip (micro-benchmarks; drivers that verify
+    [~verify:false] to skip (the ablations; drivers that verify
     separately), and [~verify_time] to accumulate the wall time spent
     verifying.
 

@@ -19,7 +19,7 @@ val bound_estimate : Cpr_machine.Descr.t -> Prog.t -> int
 (** {!estimate} with each region's schedule length replaced by its static
     lower bound ({!Cpr_analysis.Height.of_region}): Σ region bound ×
     profiled entry count, without scheduling.  Always at most
-    {!estimate}; the difference is the schedule-quality gap the bench
-    harness tracks as [height_gap]. *)
+    {!estimate}; the difference is the schedule-quality gap
+    [Report.run] records as [height_gap]. *)
 
 val speedup : baseline:int -> transformed:int -> float

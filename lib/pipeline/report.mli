@@ -42,7 +42,7 @@ type result = {
           the cprbench fingerprint and [test_pipeline] *)
   verify_s : float;
       (** wall time the static verifier spent on this benchmark (both
-          compiled codes); [bench] prints its suite total against the
+          compiled codes); [tables.exe] prints its suite total against the
           suite's [total_s] *)
   total_s : float;
       (** wall time of the whole [run] for this benchmark — compilation,

@@ -15,23 +15,6 @@ type row = {
   achieved : int;
 }
 
-let region_row machine prog live (r : Region.t) =
-  let dg = Depgraph.build machine prog live r in
-  let s = Height.summarize machine dg in
-  let sched = List_sched.schedule machine prog live r in
-  {
-    region = r.Region.label;
-    n_ops = List.length r.Region.ops;
-    dep_height = s.Height.dep_height;
-    branch_height = s.Height.branch_height;
-    res_bound = s.Height.res_bound;
-    bound = s.Height.bound;
-    achieved = sched.Cpr_sched.Schedule.length;
-  }
-
-let rows ?(machine = Descr.medium) prog =
-  Sweep.map_regions prog ~f:(region_row machine prog)
-
 (* A side exit is "cold" when its profiled taken fraction stays at or
    below the default exit-weight threshold — the same notion CPR block
    growth uses, so "missed" means missed by the heuristics' own
@@ -43,11 +26,27 @@ let cold_branch (r : Region.t) (op : Op.t) =
      /. float_of_int r.Region.entry_count
      <= Cpr_core.Heur.default.Cpr_core.Heur.exit_weight_threshold
 
-let check_region machine ~factor ~missed ~stats prog live (r : Region.t) =
+(* A region trips [sched-quality] when its achieved length exceeds this
+   many times the static bound, plus a 2-cycle grace. *)
+let quality_factor = 2.0
+
+let check_region machine ~missed ~stats prog live (r : Region.t) =
   let dg = Depgraph.build machine prog live r in
   let s = Height.summarize machine dg in
-  let sched = List_sched.schedule machine prog live r in
-  let achieved = sched.Cpr_sched.Schedule.length in
+  let achieved =
+    (List_sched.schedule machine prog live r).Cpr_sched.Schedule.length
+  in
+  let row =
+    {
+      region = r.Region.label;
+      n_ops = List.length r.Region.ops;
+      dep_height = s.Height.dep_height;
+      branch_height = s.Height.branch_height;
+      res_bound = s.Height.res_bound;
+      bound = s.Height.bound;
+      achieved;
+    }
+  in
   let findings = ref [] in
   if achieved < s.Height.bound then
     findings :=
@@ -60,7 +59,9 @@ let check_region machine ~factor ~missed ~stats prog live (r : Region.t) =
       :: !findings
   else begin
     stats.Finding.proved <- stats.Finding.proved + 1;
-    if float_of_int achieved > (factor *. float_of_int s.Height.bound) +. 2.
+    if
+      float_of_int achieved
+      > (quality_factor *. float_of_int s.Height.bound) +. 2.
     then
       findings :=
         Finding.make ~check:"sched-quality" ~severity:Finding.Warning
@@ -68,7 +69,7 @@ let check_region machine ~factor ~missed ~stats prog live (r : Region.t) =
           (Printf.sprintf
              "achieved schedule length %d exceeds the static lower bound \
               %d by more than %.1fx (dep height %d, resource bound %d)"
-             achieved s.Height.bound factor s.Height.dep_height
+             achieved s.Height.bound quality_factor s.Height.dep_height
              s.Height.res_bound)
         :: !findings
   end;
@@ -101,9 +102,11 @@ let check_region machine ~factor ~missed ~stats prog live (r : Region.t) =
             :: !findings)
       ops
   end;
-  List.rev !findings
+  (row, List.rev !findings)
 
-let check ?(machine = Descr.medium) ?(factor = 2.0) ?(missed = false) ~stats
-    prog =
-  Sweep.concat_map_regions prog
-    ~f:(fun live r -> check_region machine ~factor ~missed ~stats prog live r)
+let check ?(machine = Descr.medium) ?(missed = false) ~stats prog =
+  let rows, findings =
+    List.split
+      (Sweep.map_regions prog ~f:(check_region machine ~missed ~stats prog))
+  in
+  (rows, List.concat findings)

@@ -10,10 +10,9 @@ open Cpr_ir
       static bound.  The bound is proved sound, so this can only mean an
       analyzer or scheduler bug — it is the lint that keeps the two
       honest against each other.
-    - [sched-quality] (warning): the achieved length exceeds the bound
-      by more than [factor] (plus a small absolute grace), i.e. the
-      scheduler left cycles on the table that neither dependences nor
-      resources account for.
+    - [sched-quality] (warning): the achieved length exceeds twice the
+      bound plus a 2-cycle grace, i.e. the scheduler left cycles on the
+      table that neither dependences nor resources account for.
     - [height-missed-cpr] (warning, only with [missed:true] — callers
       pass it for post-CPR programs): a cold side exit (taken fraction
       at most the exit-weight threshold of {!Cpr_core.Heur}) whose
@@ -35,16 +34,13 @@ type row = {
   achieved : int;  (** {!List_sched} schedule length *)
 }
 
-val rows : ?machine:Cpr_machine.Descr.t -> Prog.t -> row list
-(** One row per reachable non-empty region, in program order. *)
-
 val check :
   ?machine:Cpr_machine.Descr.t ->
-  ?factor:float ->
   ?missed:bool ->
   stats:Finding.stats ->
   Prog.t ->
-  Finding.t list
-(** [factor] defaults to 2.0; a region only trips [sched-quality] when
-    [achieved > factor * bound + 2].  Every region whose achieved length
-    respects the bound counts as one proved query in [stats]. *)
+  row list * Finding.t list
+(** One row per reachable non-empty region, in program order, and the
+    findings, from one dependence graph and one schedule per region.
+    Every region whose achieved length respects the bound counts as one
+    proved query in [stats]. *)

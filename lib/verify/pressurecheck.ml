@@ -50,8 +50,7 @@ let rows ?(machine = Descr.medium) prog =
 
 (* Program-level figure per class: the worst region's scheduled
    (allocator-visible) predicate-aware MAXLIVE. *)
-let summary ?(machine = Descr.medium) prog =
-  let rs = rows ~machine prog in
+let worst_per_class rs =
   List.map
     (fun cls ->
       ( cls,
@@ -59,6 +58,9 @@ let summary ?(machine = Descr.medium) prog =
           (fun acc row -> if row.cls = cls then max acc row.sched_maxlive else acc)
           0 rs ))
     classes
+
+let summary ?(machine = Descr.medium) prog =
+  worst_per_class (rows ~machine prog)
 
 let check ?(machine = Descr.medium) ?(growth_factor = 1.5) ?baseline ~stats
     prog =
@@ -102,5 +104,5 @@ let check ?(machine = Descr.medium) ?(growth_factor = 1.5) ?baseline ~stats
                   height"
                  (cls_name cls) b cur growth_factor)
             :: !findings)
-      (summary ~machine prog));
-  List.rev !findings
+      (worst_per_class rs));
+  (rs, List.rev !findings)

@@ -36,8 +36,8 @@ val rows : ?machine:Cpr_machine.Descr.t -> Prog.t -> row list
 (** Three rows (one per class) per reachable non-empty region. *)
 
 val summary : ?machine:Cpr_machine.Descr.t -> Prog.t -> (Reg.cls * int) list
-(** Worst-region scheduled MAXLIVE per class — the figure bench reports
-    per workload and the growth warning compares. *)
+(** Worst-region scheduled MAXLIVE per class — the figure [Report.run]
+    records per workload and the growth warning compares. *)
 
 val check :
   ?machine:Cpr_machine.Descr.t ->
@@ -45,6 +45,8 @@ val check :
   ?baseline:Prog.t ->
   stats:Finding.stats ->
   Prog.t ->
-  Finding.t list
-(** [growth_factor] defaults to 1.5.  Every in-budget (region, class)
-    pair counts as one proved query in [stats]. *)
+  row list * Finding.t list
+(** The {!rows} and the findings, from one sweep of the program (plus a
+    {!summary} of [baseline] when given).  [growth_factor] defaults to
+    1.5.  Every in-budget (region, class) pair counts as one proved
+    query in [stats]. *)

@@ -18,7 +18,3 @@ let regions_of prog =
 let map_regions prog ~f =
   let live = Liveness.analyze prog in
   List.map (f live) (regions_of prog)
-
-let concat_map_regions prog ~f =
-  let live = Liveness.analyze prog in
-  List.concat_map (f live) (regions_of prog)

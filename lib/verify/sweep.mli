@@ -14,6 +14,3 @@ val regions_of : Prog.t -> Region.t list
 val map_regions :
   Prog.t -> f:(Cpr_analysis.Liveness.t -> Region.t -> 'a) -> 'a list
 (** Run [f] over {!regions_of}, computing liveness once. *)
-
-val concat_map_regions :
-  Prog.t -> f:(Cpr_analysis.Liveness.t -> Region.t -> 'a list) -> 'a list

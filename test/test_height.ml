@@ -223,7 +223,10 @@ let resbound_arithmetic () =
 let heightcheck_rows_and_findings () =
   let prog, inputs = profiled_strcpy () in
   let compiled = P.Passes.height_reduce prog inputs in
-  let rows = Cpr_verify.Heightcheck.rows compiled.P.Passes.prog in
+  let stats = Cpr_verify.Finding.new_stats () in
+  let rows, findings =
+    Cpr_verify.Heightcheck.check ~missed:true ~stats compiled.P.Passes.prog
+  in
   checkb "at least one row" true (rows <> []);
   List.iter
     (fun (r : Cpr_verify.Heightcheck.row) ->
@@ -243,10 +246,6 @@ let heightcheck_rows_and_findings () =
         (r.Cpr_verify.Heightcheck.branch_height
         <= r.Cpr_verify.Heightcheck.dep_height))
     rows;
-  let stats = Cpr_verify.Finding.new_stats () in
-  let findings =
-    Cpr_verify.Heightcheck.check ~missed:true ~stats compiled.P.Passes.prog
-  in
   checkb "no height-bound errors" true
     (not (List.exists Cpr_verify.Finding.is_error findings));
   checkb "every region proved" true

@@ -231,9 +231,10 @@ let pressurecheck_rows_and_findings () =
   checki "summary covers the three classes" 3 (List.length summary);
   (* Medium-machine files fit the paper workloads: no errors, all proved. *)
   let stats = Cpr_verify.Finding.new_stats () in
-  let findings =
+  let checked_rows, findings =
     Cpr_verify.Pressurecheck.check ~stats compiled.P.Passes.prog
   in
+  checkb "check reports the same rows" true (checked_rows = rows);
   checkb "no unallocatable findings on the medium machine" true
     (not (List.exists Cpr_verify.Finding.is_error findings));
   checkb "classes proved allocatable" true
@@ -249,7 +250,7 @@ let pressurecheck_rows_and_findings () =
     }
   in
   let stats = Cpr_verify.Finding.new_stats () in
-  let errors =
+  let _, errors =
     Cpr_verify.Pressurecheck.check ~machine:tiny ~stats compiled.P.Passes.prog
   in
   checkb "starved machine is unallocatable" true
@@ -258,7 +259,7 @@ let pressurecheck_rows_and_findings () =
      exit 0 on a warnings-only run (the PR 5 exit-code contract). *)
   let baseline = prog in
   let stats = Cpr_verify.Finding.new_stats () in
-  let warnings =
+  let _, warnings =
     Cpr_verify.Pressurecheck.check ~growth_factor:0.0 ~baseline ~stats
       compiled.P.Passes.prog
   in
