@@ -175,12 +175,12 @@ let live_out_region t (r : Region.t) =
    [pc.(j) ∧ e]: a use under guard [e], or an exit at [j] taken under [e]
    where [reg] is live at the target, or the fall-through exit ([e] =
    [tru], [j] = end).  The prefix [pc.(j)] from region entry is shared by
-   every query on the region, so each term is a memo hit after the first
-   query that builds it.  A DNF implies [guard] exactly when each of its
-   conjunctions does, so the disjunction is never built: each term is
-   checked on its own and the scan stops at the first that fails.  An
-   unconditional kill ends the scan — nothing past it can read the value
-   present after [idx]. *)
+   every query on the region, so a term is built once and reused by later
+   queries.  A disjunction implies [guard] exactly when each of its terms
+   does, so the disjunction is never built: each term is checked on its
+   own and the scan stops at the first that fails.  An unconditional kill
+   ends the scan — nothing past it can read the value present after
+   [idx]. *)
 let live_after_implies t env (r : Region.t) idx reg guard =
   let ops = Pred_env.ops env in
   let pc = Pred_env.path_conds env in

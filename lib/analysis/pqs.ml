@@ -1,276 +1,277 @@
-module R = Pqs_reference
+open Cpr_ir
 
-type key = Pqs_intf.key =
+type key =
   | Cond of int
   | Entry of int
 
-(* A hash-consed handle: [node] is the underlying DNF value (computed by
-   the reference engine, so the algebra is the reference algebra by
-   construction) and [uid] identifies the node in the interning arena of
-   the domain that built it — equal uids mean structurally equal nodes,
-   so memo tables key binary operations on uid pairs in O(1).
-
-   [pos_mask]/[neg_mask] are 62-bit polarity fingerprints computed once
-   at intern time: bit [hash(key) mod 62] of [pos_mask] is set when the
-   node contains a positive occurrence of [key] (and symmetrically for
-   [neg_mask]).  The reference [disjoint] can only prove two DNFs
-   disjoint when some key occurs with opposite polarities across them,
-   so two ANDs over the fingerprints refute most queries without
-   touching the memo tables — this is where interning pays on the
-   scheduler's hot path, where almost all guard pairs are compatible.
-
-   Handles are self-contained: invalidating the arena (per program, or
-   when a table outgrows its cap) never dangles an outstanding handle —
-   it only costs future sharing.  A structurally equal node interned
-   after an invalidation gets a fresh uid, and uids are never reused
-   within a domain, so stale memo entries can never be confused with new
-   nodes. *)
+(* A reduced ordered BDD node: [var] is tested at this node, [lo]/[hi]
+   are the cofactors for false/true.  Smaller [var]s sit nearer the root.
+   Nodes are hash-consed per domain, so within one epoch (between two
+   [invalidate]s) equal functions are physically equal.  [uid] only
+   feeds the hashes and orders the operands of symmetric operations. *)
 type t = {
   uid : int;
-  node : R.t;
-  pos_mask : int;
-  neg_mask : int;
+  var : int;
+  lo : t;
+  hi : t;
 }
 
-let lit_bit key =
-  let h = match key with Cond i -> 2 * i | Entry i -> (2 * i) + 1 in
-  1 lsl (h mod 62)
+(* The terminals are process-global and sort below every variable.  A
+   node is only ever built with [lo != hi], so every non-terminal node
+   denotes a non-constant function, even one whose children come from
+   different epochs or domains: a constant result is always one of these
+   two physical values. *)
+let rec fls = { uid = 0; var = max_int; lo = fls; hi = fls }
+let rec tru = { uid = 1; var = max_int; lo = tru; hi = tru }
 
-let masks_of node =
-  let pos = ref 0 and neg = ref 0 in
-  R.iter_lits
-    (fun key p ->
-      let bit = lit_bit key in
-      if p then pos := !pos lor bit else neg := !neg lor bit)
-    node;
-  (!pos, !neg)
-
-(* The three constants are process-global with reserved uids, so a
-   handle built on one domain (e.g. [tru] captured at module
-   initialization) keys the same memo entry on every domain. *)
-let unknown = { uid = 0; node = R.unknown; pos_mask = 0; neg_mask = 0 }
-let fls = { uid = 1; node = R.fls; pos_mask = 0; neg_mask = 0 }
-let tru = { uid = 2; node = R.tru; pos_mask = 0; neg_mask = 0 }
-let first_uid = 3
+(* Variable order: later ops on top, so [Cond] literals by descending op
+   id, then [Entry] literals below all of them.  A path condition
+   [pc ∧ ¬taken] then adds the new branch's literals above the existing
+   chain and shares it, instead of rebuilding the whole chain below. *)
+let bias = 1 lsl 61
+let var_of_key = function Cond id -> -bias - id | Entry r -> bias + r
+let key_of_var v = if v < 0 then Cond (-bias - v) else Entry (v - bias)
 
 module Node_tbl = Hashtbl.Make (struct
-  type t = R.t
+  type nonrec t = t
 
-  let equal = ( = )
+  let equal a b = a.var = b.var && a.lo == b.lo && a.hi == b.hi
 
-  (* The default polymorphic hash folds only ~10 meaningful nodes —
-     DNFs sharing a prefix would all collide.  Deepen the traversal;
-     expressions are capped (max_conjs) so this stays bounded. *)
-  let hash (x : t) = Hashtbl.hash_param 64 256 x
+  let hash n =
+    let h = (n.var * 0x2545F491) lxor (n.lo.uid * 0x9E3779B1) in
+    let h = h lxor n.hi.uid in
+    h lxor (h lsr 29)
 end)
 
-module Int_tbl = Hashtbl.Make (struct
-  type t = int
-
-  let equal (a : int) b = a = b
-  let hash (x : int) = Hashtbl.hash x
-end)
+(* The operation cache is direct-mapped and lossy: a slot holds the last
+   (operation, operands, result) that hashed to it.  Operands are
+   compared physically, so a slot can never answer for a node it was not
+   filled with.  2^10 slots keep the memory flat; DESIGN.md has the
+   sizing. *)
+let cache_bits = 10
+let cache_mask = (1 lsl cache_bits) - 1
 
 (* Per-domain state: the scheduler's domain pool runs whole workloads in
-   parallel, and a shared arena would need a lock on the hottest path in
-   the compiler.  Handles never cross domains (pool results carry
-   schedules, findings and strings, not predicate expressions), so each
-   domain interns and memoizes privately; only the three fixed-uid
-   constants are shared. *)
+   parallel, and a shared table would need a lock on the hottest path in
+   the compiler. *)
 type state = {
-  intern : t Node_tbl.t;
+  unique : t Node_tbl.t;
   mutable next_uid : int;
-  and_tbl : t Int_tbl.t;
-  or_tbl : t Int_tbl.t;
-  not_tbl : t Int_tbl.t;
-  dis_tbl : bool Int_tbl.t;
-  imp_tbl : bool Int_tbl.t;
+  c_op : int array;
+  c_a : t array;
+  c_b : t array;
+  c_r : t array;
 }
-
-let seed st =
-  Node_tbl.replace st.intern unknown.node unknown;
-  Node_tbl.replace st.intern fls.node fls;
-  Node_tbl.replace st.intern tru.node tru
 
 let state_key =
   Domain.DLS.new_key (fun () ->
-      let st =
-        {
-          intern = Node_tbl.create 1024;
-          next_uid = first_uid;
-          and_tbl = Int_tbl.create 1024;
-          or_tbl = Int_tbl.create 1024;
-          not_tbl = Int_tbl.create 256;
-          dis_tbl = Int_tbl.create 1024;
-          imp_tbl = Int_tbl.create 256;
-        }
-      in
-      seed st;
-      st)
+      let n = cache_mask + 1 in
+      {
+        unique = Node_tbl.create 1024;
+        next_uid = 2;
+        c_op = Array.make n (-1);
+        c_a = Array.make n fls;
+        c_b = Array.make n fls;
+        c_r = Array.make n fls;
+      })
 
 let state () = Domain.DLS.get state_key
 
-(* Caps bound a pathological program (or a driver that never calls
-   [invalidate]) rather than tune steady state: a full table is dropped
-   wholesale and rebuilt warm.  Uid allocation keeps counting across
-   drops, preserving the never-reused invariant. *)
-let intern_cap = 1 lsl 18
-let memo_cap = 1 lsl 16
-
-(* Binary memo keys are the two uids packed into one immediate int, so a
-   lookup neither allocates nor runs the polymorphic hash over a tuple.
-   Packing is injective while uids stay below 2^31 — reaching that
-   ceiling would take billions of interns in one domain, but if it ever
-   happens the memo is skipped (losing sharing, never soundness). *)
-let pack_limit = 1 lsl 31
-let pack a b = (a.uid lsl 31) lor b.uid
-let packable a b = a.uid < pack_limit && b.uid < pack_limit
-
-(* Query telemetry: totals and constant short-circuits as before, plus
-   the cache-effectiveness triple of the hash-consing layer.  The
-   counters are dark (one atomic load each) unless a [--trace] sink or
-   the benchmark's traced mode enabled Cpr_obs. *)
+(* Telemetry, dark (one atomic load each) unless a [--trace] sink or the
+   benchmark's traced mode enabled Cpr_obs: queries answered, nodes
+   built, and operation-cache hits and misses. *)
 module Obs = Cpr_obs.Obs
 
 let q_queries = Obs.counter "pqs.queries"
-let q_fast = Obs.counter "pqs.fast_path_hits"
 let q_interned = Obs.counter "pqs.interned"
 let q_hits = Obs.counter "pqs.memo_hits"
 let q_misses = Obs.counter "pqs.memo_misses"
 
-let intern st node =
-  match Node_tbl.find_opt st.intern node with
-  | Some t -> t
-  | None ->
-    Obs.incr q_interned;
-    let pos_mask, neg_mask = masks_of node in
-    let t = { uid = st.next_uid; node; pos_mask; neg_mask } in
-    st.next_uid <- st.next_uid + 1;
-    if Node_tbl.length st.intern >= intern_cap then begin
-      Node_tbl.reset st.intern;
-      seed st
-    end;
-    Node_tbl.replace st.intern node t;
-    t
-
-let memo1 tbl key compute =
-  match Int_tbl.find_opt tbl key with
-  | Some r ->
-    Obs.incr q_hits;
-    r
-  | None ->
-    Obs.incr q_misses;
-    let r = compute () in
-    if Int_tbl.length tbl >= memo_cap then Int_tbl.reset tbl;
-    Int_tbl.replace tbl key r;
-    r
-
-let memo2 tbl a b compute =
-  if packable a b then memo1 tbl (pack a b) compute else compute ()
-
-let invalidate () =
-  let st = state () in
-  Node_tbl.reset st.intern;
-  seed st;
-  Int_tbl.reset st.and_tbl;
-  Int_tbl.reset st.or_tbl;
-  Int_tbl.reset st.not_tbl;
-  Int_tbl.reset st.dis_tbl;
-  Int_tbl.reset st.imp_tbl
-
-(* Program-boundary hook: predicate literals are keyed by op id, so
-   cached nodes and memoized answers stay correct across programs —
-   invalidation only bounds memory.  Dropping warm caches on every small
-   program costs more than it saves, so [trim] resets only once the
-   arena has grown past a real program's working set. *)
-let trim_threshold = 1 lsl 14
-
-let trim () =
-  if Node_tbl.length (state ()).intern > trim_threshold then invalidate ()
+let mk st var lo hi =
+  if lo == hi then lo
+  else
+    let n = { uid = st.next_uid; var; lo; hi } in
+    match Node_tbl.find_opt st.unique n with
+    | Some m -> m
+    | None ->
+      Obs.incr q_interned;
+      st.next_uid <- st.next_uid + 1;
+      Node_tbl.add st.unique n n;
+      n
 
 let const b = if b then tru else fls
-let cond_lit id = intern (state ()) (R.cond_lit id)
-let entry_lit r = intern (state ()) (R.entry_lit r)
-let is_const_false t = R.is_const_false t.node
-let is_const_true t = R.is_const_true t.node
-let is_unknown t = R.is_unknown t.node
-let equal a b = a == b || (a.uid = b.uid && a.node = b.node)
+let op_and = 0
+let op_or = 1
+let op_not = 2
+let op_meets = 3
+let op_implies = 4
 
-(* The constant short-circuits mirror the reference engine's match arms
-   exactly (including returning the argument handle itself where the
-   reference returns the argument), so only genuinely structural
-   operands reach the memo tables. *)
-let and_ a b =
-  if is_unknown a || is_unknown b then unknown
-  else if is_const_true a then b
-  else if is_const_true b then a
-  else if is_const_false a || is_const_false b then fls
-  else
-    let st = state () in
-    memo2 st.and_tbl a b (fun () -> intern st (R.and_ a.node b.node))
+let cached st op a b compute =
+  let h = (((a.uid * 0x9E3779B1) + b.uid) * 8) + op in
+  let i = (h lxor (h lsr 16)) land cache_mask in
+  if st.c_op.(i) = op && st.c_a.(i) == a && st.c_b.(i) == b then begin
+    Obs.incr q_hits;
+    st.c_r.(i)
+  end
+  else begin
+    Obs.incr q_misses;
+    let r = compute () in
+    st.c_op.(i) <- op;
+    st.c_a.(i) <- a;
+    st.c_b.(i) <- b;
+    st.c_r.(i) <- r;
+    r
+  end
 
-let or_ a b =
-  if is_unknown a || is_unknown b then unknown
-  else if is_const_false a then b
-  else if is_const_false b then a
-  else if is_const_true a || is_const_true b then tru
-  else
-    let st = state () in
-    memo2 st.or_tbl a b (fun () -> intern st (R.or_ a.node b.node))
+(* Shannon expansion of a binary operation on the topmost variable. *)
+let expand st f a b =
+  if a.var = b.var then mk st a.var (f a.lo b.lo) (f a.hi b.hi)
+  else if a.var < b.var then mk st a.var (f a.lo b) (f a.hi b)
+  else mk st b.var (f a b.lo) (f a b.hi)
 
-let not_ a =
-  if is_unknown a then unknown
-  else if is_const_true a then fls
-  else if is_const_false a then tru
+let rec and_rec st a b =
+  if a == b || b == tru then a
+  else if a == tru then b
+  else if a == fls || b == fls then fls
+  else if a.uid > b.uid then and_rec st b a
+  else cached st op_and a b (fun () -> expand st (and_rec st) a b)
+
+let rec or_rec st a b =
+  if a == b || b == fls then a
+  else if a == fls then b
+  else if a == tru || b == tru then tru
+  else if a.uid > b.uid then or_rec st b a
+  else cached st op_or a b (fun () -> expand st (or_rec st) a b)
+
+let rec not_rec st a =
+  if a == tru then fls
+  else if a == fls then tru
   else
-    let st = state () in
-    memo1 st.not_tbl a.uid (fun () -> intern st (R.not_ a.node))
+    cached st op_not a a (fun () ->
+        mk st a.var (not_rec st a.lo) (not_rec st a.hi))
+
+let and_ a b = and_rec (state ()) a b
+let or_ a b = or_rec (state ()) a b
+let not_ a = not_rec (state ()) a
+let lit key = mk (state ()) (var_of_key key) fls tru
+let cond_lit id = lit (Cond id)
+let entry_lit (r : Reg.t) = lit (Entry r.Reg.id)
+let is_const_false t = t == fls
+let is_const_true t = t == tru
+
+(* The queries walk the same cofactor pairs as [and_ a b] and
+   [and_ a (not_ b)] would, but stop at the first witness and build no
+   node.  Every non-terminal denotes a non-constant function, so a
+   terminal on either side settles the answer. *)
+let rec meets st a b =
+  if a == fls || b == fls then false
+  else if a == tru || b == tru || a == b then true
+  else if a.uid > b.uid then meets st b a
+  else
+    cached st op_meets a b (fun () ->
+        const
+          (if a.var = b.var then meets st a.lo b.lo || meets st a.hi b.hi
+           else if a.var < b.var then meets st a.lo b || meets st a.hi b
+           else meets st a b.lo || meets st a b.hi))
+    == tru
+
+let rec implies_rec st a b =
+  if a == fls || b == tru || a == b then true
+  else if a == tru || b == fls then false
+  else
+    cached st op_implies a b (fun () ->
+        const
+          (if a.var = b.var then
+             implies_rec st a.lo b.lo && implies_rec st a.hi b.hi
+           else if a.var < b.var then
+             implies_rec st a.lo b && implies_rec st a.hi b
+           else implies_rec st a b.lo && implies_rec st a b.hi))
+    == tru
 
 let disjoint a b =
   Obs.incr q_queries;
-  if is_unknown a || is_unknown b then begin
-    Obs.incr q_fast;
-    false
-  end
-  else if is_const_false a || is_const_false b then begin
-    Obs.incr q_fast;
-    true
-  end
-  else if a.pos_mask land b.neg_mask = 0 && a.neg_mask land b.pos_mask = 0
-  then begin
-    (* The reference proof needs every conjunction pair to contradict,
-       and a pair can only contradict on a key present with opposite
-       polarities on the two sides.  No fingerprint overlap means no
-       such key exists anywhere, so (both operands being satisfiable
-       DNFs here) the proof cannot exist.  Collisions only ever add
-       phantom overlaps, which fall through — never a wrong answer. *)
-    Obs.incr q_fast;
-    false
-  end
-  else if a.uid = b.uid then
-    (* a shared satisfiable node can never contradict itself: every
-       conjunction merges with itself *)
-    false
-  else
-    let st = state () in
-    memo2 st.dis_tbl a b (fun () -> R.disjoint a.node b.node)
+  not (meets (state ()) a b)
 
 let implies a b =
   Obs.incr q_queries;
-  if is_unknown a || is_unknown b then begin
-    Obs.incr q_fast;
-    false
-  end
-  else if is_const_false a then begin
-    Obs.incr q_fast;
-    true
-  end
-  else if a.uid = b.uid then true
-  else
-    let st = state () in
-    memo2 st.imp_tbl a b (fun () -> R.implies a.node b.node)
+  implies_rec (state ()) a b
 
-let eval assign t = R.eval assign t.node
-let keys t = R.keys t.node
-let pp ppf t = R.pp ppf t.node
-let to_reference t = t.node
+let invalidate () =
+  let st = state () in
+  Node_tbl.reset st.unique;
+  Array.fill st.c_op 0 (cache_mask + 1) (-1);
+  Array.fill st.c_a 0 (cache_mask + 1) fls;
+  Array.fill st.c_b 0 (cache_mask + 1) fls;
+  Array.fill st.c_r 0 (cache_mask + 1) fls
+
+(* Program-boundary hook: literals are keyed by op id, so nodes stay
+   meaningful across programs and invalidation only bounds memory.
+   Dropping the table on every small program costs more than it saves,
+   so [trim] resets only past a real program's working set. *)
+let trim_threshold = 1 lsl 14
+
+let trim () =
+  if Node_tbl.length (state ()).unique > trim_threshold then invalidate ()
+
+let rec eval assign t =
+  if t == tru then true
+  else if t == fls then false
+  else eval assign (if assign (key_of_var t.var) then t.hi else t.lo)
+
+let keys t =
+  let seen = Node_tbl.create 16 in
+  let vars = ref [] in
+  let rec go n =
+    if n != tru && n != fls && not (Node_tbl.mem seen n) then begin
+      Node_tbl.add seen n n;
+      vars := n.var :: !vars;
+      go n.lo;
+      go n.hi
+    end
+  in
+  go t;
+  List.sort_uniq compare (List.map key_of_var !vars)
+
+(* Minato–Morreale irredundant sum of products: a cover [c] with
+   [l <= c <= u], returned with its cubes as (var, polarity) lists. *)
+let rec isop st l u =
+  if l == fls then (fls, [])
+  else if u == tru then (tru, [ [] ])
+  else
+    let v = min l.var u.var in
+    let cof n = if n.var = v then (n.lo, n.hi) else (n, n) in
+    let l0, l1 = cof l and u0, u1 = cof u in
+    let r0, c0 = isop st (and_rec st l0 (not_rec st u1)) u0 in
+    let r1, c1 = isop st (and_rec st l1 (not_rec st u0)) u1 in
+    let rest =
+      or_rec st
+        (and_rec st l0 (not_rec st r0))
+        (and_rec st l1 (not_rec st r1))
+    in
+    let rs, cs = isop st rest (and_rec st u0 u1) in
+    ( or_rec st (mk st v r0 r1) rs,
+      List.map (List.cons (v, false)) c0
+      @ List.map (List.cons (v, true)) c1
+      @ cs )
+
+(* Finding messages embed expressions, so print a canonical text: the
+   irredundant cover with literals in key order and cubes sorted. *)
+let pp ppf t =
+  if t == tru then Format.pp_print_string ppf "true"
+  else if t == fls then Format.pp_print_string ppf "false"
+  else
+    let lit (v, pos) = (key_of_var v, not pos) in
+    let cube c = List.sort compare (List.map lit c) in
+    let cubes = List.sort compare (List.map cube (snd (isop (state ()) t t))) in
+    let pp_lit ppf (key, neg) =
+      if neg then Format.pp_print_char ppf '~';
+      match key with
+      | Cond id -> Format.fprintf ppf "c%d" id
+      | Entry id -> Format.fprintf ppf "p%d@entry" id
+    in
+    Format.pp_print_list
+      ~pp_sep:(fun ppf () -> Format.pp_print_string ppf " | ")
+      (Format.pp_print_list
+         ~pp_sep:(fun ppf () -> Format.pp_print_char ppf '&')
+         pp_lit)
+      ppf cubes

@@ -1,30 +1,21 @@
 open Cpr_ir
 
-(** Predicate query system (hash-consed production engine).
+(** Predicate query system.
 
     Elcor's "predicate-cognizant" analyses (Johnson & Schlansker, MICRO-29)
-    answer queries such as "are these two predicates disjoint?".  We
-    represent each predicate value as a boolean expression in
-    disjunctive normal form over {e condition literals}: one literal per
-    [cmpp] operation instance (both destinations of a [cmpp] share the
-    literal, with opposite polarities for UN/UC), plus opaque literals for
-    predicates that are live into a region.
+    answer queries such as "are these two predicates disjoint?".  Each
+    predicate value is a boolean function over {e condition literals}: one
+    literal per [cmpp] operation instance (both destinations of a [cmpp]
+    share the literal, with opposite polarities for UN/UC), plus opaque
+    literals for predicates that are live into a region.  Distinct
+    literals are independent.
 
-    Distinct literals are treated as independent, which makes every
-    positive answer sound (a syntactic contradiction in every conjunction
-    pair is a genuine one) and negative answers conservative.  Expressions
-    that exceed a size cap degrade to {!unknown}, for which every query
-    answers "cannot prove".
+    Functions are reduced ordered BDDs (Sias, Hwu & August, MICRO-33), so
+    every query is exact: {!disjoint} and {!implies} answer "no" only
+    when an assignment of the literals refutes the property.  See
+    DESIGN.md "Predicate engine: reduced ordered BDDs". *)
 
-    This engine interns every expression into a per-domain arena with a
-    unique small-int id — maximal sharing, O(1) structural equality — and
-    memoizes the binary operations and queries on id pairs.  All cache
-    misses are computed by {!Pqs_reference} (the original engine, kept as
-    the equivalence oracle), so both engines agree by construction; the
-    oracle tests pin the caching layer on top.  See DESIGN.md
-    "Hash-consed predicate engine". *)
-
-type key = Pqs_intf.key =
+type key =
   | Cond of int  (** condition computed by the [cmpp] with this op id *)
   | Entry of int  (** opaque: predicate register live into the region *)
 
@@ -32,7 +23,6 @@ type t
 
 val tru : t
 val fls : t
-val unknown : t
 val const : bool -> t
 val cond_lit : int -> t
 val entry_lit : Reg.t -> t
@@ -43,44 +33,32 @@ val not_ : t -> t
 
 val is_const_false : t -> bool
 val is_const_true : t -> bool
-val is_unknown : t -> bool
-
-val equal : t -> t -> bool
-(** O(1) interned structural equality. *)
 
 val disjoint : t -> t -> bool
-(** [disjoint a b] proves that [a] and [b] are never simultaneously true.
-    False means "cannot prove". *)
+(** [disjoint a b]: [a] and [b] are never simultaneously true. *)
 
 val implies : t -> t -> bool
-(** [implies a b] proves that whenever [a] holds, [b] holds. *)
+(** [implies a b]: whenever [a] holds, [b] holds. *)
 
-val eval : (key -> bool) -> t -> bool option
-(** Evaluate under a truth assignment of the literals; [None] for
-    {!unknown}.  Used by property tests to cross-check {!disjoint} and
-    {!implies} against brute force. *)
+val eval : (key -> bool) -> t -> bool
+(** Evaluate under a truth assignment of the literals. *)
 
 val keys : t -> key list
-(** Distinct literal keys appearing in the expression (empty for
-    {!unknown}). *)
+(** The literals the function is built on, sorted, without repeats. *)
 
 val pp : Format.formatter -> t -> unit
+(** The irredundant sum of products of the function, literals and terms
+    sorted: [c3&~c5 | p2@entry], [true], [false]. *)
 
 val invalidate : unit -> unit
-(** Drop the calling domain's arena and memo tables (fresh ids keep
-    counting, so stale entries can never alias new nodes).  Outstanding
-    values remain valid — they only lose sharing with expressions
-    interned later. *)
+(** Drop the calling domain's node table and operation cache.
+    Outstanding values stay valid and every query on them stays exact;
+    they only stop being shared with values built later. *)
 
 val trim : unit -> unit
-(** {!invalidate}, but only once the arena exceeds a real program's
-    working set.  Cached nodes and memoized answers are correct across
-    programs (literals are keyed by op id and queries are purely
-    syntactic), so invalidation exists to bound memory, not for
-    correctness; program-boundary hooks ({!Cpr_pipeline.Passes}
-    preparation, {!Cpr_verify.Verify.check_program}) call [trim] to keep
-    caches warm across small programs in long fuzz/suite runs. *)
-
-val to_reference : t -> Pqs_reference.t
-(** The underlying node, for the equivalence oracle: feed the same
-    construction through both engines and compare answers/structure. *)
+(** {!invalidate}, but only once the node table exceeds a real program's
+    working set.  Literals are keyed by op id, so nodes stay meaningful
+    across programs and invalidation exists to bound memory;
+    program-boundary hooks ({!Cpr_pipeline.Passes} preparation,
+    {!Cpr_verify.Verify.check_program}) call [trim] to keep the table
+    warm across small programs in long fuzz/suite runs. *)

@@ -15,11 +15,22 @@ module type S = sig
   val fallthrough_expr : t -> pqs
 end
 
-(* The whole analysis is functorized over the query engine so the
-   equivalence oracle can replay identical constructions through
-   [Pqs_reference]; production code uses the [include Make (Pqs)] at the
-   bottom. *)
-module Make (P : Pqs_intf.S) = struct
+module type ENGINE = sig
+  type t
+
+  val tru : t
+  val const : bool -> t
+  val cond_lit : int -> t
+  val entry_lit : Reg.t -> t
+  val and_ : t -> t -> t
+  val or_ : t -> t -> t
+  val not_ : t -> t
+end
+
+(* Functorized over the expression constructors so tests can replay the
+   identical constructions through a reference engine; production code
+   uses the [include Make (Pqs)] at the bottom. *)
+module Make (P : ENGINE) = struct
   type pqs = P.t
 
   type t = {

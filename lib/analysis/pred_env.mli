@@ -49,9 +49,22 @@ module type S = sig
       takes. *)
 end
 
-module Make (P : Pqs_intf.S) : S with type pqs = P.t
-(** The analysis functorized over the query engine, so the equivalence
-    oracle can replay identical constructions through {!Pqs_reference}
-    and compare answers against the hash-consed {!Pqs}. *)
+(** The seven constructors the analysis builds expressions with. *)
+module type ENGINE = sig
+  type t
+
+  val tru : t
+  val const : bool -> t
+  val cond_lit : int -> t
+  val entry_lit : Reg.t -> t
+  val and_ : t -> t -> t
+  val or_ : t -> t -> t
+  val not_ : t -> t
+end
+
+module Make (P : ENGINE) : S with type pqs = P.t
+(** The analysis over any engine, so tests can replay identical
+    constructions through a reference engine and compare the functions
+    it builds with {!Pqs}'s. *)
 
 include S with type pqs = Pqs.t

@@ -34,10 +34,10 @@ let write_cond env i (op : Op.t) d =
 (* Greedy slot packing: registers whose occupancy conditions are pairwise
    disjoint share one physical slot (Johnson & Schlansker-style
    predicate-cognizant counting).  A register joins the first slot whose
-   accumulated condition it is provably disjoint from; [tru] and [unknown]
-   conditions can never share, so they skip the queries entirely. *)
+   accumulated condition it is provably disjoint from; a [tru] condition
+   can never share, so it skips the queries entirely. *)
 let place slots c =
-  if Pqs.is_const_true c || Pqs.is_unknown c then c :: slots
+  if Pqs.is_const_true c then c :: slots
   else
     let rec go = function
       | [] -> [ c ]

@@ -67,9 +67,9 @@ let profile_observed prog inputs =
    run, whose result is returned beside the program. *)
 let prepare_with final prog inputs =
   Obs.span "pass/prepare" (fun () ->
-      (* Program boundary: trim the predicate engine's arena and memo
-         tables so a long suite/fuzz run's footprint stays bounded by
-         one program's working set, not the whole run. *)
+      (* Program boundary: trim the predicate engine's node table so a
+         long suite/fuzz run's footprint stays bounded by one program's
+         working set, not the whole run. *)
       Cpr_analysis.Pqs.trim ();
       let p = Prog.copy prog in
       profile p inputs;

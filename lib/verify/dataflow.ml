@@ -231,7 +231,8 @@ let queries prog =
    synthetic region made of the bypass region's prefix followed by the
    compensation ops: value numbering unifies the lookahead compares with
    the moved original compares, so the off-trace FRP and the negated
-   compensation taken-conditions contradict syntactically. *)
+   compensation taken-conditions share literals and their conjunction
+   is [false]. *)
 
 let comp_coverage ~stats prog regions =
   let unreach = Cpr_core.Restructure.unreachable_label in
@@ -260,9 +261,7 @@ let comp_coverage ~stats prog regions =
                        (Pred_env.taken_expr env nb)
                        (Pred_env.path_cond env (nb + 1) n))
                 in
-                if Pqs.is_unknown reach then
-                  stats.Finding.unknown <- stats.Finding.unknown + 1
-                else if Pqs.is_const_false reach then
+                if Pqs.is_const_false reach then
                   stats.Finding.proved <- stats.Finding.proved + 1
                 else
                   findings :=

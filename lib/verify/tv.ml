@@ -419,15 +419,7 @@ let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
                           with
                           | None -> None
                           | Some value ->
-                            let defs =
-                              List.map (fun id -> (id, value id)) ids
-                            in
-                            if
-                              List.exists
-                                (fun (_, e) -> Pqs.is_unknown e)
-                                defs
-                            then None
-                            else Some defs
+                            Some (List.map (fun id -> (id, value id)) ids)
                     in
                     match entry_defs with
                     | None ->
@@ -456,10 +448,8 @@ let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
                       let keys =
                         List.sort_uniq compare (keys_b @ keys_a)
                       in
-                      if
-                        Pqs.is_unknown eb || Pqs.is_unknown ea
-                        || List.length keys > 12
-                      then stats.Finding.unknown <- stats.Finding.unknown + 1
+                      if List.length keys > 12 then
+                        stats.Finding.unknown <- stats.Finding.unknown + 1
                       else begin
                         let arr = Array.of_list keys in
                         let n = Array.length arr in
@@ -473,10 +463,8 @@ let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
                           find 0
                         in
                         let witness = ref None in
-                        let undecided = ref false in
                         let mask = ref 0 in
-                        while !witness = None && (not !undecided)
-                              && !mask < 1 lsl n do
+                        while !witness = None && !mask < 1 lsl n do
                           let sigma = lookup !mask in
                           let sigma_a k =
                             match k with
@@ -484,41 +472,25 @@ let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
                             | Pqs.Entry id -> (
                               match List.assoc_opt id entry_defs with
                               | None -> sigma k
-                              | Some e -> (
-                                match
-                                  Pqs.eval (fun k' -> sigma (norm k')) e
-                                with
-                                | Some v -> v
-                                | None ->
-                                  undecided := true;
-                                  false))
+                              | Some e ->
+                                Pqs.eval (fun k' -> sigma (norm k')) e)
                           in
-                          (match
-                             (Pqs.eval sigma eb, Pqs.eval sigma_a ea)
-                           with
-                          | Some a, Some b when a <> b ->
-                            witness := Some !mask
-                          | Some _, Some _ -> ()
-                          | None, _ | _, None -> undecided := true);
+                          if Pqs.eval sigma eb <> Pqs.eval sigma_a ea then
+                            witness := Some !mask;
                           incr mask
                         done;
-                        if !undecided then
-                          stats.Finding.unknown <-
-                            stats.Finding.unknown + 1
-                        else
-                          match !witness with
-                          | None ->
-                            stats.Finding.proved <-
-                              stats.Finding.proved + 1
-                          | Some m ->
-                            add ~check:"tv-store-guard"
-                              ~region:inst.label ~op:op.Op.id
-                              (Format.asprintf
-                                 "store %d executes under a different \
-                                  condition after the transformation \
-                                  (witness assignment %d: before %a, \
-                                  after %a)"
-                                 op.Op.id m Pqs.pp eb Pqs.pp ea)
+                        match !witness with
+                        | None ->
+                          stats.Finding.proved <- stats.Finding.proved + 1
+                        | Some m ->
+                          add ~check:"tv-store-guard"
+                            ~region:inst.label ~op:op.Op.id
+                            (Format.asprintf
+                               "store %d executes under a different \
+                                condition after the transformation \
+                                (witness assignment %d: before %a, \
+                                after %a)"
+                               op.Op.id m Pqs.pp eb Pqs.pp ea)
                       end)
                 same_id
             end)

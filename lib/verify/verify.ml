@@ -41,9 +41,9 @@ let lint_program ?machine ?(sched = true) ?only_checks prog =
 
 let check_program ?machine ?sched ?only_checks prog =
   (* Standalone entry point (the [lint] binary, direct API use): bound
-     the predicate engine's memo footprint per program checked.  The
-     staged pipeline trims in [Passes.prepare] instead, keeping the
-     caches warm across its own verify stages. *)
+     the predicate engine's node table per program checked.  The staged
+     pipeline trims in [Passes.prepare] instead, keeping the table warm
+     across its own verify stages. *)
   Cpr_analysis.Pqs.trim ();
   observe (lint_program ?machine ?sched ?only_checks prog)
 

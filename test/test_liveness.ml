@@ -263,10 +263,7 @@ let check_region_decisions name prog (r : Region.t) =
             let keys =
               List.sort_uniq compare (A.Pqs.keys reference @ A.Pqs.keys shared)
             in
-            if
-              List.length keys <= 12
-              && not (A.Pqs.is_unknown reference || A.Pqs.is_unknown shared)
-            then
+            if List.length keys <= 12 then
               List.iter
                 (fun assign ->
                   if A.Pqs.eval assign reference <> A.Pqs.eval assign shared

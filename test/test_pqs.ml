@@ -6,32 +6,29 @@ let l2 = Pqs.cond_lit 2
 let not_ = Pqs.not_
 let ( &&& ) = Pqs.and_
 let ( ||| ) = Pqs.or_
+let checks = Alcotest.(check string)
 
 let constants () =
   checkb "true" true (Pqs.is_const_true Pqs.tru);
   checkb "false" true (Pqs.is_const_false Pqs.fls);
   checkb "const true" true (Pqs.is_const_true (Pqs.const true));
   checkb "and with false" true (Pqs.is_const_false (l1 &&& Pqs.fls));
-  checkb "or with true" true (Pqs.is_const_true (l1 ||| Pqs.tru));
-  checkb "unknown poisons" true (Pqs.is_unknown (l1 &&& Pqs.unknown))
+  checkb "or with true" true (Pqs.is_const_true (l1 ||| Pqs.tru))
 
 let contradiction_and_negation () =
   checkb "x & ~x = false" true (Pqs.is_const_false (l1 &&& not_ l1));
-  checkb "~~x = x syntactically implies both ways" true
-    (Pqs.implies (not_ (not_ l1)) l1 && Pqs.implies l1 (not_ (not_ l1)));
-  checkb "x | ~x is not reduced but implied by true only via eval" true
-    (Pqs.eval (fun _ -> true) (l1 ||| not_ l1) = Some true)
+  checkb "x | ~x = true" true (Pqs.is_const_true (l1 ||| not_ l1));
+  checkb "~~x = x implies both ways" true
+    (Pqs.implies (not_ (not_ l1)) l1 && Pqs.implies l1 (not_ (not_ l1)))
 
 let disjointness () =
   checkb "complementary literals" true (Pqs.disjoint l1 (not_ l1));
-  checkb "independent literals not provably disjoint" false
-    (Pqs.disjoint l1 l2);
+  checkb "independent literals not disjoint" false (Pqs.disjoint l1 l2);
   checkb "conjunction extension stays disjoint" true
     (Pqs.disjoint (l1 &&& l2) (not_ l1 &&& l2));
   checkb "or distributes over disjointness" true
     (Pqs.disjoint (l1 ||| (l1 &&& l2)) (not_ l1));
   checkb "false disjoint from anything" true (Pqs.disjoint Pqs.fls l1);
-  checkb "unknown never disjoint" false (Pqs.disjoint Pqs.unknown Pqs.fls);
   (* FRP pattern: block predicates vs the taken predicate of an earlier
      branch (the property that lets the scheduler overlap branches) *)
   let taken1 = l1 in
@@ -51,35 +48,78 @@ let implication () =
   checkb "both branches imply" true (Pqs.implies ((l1 &&& l2) ||| l1) l1);
   checkb "false implies anything" true (Pqs.implies Pqs.fls l2);
   checkb "anything implies true" true (Pqs.implies (l1 &&& not_ l2) Pqs.tru);
-  checkb "unknown implies nothing" false (Pqs.implies Pqs.unknown Pqs.tru)
+  (* implications no single term of the consequent covers: a syntactic
+     subsumption check answers "cannot prove" to both *)
+  checkb "true implies c1 | ~c1" true (Pqs.implies Pqs.tru (l1 ||| not_ l1));
+  checkb "c1 implies c1&c2 | c1&~c2" true
+    (Pqs.implies l1 ((l1 &&& l2) ||| (l1 &&& not_ l2)))
 
 let entry_literals () =
   let p = Pqs.entry_lit (Cpr_ir.Reg.pred 4) in
   checkb "p # ~p" true (Pqs.disjoint p (not_ p));
   checkb "entry and cond literals independent" false (Pqs.disjoint p l1)
 
-(* --- property tests: syntactic answers are sound w.r.t. brute force --- *)
+let printing () =
+  let show e = Format.asprintf "%a" Pqs.pp e in
+  let l3 = Pqs.cond_lit 3 and p = Pqs.entry_lit (Cpr_ir.Reg.pred 2) in
+  checks "constants" "true false" (show Pqs.tru ^ " " ^ show Pqs.fls);
+  checks "terms and literals in key order" "c1 | c2" (show (l2 ||| l1));
+  checks "redundant terms dropped" "c1"
+    (show ((l1 &&& l2) ||| (l1 &&& not_ l2)));
+  checks "negation and entry literals" "c1&~c3 | p2@entry"
+    (show (p ||| (not_ l3 &&& l1)))
 
-(* random expression trees over 4 condition literals *)
-let gen_expr =
+(* --- property tests: answers are exact w.r.t. brute force --- *)
+
+module R = Pqs_reference
+
+(* Random expression trees over 4 condition literals, built through
+   either engine.  Small trees with mostly literal leaves: large random
+   trees over 4 literals nearly always collapse to a constant. *)
+type ast =
+  | T
+  | F
+  | L of int
+  | And of ast * ast
+  | Or of ast * ast
+  | Not of ast
+
+let gen_ast =
   QCheck2.Gen.(
-    sized
+    sized_size (int_bound 12)
     @@ fix (fun self n ->
            if n = 0 then
-             oneof
+             frequency
                [
-                 return Pqs.tru;
-                 return Pqs.fls;
-                 map (fun i -> Pqs.cond_lit (i mod 4)) small_nat;
-                 map (fun i -> Pqs.not_ (Pqs.cond_lit (i mod 4))) small_nat;
+                 (1, return T);
+                 (1, return F);
+                 (6, map (fun i -> L i) (int_bound 3));
                ]
            else
              oneof
                [
-                 map2 Pqs.and_ (self (n / 2)) (self (n / 2));
-                 map2 Pqs.or_ (self (n / 2)) (self (n / 2));
-                 map Pqs.not_ (self (n - 1));
+                 map2 (fun a b -> And (a, b)) (self (n / 2)) (self (n / 2));
+                 map2 (fun a b -> Or (a, b)) (self (n / 2)) (self (n / 2));
+                 map (fun a -> Not a) (self (n - 1));
                ]))
+
+let rec build_bdd = function
+  | T -> Pqs.tru
+  | F -> Pqs.fls
+  | L i -> Pqs.cond_lit i
+  | And (a, b) -> Pqs.and_ (build_bdd a) (build_bdd b)
+  | Or (a, b) -> Pqs.or_ (build_bdd a) (build_bdd b)
+  | Not a -> Pqs.not_ (build_bdd a)
+
+let gen_expr = QCheck2.Gen.map build_bdd gen_ast
+
+let rec build_ref = function
+  | T -> R.tru
+  | F -> R.fls
+  | L i -> R.cond_lit i
+  | And (a, b) -> R.and_ (build_ref a) (build_ref b)
+  | Or (a, b) -> R.or_ (build_ref a) (build_ref b)
+  | Not a -> R.not_ (build_ref a)
 
 let all_assignments keys =
   let keys = List.sort_uniq compare keys in
@@ -93,175 +133,129 @@ let all_assignments keys =
   in
   go keys
 
-let semantically agg f a b =
-  let keys = Pqs.keys a @ Pqs.keys b in
-  agg
-    (fun assign ->
-      match (Pqs.eval assign a, Pqs.eval assign b) with
-      | Some va, Some vb -> f va vb
-      | _ -> true)
-    (all_assignments keys)
+let semantically f a b =
+  List.for_all
+    (fun assign -> f (Pqs.eval assign a) (Pqs.eval assign b))
+    (all_assignments (Pqs.keys a @ Pqs.keys b))
 
-let prop_disjoint_sound =
-  QCheck2.Test.make ~name:"disjoint answers are sound" ~count:300
+let prop_disjoint_exact =
+  QCheck2.Test.make ~name:"disjoint answers are exact" ~count:300
     QCheck2.Gen.(pair gen_expr gen_expr)
     (fun (a, b) ->
-      (not (Pqs.disjoint a b))
-      || semantically List.for_all (fun va vb -> not (va && vb)) a b)
+      Pqs.disjoint a b = semantically (fun va vb -> not (va && vb)) a b)
 
-let prop_implies_sound =
-  QCheck2.Test.make ~name:"implies answers are sound" ~count:300
+let prop_implies_exact =
+  QCheck2.Test.make ~name:"implies answers are exact" ~count:300
     QCheck2.Gen.(pair gen_expr gen_expr)
     (fun (a, b) ->
-      (not (Pqs.implies a b))
-      || semantically List.for_all (fun va vb -> (not va) || vb) a b)
+      Pqs.implies a b = semantically (fun va vb -> (not va) || vb) a b)
 
 let prop_eval_homomorphic =
   QCheck2.Test.make ~name:"and/or/not evaluate pointwise" ~count:300
     QCheck2.Gen.(pair gen_expr gen_expr)
     (fun (a, b) ->
-      let keys = Pqs.keys a @ Pqs.keys b in
       List.for_all
         (fun assign ->
-          match
-            ( Pqs.eval assign a,
-              Pqs.eval assign b,
-              Pqs.eval assign (Pqs.and_ a b),
-              Pqs.eval assign (Pqs.or_ a b),
-              Pqs.eval assign (Pqs.not_ a) )
-          with
-          | Some va, Some vb, Some vand, Some vor, Some vnot ->
-            vand = (va && vb) && vor = (va || vb) && vnot = not va
-          | _ -> true)
-        (all_assignments keys))
+          let va = Pqs.eval assign a and vb = Pqs.eval assign b in
+          Pqs.eval assign (Pqs.and_ a b) = (va && vb)
+          && Pqs.eval assign (Pqs.or_ a b) = (va || vb)
+          && Pqs.eval assign (Pqs.not_ a) = not va)
+        (all_assignments (Pqs.keys a @ Pqs.keys b)))
 
-(* --- hash-consing layer: sharing, uid shortcuts, invalidation --- *)
+(* --- the reference DNF engine, replayed on identical constructions --- *)
 
-let hash_consing () =
-  Pqs.invalidate ();
-  checkb "same construction interns to one node" true
-    (Pqs.equal (l1 &&& l2) (l1 &&& l2));
-  checkb "self-implication (uid shortcut)" true
-    (Pqs.implies (l1 ||| l2) (l1 ||| l2));
-  checkb "satisfiable node not self-disjoint" false
-    (Pqs.disjoint (l1 &&& l2) (l1 &&& l2));
-  let before = l1 &&& l2 in
-  Pqs.invalidate ();
-  (* handles are self-contained: an outstanding value stays correct
-     across invalidation, it only loses sharing with newer nodes *)
-  checkb "outstanding handle answers after invalidate" true
-    (Pqs.implies before l1);
-  let after = l1 &&& l2 in
-  checkb "re-built node structurally equal across generations" true
-    (Pqs.to_reference before = Pqs.to_reference after);
-  checkb "cross-generation queries still exact" true
-    (Pqs.implies before after && Pqs.implies after before)
-
-(* --- the equivalence oracle: hash-consed engine vs Pqs_reference --- *)
-
-module R = Cpr_analysis.Pqs_reference
-module RefEnv = Cpr_analysis.Pred_env.Make (Cpr_analysis.Pqs_reference)
+module RefEnv = Cpr_analysis.Pred_env.Make (Pqs_reference)
 module W = Cpr_workloads
 
-(* A neutral expression AST replayed through both engines, so the
-   property pins the caching layer itself: identical construction calls
-   must yield structurally identical nodes and identical answers. *)
-type ast =
-  | T
-  | F
-  | U
-  | L of int
-  | And of ast * ast
-  | Or of ast * ast
-  | Not of ast
+(* Oracle by semantics, not structure: where the reference knows the
+   value, both engines denote the same function (brute force over at
+   most 12 literals), answer [disjoint] identically (DNF disjointness is
+   exact), and every implication the reference proves holds in the BDD
+   (DNF subsumption is incomplete, so the converse may fail). *)
+let max_enum_keys = 12
 
-let gen_ast =
-  QCheck2.Gen.(
-    sized
-    @@ fix (fun self n ->
-           if n = 0 then
-             oneof
-               [
-                 return T;
-                 return F;
-                 return U;
-                 map (fun i -> L (i mod 4)) small_nat;
-               ]
-           else
-             oneof
-               [
-                 map2 (fun a b -> And (a, b)) (self (n / 2)) (self (n / 2));
-                 map2 (fun a b -> Or (a, b)) (self (n / 2)) (self (n / 2));
-                 map (fun a -> Not a) (self (n - 1));
-               ]))
+let same_function p r =
+  R.is_unknown r
+  ||
+  let keys = List.sort_uniq compare (Pqs.keys p @ R.keys r) in
+  List.length keys > max_enum_keys
+  || List.for_all
+       (fun assign -> R.eval assign r = Some (Pqs.eval assign p))
+       (all_assignments keys)
 
-let rec build_hc = function
-  | T -> Pqs.tru
-  | F -> Pqs.fls
-  | U -> Pqs.unknown
-  | L i -> Pqs.cond_lit i
-  | And (a, b) -> Pqs.and_ (build_hc a) (build_hc b)
-  | Or (a, b) -> Pqs.or_ (build_hc a) (build_hc b)
-  | Not a -> Pqs.not_ (build_hc a)
-
-let rec build_ref = function
-  | T -> R.tru
-  | F -> R.fls
-  | U -> R.unknown
-  | L i -> R.cond_lit i
-  | And (a, b) -> R.and_ (build_ref a) (build_ref b)
-  | Or (a, b) -> R.or_ (build_ref a) (build_ref b)
-  | Not a -> R.not_ (build_ref a)
+let queries_agree (a, ra) (b, rb) =
+  R.is_unknown ra || R.is_unknown rb
+  || (Pqs.disjoint a b = R.disjoint ra rb
+     && ((not (R.implies ra rb)) || Pqs.implies a b))
 
 let prop_engines_agree =
   QCheck2.Test.make ~name:"hash-consed engine agrees with reference"
     ~count:500
     QCheck2.Gen.(pair gen_ast gen_ast)
     (fun (x, y) ->
-      let a = build_hc x and b = build_hc y in
+      let a = build_bdd x and b = build_bdd y in
       let ra = build_ref x and rb = build_ref y in
-      Pqs.to_reference a = ra
-      && Pqs.to_reference b = rb
-      && Pqs.disjoint a b = R.disjoint ra rb
-      && Pqs.implies a b = R.implies ra rb
-      && Format.asprintf "%a" Pqs.pp a = Format.asprintf "%a" R.pp ra
-      && List.for_all
-           (fun assign -> Pqs.eval assign a = R.eval assign ra)
-           (all_assignments (Pqs.keys a)))
+      same_function a ra && same_function b rb
+      && queries_agree (a, ra) (b, rb))
+
+(* --- hash consing within an epoch, exact answers across epochs --- *)
+
+let hash_consing () =
+  Pqs.invalidate ();
+  checkb "same construction is one node" true ((l1 &&& l2) == (l1 &&& l2));
+  checkb "self-implication" true (Pqs.implies (l1 ||| l2) (l1 ||| l2));
+  checkb "satisfiable node not self-disjoint" false
+    (Pqs.disjoint (l1 &&& l2) (l1 &&& l2));
+  (* Values built before an invalidation are no longer shared with
+     values built after it, but a constant result is always a global
+     terminal, so [disjoint] and [implies] between the two epochs stay
+     exact. *)
+  let pairs =
+    QCheck2.Gen.generate ~rand:(Random.State.make [| 21 |]) ~n:300
+      QCheck2.Gen.(pair gen_ast gen_ast)
+  in
+  let before = List.map (fun (x, _) -> build_bdd x) pairs in
+  Pqs.invalidate ();
+  List.iter2
+    (fun a (x, y) ->
+      let b = build_bdd y in
+      checkb "disjoint across epochs"
+        (semantically (fun va vb -> not (va && vb)) a b)
+        (Pqs.disjoint a b);
+      checkb "implies across epochs"
+        (semantically (fun va vb -> (not va) || vb) a b)
+        (Pqs.implies a b);
+      checkb "rebuilt value implies both ways" true
+        (Pqs.implies a (build_bdd x) && Pqs.implies (build_bdd x) a))
+    before pairs
 
 (* Real programs: run [Pred_env] under both engines over every workload
    and a batch of fuzz programs (raw and ICBM-transformed), and require
-   identical guard/path-condition structure and identical query answers
-   — the [schedule_reference]-style oracle for the predicate engine. *)
+   the same guard and path-condition functions and agreeing query
+   answers. *)
 let oracle_region name (r : Cpr_ir.Region.t) =
   let ep = Cpr_analysis.Pred_env.analyze r in
   let er = RefEnv.analyze r in
   let n = Array.length (Cpr_analysis.Pred_env.ops ep) in
   let gp = Array.init n (Cpr_analysis.Pred_env.guard_expr ep) in
   let gr = Array.init n (RefEnv.guard_expr er) in
+  let fail what i =
+    Alcotest.failf "%s/%s op %d: %s diverged" name r.Cpr_ir.Region.label i
+      what
+  in
   for i = 0 to n - 1 do
-    if Pqs.to_reference gp.(i) <> gr.(i) then
-      Alcotest.failf "%s/%s op %d: guard construction diverged" name
-        r.Cpr_ir.Region.label i
+    if not (same_function gp.(i) gr.(i)) then fail "guard" i
   done;
-  let pp = Cpr_analysis.Pred_env.path_conds ep in
   let pr = RefEnv.path_conds er in
   Array.iteri
-    (fun i p ->
-      if Pqs.to_reference p <> pr.(i) then
-        Alcotest.failf "%s/%s op %d: path condition diverged" name
-          r.Cpr_ir.Region.label i)
-    pp;
+    (fun i p -> if not (same_function p pr.(i)) then fail "path condition" i)
+    (Cpr_analysis.Pred_env.path_conds ep);
   (* pairwise queries over a sliding window — the locality the scheduler
      and depgraph builder actually exercise *)
   for i = 0 to n - 1 do
     for j = i + 1 to min (n - 1) (i + 20) do
-      if Pqs.disjoint gp.(i) gp.(j) <> R.disjoint gr.(i) gr.(j) then
-        Alcotest.failf "%s/%s ops %d,%d: disjoint diverged" name
-          r.Cpr_ir.Region.label i j;
-      if Pqs.implies gp.(i) gp.(j) <> R.implies gr.(i) gr.(j) then
-        Alcotest.failf "%s/%s ops %d,%d: implies diverged" name
-          r.Cpr_ir.Region.label i j
+      if not (queries_agree (gp.(i), gr.(i)) (gp.(j), gr.(j))) then
+        fail (Printf.sprintf "query with op %d" j) i
     done
   done
 
@@ -302,10 +296,11 @@ let suite =
       case "disjointness" disjointness;
       case "implication" implication;
       case "entry literals" entry_literals;
+      case "printing" printing;
       case "hash-consing" hash_consing;
       case "engines agree on programs" engines_agree_on_programs;
-      QCheck_alcotest.to_alcotest prop_disjoint_sound;
-      QCheck_alcotest.to_alcotest prop_implies_sound;
+      QCheck_alcotest.to_alcotest prop_disjoint_exact;
+      QCheck_alcotest.to_alcotest prop_implies_exact;
       QCheck_alcotest.to_alcotest prop_eval_homomorphic;
       QCheck_alcotest.to_alcotest prop_engines_agree;
     ] )

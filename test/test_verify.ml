@@ -182,16 +182,37 @@ let corpus_static_regression () =
       r.F.Static_check.faults
   | _ -> Alcotest.fail "icbm-seed1921.cpr missing from corpus"
 
-(* Soundness of the predicate algebra behind the lint: for every query
+(* Exactness of the predicate algebra behind the lint: for every query
    the dataflow analysis poses, enumerate all assignments of the
    condition literals and check the verdict against ground truth —
    Undefined admits no assignment that defines the register at the use,
-   Proved admits no assignment that leaves it undefined.  Runs over
-   generated programs, their ICBM outputs, and fault-injected variants
-   so all three verdicts are exercised. *)
+   Proved admits no assignment that leaves it undefined, and Unknown
+   admits both.  Runs over generated programs, their ICBM outputs, and
+   fault-injected variants so all three verdicts are exercised. *)
 let max_enum_keys = 10
 
-module R = Cpr_analysis.Pqs_reference
+module R = Pqs_reference
+
+(* The reference DNF engine, fed the printed covers of the lint's own
+   query operands: they denote the same functions, [disjoint] agrees
+   (DNF disjointness is exact), and whatever the reference proves
+   [implies] also proves (DNF subsumption is incomplete, so not the
+   converse). *)
+let reference_agrees name (q : V.Dataflow.query) =
+  let use = q.V.Dataflow.use and defined = q.V.Dataflow.defined in
+  let cover e = R.of_cover (Format.asprintf "%a" Pqs.pp e) in
+  let ru = cover use and rd = cover defined in
+  let fail what =
+    Alcotest.failf "%s: op %d reg %s: %s diverges from reference" name
+      q.V.Dataflow.op_id
+      (Reg.to_string q.V.Dataflow.reg)
+      what
+  in
+  if not (R.is_unknown ru || R.is_unknown rd) then begin
+    if Pqs.disjoint use defined <> R.disjoint ru rd then fail "disjoint";
+    if R.implies ru rd && not (Pqs.implies use defined) then fail "implies"
+  end;
+  (ru, rd)
 
 let brute_force_check name prog counters =
   let proved, unknown, undef = counters in
@@ -201,26 +222,14 @@ let brute_force_check name prog counters =
       | V.Dataflow.Proved -> incr proved
       | V.Dataflow.Unknown -> incr unknown
       | V.Dataflow.Undefined -> incr undef);
-      (* equivalence oracle: the memoized engine must answer the lint's
-         own queries exactly as the reference engine does *)
-      let ru = Pqs.to_reference q.V.Dataflow.use in
-      let rd = Pqs.to_reference q.V.Dataflow.defined in
-      if Pqs.disjoint q.V.Dataflow.use q.V.Dataflow.defined <> R.disjoint ru rd
-      then
-        Alcotest.failf "%s: op %d reg %s: disjoint diverges from reference"
-          name q.V.Dataflow.op_id
-          (Reg.to_string q.V.Dataflow.reg);
-      if Pqs.implies q.V.Dataflow.use q.V.Dataflow.defined <> R.implies ru rd
-      then
-        Alcotest.failf "%s: op %d reg %s: implies diverges from reference"
-          name q.V.Dataflow.op_id
-          (Reg.to_string q.V.Dataflow.reg);
+      let ru, rd = reference_agrees name q in
       let keys =
         List.sort_uniq compare
           (Pqs.keys q.V.Dataflow.use @ Pqs.keys q.V.Dataflow.defined)
       in
       let n = List.length keys in
       if n <= max_enum_keys then begin
+        let reached_defined = ref false and reached_undefined = ref false in
         let arr = Array.of_list keys in
         for bits = 0 to (1 lsl n) - 1 do
           let sigma k =
@@ -233,21 +242,42 @@ let brute_force_check name prog counters =
           in
           let u = Pqs.eval sigma q.V.Dataflow.use in
           let d = Pqs.eval sigma q.V.Dataflow.defined in
+          if u then
+            if d then reached_defined := true else reached_undefined := true;
+          if
+            (not (R.is_unknown ru || R.is_unknown rd))
+            && (R.eval sigma ru <> Some u || R.eval sigma rd <> Some d)
+          then
+            Alcotest.failf "%s: op %d reg %s: printed cover is not the function"
+              name q.V.Dataflow.op_id
+              (Reg.to_string q.V.Dataflow.reg);
           match (q.V.Dataflow.verdict, u, d) with
-          | V.Dataflow.Undefined, Some true, Some true ->
+          | V.Dataflow.Undefined, true, true ->
             Alcotest.failf
               "%s: op %d reg %s: verdict Undefined, but an assignment \
                reaches the use with the register defined"
               name q.V.Dataflow.op_id
               (Reg.to_string q.V.Dataflow.reg)
-          | V.Dataflow.Proved, Some true, Some false ->
+          | V.Dataflow.Proved, true, false ->
             Alcotest.failf
               "%s: op %d reg %s: verdict Proved, but an assignment reaches \
                the use with the register undefined"
               name q.V.Dataflow.op_id
               (Reg.to_string q.V.Dataflow.reg)
           | _ -> ()
-        done
+        done;
+        (* the engine is exact, so Unknown means both kinds of
+           execution exist *)
+        if
+          q.V.Dataflow.verdict = V.Dataflow.Unknown
+          && not (!reached_defined && !reached_undefined)
+        then
+          Alcotest.failf
+            "%s: op %d reg %s: verdict Unknown, but every execution that \
+             reaches the use finds the register %s"
+            name q.V.Dataflow.op_id
+            (Reg.to_string q.V.Dataflow.reg)
+            (if !reached_defined then "defined" else "undefined")
       end)
     (V.Dataflow.queries prog)
 
