@@ -7,10 +7,12 @@
 # Extracts PARENT_REV into a temporary directory outside the repository
 # and builds it there, then runs
 #   bash cprbench/run.sh --workload W --seed S --seconds 3 --trace 0
-# from both trees for W in paper-suite, wide-regions and fuzz-verify and
-# S in 1..3, alternating which tree runs first.  wide-regions is the
-# workload where predicate speculation dominates, so a return of its
-# superlinear growth trips the gate.  Exits 1 if PARENT_REV does not
+# from both trees for W in paper-suite, wide-regions, many-regions and
+# fuzz-verify and S in 1..3, alternating which tree runs first.
+# wide-regions is the workload where predicate speculation dominates, so
+# a return of its superlinear growth trips the gate; many-regions is
+# where per-region scheduling, register-pressure checking and schedule
+# verification dominate.  Exits 1 if PARENT_REV does not
 # name a commit, if any run is incorrect (correct: false or failed > 0),
 # or if the change's median over the seeds is worse than the parent's by
 # more than 200% and by more than 20 ms on any row:
@@ -40,7 +42,7 @@ for tree in "$parent" "$PWD"; do
   (cd "$tree" && bash cprbench/run.sh --describe >/dev/null)
 done
 
-workloads="paper-suite wide-regions fuzz-verify"
+workloads="paper-suite wide-regions many-regions fuzz-verify"
 seeds="1 2 3"
 run() { # TREE TAG WORKLOAD SEED
   echo "perf-gate: $3 seed $4 $2" >&2

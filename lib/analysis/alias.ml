@@ -32,33 +32,21 @@ let root = function
    [chase] resolves "last def of [r] before [idx]" by walking a small
    per-register array instead of rescanning the whole op prefix (which
    made address resolution O(ops^2) per region).  Registers index the
-   slot array arithmetically — [Reg.cls_rank cls * stride + id], with
-   [stride] bounding every per-class id in the region — so no hashing. *)
+   slot array arithmetically ({!Reg.slot}, with [stride] bounding every
+   per-class id in the region), so no hashing. *)
 type sites = {
   stride : int;
   defs : int array array;  (* slot -> ascending def op indices *)
 }
 
 let def_sites ops =
-  let stride =
-    let s = ref 1 in
-    let see (r : Reg.t) = if r.Reg.id >= !s then s := r.Reg.id + 1 in
-    Array.iter
-      (fun (op : Op.t) ->
-        List.iter
-          (function Op.Reg x -> see x | Op.Imm _ | Op.Lab _ -> ())
-          op.Op.srcs;
-        (match op.Op.guard with Op.If g -> see g | Op.True -> ());
-        List.iter see op.Op.dests)
-      ops;
-    !s
-  in
+  let stride = Array.fold_left Op.reg_bound 1 ops in
   let rev = Array.make (3 * stride) [] in
   Array.iteri
     (fun k op ->
       List.iter
-        (fun (d : Reg.t) ->
-          let ix = (Reg.cls_rank d.Reg.cls * stride) + d.Reg.id in
+        (fun d ->
+          let ix = Reg.slot ~stride d in
           rev.(ix) <- k :: rev.(ix))
         (Op.defs op))
     ops;
@@ -66,7 +54,7 @@ let def_sites ops =
 
 (* Index of the last def of [r] strictly before [idx]. *)
 let last_def sites (r : Reg.t) idx =
-  let a = sites.defs.((Reg.cls_rank r.Reg.cls * sites.stride) + r.Reg.id) in
+  let a = sites.defs.(Reg.slot ~stride:sites.stride r) in
   let rec go i =
     if i < 0 then None else if a.(i) < idx then Some a.(i) else go (i - 1)
   in

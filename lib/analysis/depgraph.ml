@@ -65,12 +65,12 @@ let ev_push b ev =
    in evaluation order (uses first).  Replaces the old per-register
    rescan of every op, which made register edge construction
    O(ops x registers).  Registers index the slot array arithmetically
-   ([Reg.cls_rank cls * stride + id]), so the pass does no hashing and
-   ascending slot order is exactly [Reg.compare] order. *)
+   ({!Reg.slot}), so the pass does no hashing and ascending slot order is
+   exactly [Reg.compare] order. *)
 let access_events stride ops =
   let events : evbuf option array = Array.make (3 * stride) None in
   let push (r : Reg.t) ev =
-    let ix = (Reg.cls_rank r.Reg.cls * stride) + r.Reg.id in
+    let ix = Reg.slot ~stride r in
     match events.(ix) with
     | Some b -> ev_push b ev
     | None -> events.(ix) <- Some { buf = Array.make 4 ev; len = 1 }
@@ -156,34 +156,11 @@ let build machine (prog : Prog.t) liveness (region : Region.t) =
   (* Visit registers in ascending [Reg.compare] order — the same order
      [Reg.Set.iter] used to produce — so edge order is unchanged; with
      arithmetic indexing that is simply ascending slot order. *)
-  let stride =
-    let s =
-      ref
-        (max 1
-           (max prog.Prog.next_gpr
-              (max prog.Prog.next_pred prog.Prog.next_btr)))
-    in
-    let see (r : Reg.t) = if r.Reg.id >= !s then s := r.Reg.id + 1 in
-    Array.iter
-      (fun (op : Op.t) ->
-        List.iter
-          (function Op.Reg x -> see x | Op.Imm _ | Op.Lab _ -> ())
-          op.Op.srcs;
-        (match op.Op.guard with Op.If g -> see g | Op.True -> ());
-        List.iter see op.Op.dests)
-      ops;
-    !s
-  in
+  let stride = Array.fold_left Op.reg_bound 1 ops in
   let events = access_events stride ops in
   for ix = 0 to Array.length events - 1 do
     match events.(ix) with
-    | Some ev ->
-      let cls =
-        if ix < stride then Reg.Gpr
-        else if ix < 2 * stride then Reg.Pred
-        else Reg.Btr
-      in
-      reg_edges { Reg.id = ix mod stride; cls } ev
+    | Some ev -> reg_edges (Reg.of_slot ~stride ix) ev
     | None -> ()
   done;
 

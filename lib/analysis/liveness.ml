@@ -26,50 +26,27 @@ type step = {
 
 type t = {
   prog : Prog.t;
-  stride : int;  (* per-class id bound: index = rank * stride + id *)
+  stride : int;  (* per-class id bound: index = Reg.slot ~stride *)
   table : (string, Bitset.t) Hashtbl.t;
   boundary_bits : Bitset.t;
   boundary_set : Reg.Set.t;
   set_cache : (string, Reg.Set.t) Hashtbl.t;
 }
 
-let rank = function Reg.Gpr -> 0 | Reg.Pred -> 1 | Reg.Btr -> 2
-
-let reg_of_ix stride ix =
-  let cls =
-    if ix < stride then Reg.Gpr else if ix < 2 * stride then Reg.Pred
-    else Reg.Btr
-  in
-  { Reg.id = ix mod stride; cls }
-
-(* The register universe is indexed arithmetically — [rank cls * stride
-   + id], with [stride] bounding every per-class id — so compiling ops
-   to transfer steps involves no hash table at all.  The generator
-   counters usually give the bound, but hand-assembled regions can lag
-   them ([Prog.replace_region] does not resync), so an allocation-free
-   prescan takes the max with what actually appears. *)
+(* The register universe is indexed arithmetically ({!Reg.slot}, with
+   [stride] bounding every per-class id that appears), so compiling ops
+   to transfer steps involves no hash table at all. *)
 let analyze (prog : Prog.t) =
   let regions = Prog.regions prog in
   let stride =
-    ref
-      (max 1
-         (max prog.Prog.next_gpr (max prog.Prog.next_pred prog.Prog.next_btr)))
+    List.fold_left
+      (fun s (r : Region.t) -> List.fold_left Op.reg_bound s r.Region.ops)
+      (List.fold_left
+         (fun s (r : Reg.t) -> max s (r.Reg.id + 1))
+         1 prog.Prog.live_out)
+      regions
   in
-  let see (r : Reg.t) = if r.Reg.id >= !stride then stride := r.Reg.id + 1 in
-  List.iter see prog.Prog.live_out;
-  List.iter
-    (fun (r : Region.t) ->
-      List.iter
-        (fun (op : Op.t) ->
-          List.iter
-            (function Op.Reg x -> see x | Op.Imm _ | Op.Lab _ -> ())
-            op.Op.srcs;
-          (match op.Op.guard with Op.If g -> see g | Op.True -> ());
-          List.iter see op.Op.dests)
-        r.Region.ops)
-    regions;
-  let stride = !stride in
-  let ix_of (r : Reg.t) = (rank r.Reg.cls * stride) + r.Reg.id in
+  let ix_of = Reg.slot ~stride in
   let ix l = Array.of_list (List.map ix_of l) in
   let order =
     List.rev_map
@@ -144,7 +121,7 @@ let analyze (prog : Prog.t) =
 
 let to_set t bits =
   Bitset.fold
-    (fun i s -> Reg.Set.add (reg_of_ix t.stride i) s)
+    (fun i s -> Reg.Set.add (Reg.of_slot ~stride:t.stride i) s)
     bits Reg.Set.empty
 
 let live_in t label =

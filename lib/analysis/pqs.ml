@@ -213,6 +213,28 @@ let trim_threshold = 1 lsl 14
 let trim () =
   if Node_tbl.length (state ()).unique > trim_threshold then invalidate ()
 
+(* Substitution by Shannon expansion: at its top variable [v] the
+   function is [f v ? hi : lo] over the rewritten cofactors.  The memo is
+   per call, so a node shared by many paths is rewritten once. *)
+let subst f t =
+  let st = state () in
+  let memo = Node_tbl.create 16 in
+  let rec go n =
+    if n == tru || n == fls then n
+    else
+      match Node_tbl.find_opt memo n with
+      | Some r -> r
+      | None ->
+        let c = f (key_of_var n.var) in
+        let hi = go n.hi and lo = go n.lo in
+        let r =
+          or_rec st (and_rec st c hi) (and_rec st (not_rec st c) lo)
+        in
+        Node_tbl.add memo n r;
+        r
+  in
+  go t
+
 let rec eval assign t =
   if t == tru then true
   else if t == fls then false

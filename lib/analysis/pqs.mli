@@ -40,6 +40,11 @@ val disjoint : t -> t -> bool
 val implies : t -> t -> bool
 (** [implies a b]: whenever [a] holds, [b] holds. *)
 
+val subst : (key -> t) -> t -> t
+(** [subst f t] replaces every literal [k] of [t] by the function [f k]:
+    [eval s (subst f t) = eval (fun k -> eval s (f k)) t].  [f] is called
+    only on the literals [t] depends on. *)
+
 val eval : (key -> bool) -> t -> bool
 (** Evaluate under a truth assignment of the literals. *)
 

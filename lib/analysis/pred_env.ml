@@ -10,9 +10,8 @@ module type S = sig
   val reg_expr_before : t -> int -> Reg.t -> pqs
   val reg_expr_at_end : t -> Reg.t -> pqs
   val taken_expr : t -> int -> pqs
-  val path_cond : t -> int -> int -> pqs
   val path_conds : t -> pqs array
-  val fallthrough_expr : t -> pqs
+  val write_cond : t -> int -> Reg.t -> pqs
 end
 
 module type ENGINE = sig
@@ -171,16 +170,12 @@ module Make (P : ENGINE) = struct
     assert (Op.is_branch t.ops.(i));
     guard_expr t i
 
-  let path_cond t i j =
-    let acc = ref P.tru in
-    for k = i to j - 1 do
-      if Op.is_branch t.ops.(k) then
-        acc := P.and_ !acc (P.not_ (taken_expr t k))
-    done;
-    !acc
-
   let path_conds t = Lazy.force t.pc
-  let fallthrough_expr t = (path_conds t).(Array.length t.ops)
+
+  let write_cond t i d =
+    if List.exists (Reg.equal d) (Op.writes_when_guard_false t.ops.(i)) then
+      P.tru
+    else guard_expr t i
 end
 
 include Make (Pqs)

@@ -32,21 +32,21 @@ module type S = sig
   (** For a branch at this index: the condition under which it takes
       (its guard expression). *)
 
-  val path_cond : t -> int -> int -> pqs
-  (** [path_cond t i j] with [i <= j]: the condition that sequential
-      control started at op [i] reaches op [j], i.e. the conjunction of
-      the negated taken-expressions of the branches in [i, j). *)
-
   val path_conds : t -> pqs array
-  (** All prefix path conditions at once: [(path_conds t).(i) = path_cond
-      t 0 i].  One linear product instead of a quadratic family, built on
-      the first call and shared by every later call on the same [t] (the
-      array is shared: read it, never write it).  Use it whenever more
-      than one prefix of the same region is needed. *)
+  (** All prefix path conditions: [(path_conds t).(i)] is the condition
+      that control entering the region reaches op [i], the conjunction of
+      the negated taken-expressions of the branches before it; the last
+      entry, at the op count, is the condition that the region falls
+      through.  One product per branch, built on the first call and
+      shared by every later call on the same [t] (the array is shared:
+      read it, never write it). *)
 
-  val fallthrough_expr : t -> pqs
-  (** Condition that the region is exited by falling through: no branch
-      takes. *)
+  val write_cond : t -> int -> Reg.t -> pqs
+  (** [write_cond t i d]: the condition, once control reaches op [i],
+      under which that op writes its destination [d]: [tru] for UN/UC
+      [cmpp] destinations, which write even under a false guard
+      (Table 1), else the guard expression.  Conjoin
+      [(path_conds t).(i)] for the condition from region entry. *)
 end
 
 (** The seven constructors the analysis builds expressions with. *)

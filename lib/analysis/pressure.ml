@@ -23,13 +23,16 @@ let stat t cls = t.stats.(Reg.cls_rank cls)
 let maxlive t cls = (stat t cls).maxlive
 let maxlive_blind t cls = (stat t cls).maxlive_blind
 
-(* Condition under which a cmpp destination is actually written: the
-   unconditional (Un/Uc) destinations write 0 even under a false guard
-   (Table 1), so they occupy their register from the op onward no matter
-   what; every other destination is written only when the guard holds. *)
-let write_cond env i (op : Op.t) d =
-  if List.exists (Reg.equal d) (Op.writes_when_guard_false op) then Pqs.tru
-  else Pred_env.guard_expr env i
+(* Condition, once control reaches op [u], that [r] holds a value some
+   definition before [u] wrote: the OR of their write conditions
+   ([Pred_env.write_cond]; Un/Uc destinations write even under a false
+   guard, so they pin it to [tru]).  [defs] lists [r]'s definition
+   sites. *)
+let written env defs r u =
+  List.fold_left
+    (fun acc d ->
+      if d < u then Pqs.or_ acc (Pred_env.write_cond env d r) else acc)
+    Pqs.fls defs
 
 (* Greedy slot packing: registers whose occupancy conditions are pairwise
    disjoint share one physical slot (Johnson & Schlansker-style
@@ -49,23 +52,21 @@ let place slots c =
 
 (* Count one program point / cycle: [live] is the blind live list per
    class rank; [cond] gives each register's occupancy condition. *)
-let count_point ~refine ~cond live_per_class =
+let count_point ~cond live_per_class =
   let blind = Array.map List.length live_per_class in
   let pa =
-    if not refine then Array.copy blind
-    else
-      Array.map
-        (fun regs ->
-          let slots =
-            List.fold_left
-              (fun slots r ->
-                let c = cond r in
-                if Pqs.is_const_false c then slots else place slots c)
-              []
-              (List.sort Reg.compare regs)
-          in
-          List.length slots)
-        live_per_class
+    Array.map
+      (fun regs ->
+        let slots =
+          List.fold_left
+            (fun slots r ->
+              let c = cond r in
+              if Pqs.is_const_false c then slots else place slots c)
+            []
+            (List.sort Reg.compare regs)
+        in
+        List.length slots)
+      live_per_class
   in
   (blind, pa)
 
@@ -113,7 +114,8 @@ let by_class set =
    under [p], use under [p]) the def covers the use, the entry value is
    dead, and the refinement below is what lets the two arms of a cmpp
    share their slots. *)
-let entry_matters env liveness (region : Region.t) (ops : Op.t array) =
+let entry_matters env liveness (region : Region.t) =
+  let ops = Pred_env.ops env in
   let n = Array.length ops in
   let defs = Reg.Tbl.create 16 and kills = Reg.Tbl.create 16 in
   let push tbl r i =
@@ -131,14 +133,9 @@ let entry_matters env liveness (region : Region.t) (ops : Op.t array) =
     if not (Reg.Tbl.mem needed r) then begin
       let killed = List.exists (fun k -> k < u) (sites kills r) in
       if not killed then begin
-        let written =
-          List.fold_left
-            (fun acc d ->
-              if d < u then Pqs.or_ acc (write_cond env d ops.(d) r) else acc)
-            Pqs.fls (sites defs r)
-        in
         Obs.incr c_queries;
-        if not (Pqs.implies guard written) then Reg.Tbl.replace needed r ()
+        if not (Pqs.implies guard (written env (sites defs r) r u)) then
+          Reg.Tbl.replace needed r ()
       end
     end
   in
@@ -169,13 +166,9 @@ let entry_matters env liveness (region : Region.t) (ops : Op.t array) =
    held; an unconditional write ([write_cond] = tru) pins it to tru.
    Registers whose entry value matters (see {!entry_matters}) are
    occupied from entry, hence tru. *)
-let make_cond_env env liveness (region : Region.t) (ops : Op.t array) =
+let make_cond_env env liveness (region : Region.t) =
   let entry_live = Liveness.live_in liveness region.Region.label in
-  let entry_needed =
-    match env with
-    | None -> fun _ -> true
-    | Some env -> entry_matters env liveness region ops
-  in
+  let entry_needed = entry_matters env liveness region in
   let tbl = Reg.Tbl.create 16 in
   let get r =
     match Reg.Tbl.find_opt tbl r with
@@ -183,14 +176,15 @@ let make_cond_env env liveness (region : Region.t) (ops : Op.t array) =
     | None ->
       if Reg.Set.mem r entry_live && entry_needed r then Pqs.tru else Pqs.fls
   in
-  let record env i (op : Op.t) =
+  let record i =
     List.iter
-      (fun d -> Reg.Tbl.replace tbl d (Pqs.or_ (get d) (write_cond env i op d)))
-      op.Op.dests
+      (fun d ->
+        Reg.Tbl.replace tbl d (Pqs.or_ (get d) (Pred_env.write_cond env i d)))
+      (Pred_env.ops env).(i).Op.dests
   in
   (get, record)
 
-let sweep ?(refine = true) liveness (_prog : Prog.t) (region : Region.t) =
+let sweep liveness (region : Region.t) =
   let ops = Array.of_list region.Region.ops in
   let n = Array.length ops in
   (* Backward pass: blind live set at each of the n+1 program points
@@ -211,18 +205,16 @@ let sweep ?(refine = true) liveness (_prog : Prog.t) (region : Region.t) =
     let s = List.fold_left (fun s u -> Reg.Set.add u s) s (Op.uses op) in
     live.(i) <- s
   done;
-  let env = if refine then Some (Pred_env.analyze region) else None in
-  let get_cond, record = make_cond_env env liveness region ops in
+  let get_cond, record =
+    make_cond_env (Pred_env.analyze region) liveness region
+  in
   let per_point = Array.init 3 (fun _ -> Array.make (n + 1) 0) in
   let per_point_blind = Array.init 3 (fun _ -> Array.make (n + 1) 0) in
   for i = 0 to n do
-    let blind, pa =
-      count_point ~refine ~cond:get_cond (by_class live.(i))
-    in
+    let blind, pa = count_point ~cond:get_cond (by_class live.(i)) in
     Array.iteri (fun k c -> per_point_blind.(k).(i) <- c) blind;
     Array.iteri (fun k c -> per_point.(k).(i) <- c) pa;
-    if i < n then
-      Option.iter (fun env -> record env i ops.(i)) env
+    if i < n then record i
   done;
   finish ~n_points:(n + 1) ~per_point ~per_point_blind
 
@@ -240,16 +232,12 @@ let contribution t cls i =
    demand's cycle.  Guarded writes in between only widen the occupancy
    condition, not the interval: if no guard held, an older value (or the
    entry value) is still the one being kept alive. *)
-let of_schedule ?(refine = true) liveness (_prog : Prog.t) (region : Region.t)
-    ~(ops : Op.t array) ~(cycle : int array) ~length =
+let of_schedule liveness (region : Region.t) ~(ops : Op.t array)
+    ~(cycle : int array) ~length =
   let n = Array.length ops in
-  let env = if refine then Some (Pred_env.analyze region) else None in
+  let env = Pred_env.analyze region in
   let entry_live = Liveness.live_in liveness region.Region.label in
-  let entry_needed =
-    match env with
-    | None -> fun _ -> true
-    | Some env -> entry_matters env liveness region ops
-  in
+  let entry_needed = entry_matters env liveness region in
   let live_out = Liveness.live_out_region liveness region in
   (* Per register, in program order: definition sites and kill sites. *)
   let defs = Reg.Tbl.create 16 and kills = Reg.Tbl.create 16 in
@@ -265,22 +253,15 @@ let of_schedule ?(refine = true) liveness (_prog : Prog.t) (region : Region.t)
      still reach it, else the disjunction of the write conditions of the
      preceding definitions. *)
   let cond_at r u =
-    match env with
-    | None -> Pqs.tru
-    | Some env ->
-      let has_kill_before =
-        match Reg.Tbl.find_opt kills r with
-        | Some l -> List.exists (fun k -> k < u) l
-        | None -> false
-      in
-      if (not has_kill_before) && Reg.Set.mem r entry_live && entry_needed r
-      then Pqs.tru
-      else
-        List.fold_left
-          (fun acc d ->
-            if d < u then Pqs.or_ acc (write_cond env d ops.(d) r) else acc)
-          Pqs.fls
-          (Option.value ~default:[] (Reg.Tbl.find_opt defs r))
+    let has_kill_before =
+      match Reg.Tbl.find_opt kills r with
+      | Some l -> List.exists (fun k -> k < u) l
+      | None -> false
+    in
+    if (not has_kill_before) && Reg.Set.mem r entry_live && entry_needed r
+    then Pqs.tru
+    else
+      written env (Option.value ~default:[] (Reg.Tbl.find_opt defs r)) r u
   in
   let start_of r u =
     match Reg.Tbl.find_opt kills r with
@@ -327,17 +308,16 @@ let of_schedule ?(refine = true) liveness (_prog : Prog.t) (region : Region.t)
         if covering <> [] then begin
           let k = Reg.cls_rank r.Reg.cls in
           live_per_class.(k) <- r :: live_per_class.(k);
-          if refine then
-            Reg.Tbl.replace conds r
-              (List.fold_left
-                 (fun acc (_, _, cond) -> Pqs.or_ acc (Lazy.force cond))
-                 Pqs.fls covering)
+          Reg.Tbl.replace conds r
+            (List.fold_left
+               (fun acc (_, _, cond) -> Pqs.or_ acc (Lazy.force cond))
+               Pqs.fls covering)
         end)
       by_reg;
     let cond r =
       match Reg.Tbl.find_opt conds r with Some c -> c | None -> Pqs.tru
     in
-    let blind, pa = count_point ~refine ~cond live_per_class in
+    let blind, pa = count_point ~cond live_per_class in
     Array.iteri (fun k v -> per_point_blind.(k).(c) <- v) blind;
     Array.iteri (fun k v -> per_point.(k).(c) <- v) pa
   done;

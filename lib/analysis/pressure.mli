@@ -51,14 +51,13 @@ val stat : t -> Reg.cls -> class_stat
 val maxlive : t -> Reg.cls -> int
 val maxlive_blind : t -> Reg.cls -> int
 
-val sweep : ?refine:bool -> Liveness.t -> Prog.t -> Region.t -> t
+val sweep : Liveness.t -> Region.t -> t
 (** Program-point sweep over the unscheduled region: point [i] is just
-    before op [i]; point [n] is the region exit.  [refine:false] skips
-    the {!Pqs} work entirely (counts equal the blind figures). *)
+    before op [i]; point [n] is the region exit. *)
 
 val of_schedule :
-  ?refine:bool -> Liveness.t -> Prog.t -> Region.t -> ops:Op.t array
-  -> cycle:int array -> length:int -> t
+  Liveness.t -> Region.t -> ops:Op.t array -> cycle:int array -> length:int
+  -> t
 (** Exact per-cycle live counts for a schedule of the region given as
     program-ordered [ops] with per-op issue [cycle]s (the fields of
     [Cpr_sched.Schedule.t]). *)

@@ -28,14 +28,6 @@ let add_stats a b =
     ops_split = a.ops_split + b.ops_split;
   }
 
-let uc_dests_of (op : Op.t) =
-  match op.Op.opcode with
-  | Op.Cmpp (_, a1, a2) ->
-    List.filter_map
-      (fun (a, d) -> if a = Op.Uc then Some d else None)
-      (List.combine (a1 :: Option.to_list a2) op.Op.dests)
-  | _ -> []
-
 (* Conservative legality pre-check for one prospective CPR block, on the
    pre-restructure region.  Computes the prospective move set (the same
    closure off-trace motion will compute, modulo the re-wiring of
@@ -63,7 +55,7 @@ let block_legal liveness (region : Region.t) graph ops
   else begin
     let last_branch = List.fold_left max 0 br_idxs in
     let uc_dests =
-      List.concat_map (fun i -> uc_dests_of ops.(i)) cmp_idxs
+      List.concat_map (fun i -> Restructure.uc_dests_of ops.(i)) cmp_idxs
     in
     let is_uc r = List.exists (Reg.equal r) uc_dests in
     let root_pred =

@@ -34,6 +34,10 @@ val unreachable_label : string
     is impossible — reaching this label in the interpreter signals a
     transformation bug. *)
 
+val uc_dests_of : Op.t -> Reg.t list
+(** The [Uc] destinations of a [cmpp]: its fall-through predicates when
+    it is a compare of a CPR block.  [[]] for any other op. *)
+
 val transform_block :
   Prog.t -> Region.t -> subst:Reg.t Reg.Tbl.t -> block_ref -> plan
 (** Restructure one non-trivial CPR block of the region (in place),

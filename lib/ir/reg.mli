@@ -24,9 +24,17 @@ val compare : t -> t -> int
 val hash : t -> int
 
 val cls_rank : cls -> int
-(** [Gpr] 0, [Pred] 1, [Btr] 2 — the major key of {!compare}; analyses
-    use it to index registers densely as [cls_rank cls * stride + id],
-    which enumerates in exactly {!compare} order. *)
+(** [Gpr] 0, [Pred] 1, [Btr] 2 — the major key of {!compare}. *)
+
+val slot : stride:int -> t -> int
+(** [slot ~stride r = cls_rank r.cls * stride + r.id]: a dense index for
+    registers whose ids are below [stride] ({!Op.reg_bound} computes
+    one), [3 * stride] slots in all.  Ascending slots enumerate in
+    exactly {!compare} order, so analyses index arrays and bitsets with
+    it instead of hashing. *)
+
+val of_slot : stride:int -> int -> t
+(** The register at a {!slot}. *)
 
 val is_pred : t -> bool
 

@@ -131,10 +131,7 @@ let may_defined_on_entry ctx prog regions =
    satisfiable [use]) is undefined on every execution reaching it.
    Registers may-defined on region entry or never defined anywhere
    (program inputs) start out defined. *)
-let region_queries ctx ?env ?only ~entry_defined (r : Region.t) =
-  let env =
-    match env with Some e -> e | None -> Pred_env.analyze r
-  in
+let region_queries ctx ~env ?only ~entry_defined (r : Region.t) =
   (* [only] restricts the analysis to a subset of the defined registers:
      the edge-wise pass in [lint] re-queries a region once per incoming
      edge, but each edge can only change verdicts for the handful of
@@ -178,14 +175,10 @@ let region_queries ctx ?env ?only ~entry_defined (r : Region.t) =
         { region = r.Region.label; op_id; reg; use; defined = d; verdict }
         :: !queries
   in
-  (* The path condition grows one conjunct per branch passed, so build
-     it incrementally instead of re-deriving the whole prefix product at
-     every op (that made the lint quadratic in branchy regions). *)
-  let path = ref Pqs.tru in
+  let pc = Pred_env.path_conds env in
   Array.iteri
     (fun i (op : Op.t) ->
-      let exec = !path in
-      let guard = Pred_env.guard_expr env i in
+      let exec = pc.(i) in
       (* Uses first: the guard read happens whenever the op is reached;
          an accumulator destination's old value flows through whenever
          the op is reached; a branch reads its btr only when it executes
@@ -198,20 +191,15 @@ let region_queries ctx ?env ?only ~entry_defined (r : Region.t) =
         List.iter
           (function
             | Op.Reg b when b.Reg.cls = Reg.Btr ->
-              query op.Op.id b (Pqs.and_ exec guard)
+              query op.Op.id b (Pqs.and_ exec (Pred_env.guard_expr env i))
             | _ -> ())
           op.Op.srcs;
-      (* Then definitions.  UN/UC compare destinations write even under a
-         false guard; everything else defines under path and guard. *)
-      let unconditional = Op.writes_when_guard_false op in
+      (* Then definitions, under the path and the write condition. *)
       List.iter
         (fun d ->
           if (Reg.is_pred d || d.Reg.cls = Reg.Btr) && tracked d then
-            if List.exists (Reg.equal d) unconditional then add_defined d exec
-            else add_defined d (Pqs.and_ exec guard))
-        (Op.defs op);
-      if Op.is_branch op then
-        path := Pqs.and_ !path (Pqs.not_ (Pred_env.taken_expr env i)))
+            add_defined d (Pqs.and_ exec (Pred_env.write_cond env i d)))
+        (Op.defs op))
     ops;
   List.rev !queries
 
@@ -221,7 +209,8 @@ let queries prog =
   let entry_of = may_defined_on_entry ctx prog regions in
   List.concat_map
     (fun (r : Region.t) ->
-      region_queries ctx ~entry_defined:(entry_of r.Region.label) r)
+      region_queries ctx ~env:(Pred_env.analyze r)
+        ~entry_defined:(entry_of r.Region.label) r)
     regions
 
 (* ------------------------------------------------------------------ *)
@@ -247,20 +236,23 @@ let comp_coverage ~stats prog regions =
               match Prog.find prog l with
               | Some (c : Region.t) when c.Region.fallthrough = Some unreach
                 ->
-                let prefix = List.filteri (fun i _ -> i <= b) r.Region.ops in
+                (* The bypass itself is left out: control reaches the
+                   end of the synthetic region when every other branch
+                   falls through and the bypass guard held where the
+                   bypass stood. *)
+                let prefix = List.filteri (fun i _ -> i < b) r.Region.ops in
                 let synth =
                   Region.make "<comp-coverage>" (prefix @ c.Region.ops)
                 in
                 let env = Pred_env.analyze synth in
                 let n = Array.length (Pred_env.ops env) in
-                let nb = List.length prefix - 1 in
-                let reach =
-                  Pqs.and_
-                    (Pred_env.path_cond env 0 nb)
-                    (Pqs.and_
-                       (Pred_env.taken_expr env nb)
-                       (Pred_env.path_cond env (nb + 1) n))
+                let taken =
+                  match op.Op.guard with
+                  | Op.True -> Pqs.tru
+                  | Op.If g when b < n -> Pred_env.reg_expr_before env b g
+                  | Op.If g -> Pred_env.reg_expr_at_end env g
                 in
+                let reach = Pqs.and_ (Pred_env.path_conds env).(n) taken in
                 if Pqs.is_const_false reach then
                   stats.Finding.proved <- stats.Finding.proved + 1
                 else

@@ -21,10 +21,10 @@ let cls_name = function
 let classes = [ Reg.Gpr; Reg.Pred; Reg.Btr ]
 
 let region_rows machine prog live (r : Region.t) =
-  let sw = Pressure.sweep live prog r in
+  let sw = Pressure.sweep live r in
   let sched = List_sched.schedule machine prog live r in
   let sc =
-    Pressure.of_schedule live prog r ~ops:sched.Cpr_sched.Schedule.ops
+    Pressure.of_schedule live r ~ops:sched.Cpr_sched.Schedule.ops
       ~cycle:sched.Cpr_sched.Schedule.cycle
       ~length:sched.Cpr_sched.Schedule.length
   in

@@ -25,7 +25,9 @@ let acc_class (op : Op.t) (d : Reg.t) =
     | _ -> None)
   | _ -> None
 
-let check_region machine prog live ~stats (r : Region.t) =
+let machine = Descr.medium
+
+let check_region prog live ~stats (r : Region.t) =
   let dg = Depgraph.build machine prog live r in
   let sched = List_sched.schedule machine prog live r in
   let findings = ref [] in
@@ -39,13 +41,7 @@ let check_region machine prog live ~stats (r : Region.t) =
   let env = Pred_env.analyze r in
   let ops = sched.Schedule.ops in
   let pc = Pred_env.path_conds env in
-  (* Execution condition of a write: path condition to reach the op, and
-     its guard unless the destination writes even under a false guard. *)
-  let write_cond i (op : Op.t) d =
-    let exec = pc.(i) in
-    if List.exists (Reg.equal d) (Op.writes_when_guard_false op) then exec
-    else Pqs.and_ exec (Pred_env.guard_expr env i)
-  in
+  let write_cond i d = Pqs.and_ pc.(i) (Pred_env.write_cond env i d) in
   let defs_at = Hashtbl.create 17 in
   Array.iteri
     (fun i (op : Op.t) ->
@@ -54,7 +50,7 @@ let check_region machine prog live ~stats (r : Region.t) =
         (fun d ->
           let key = (d, completes) in
           let prev = Option.value ~default:[] (Hashtbl.find_opt defs_at key) in
-          let wc_i = lazy (write_cond i op d) in
+          let wc_i = lazy (write_cond i d) in
           List.iter
             (fun j ->
               let oj = ops.(j) in
@@ -64,7 +60,7 @@ let check_region machine prog live ~stats (r : Region.t) =
                 | _ -> false
               in
               if not same_acc then
-                if Pqs.disjoint (Lazy.force wc_i) (write_cond j oj d) then
+                if Pqs.disjoint (Lazy.force wc_i) (write_cond j d) then
                   stats.Finding.proved <- stats.Finding.proved + 1
                 else
                   findings :=
@@ -82,12 +78,12 @@ let check_region machine prog live ~stats (r : Region.t) =
     ops;
   List.rev !findings
 
-let check ?(machine = Descr.medium) ~stats prog =
+let check ~stats prog =
   let reachable = Dataflow.reachable_labels prog in
   let live = Liveness.analyze prog in
   List.concat_map
     (fun (r : Region.t) ->
       if Hashtbl.mem reachable r.Region.label && r.Region.ops <> [] then
-        check_region machine prog live ~stats r
+        check_region prog live ~stats r
       else [])
     (Prog.regions prog)

@@ -18,7 +18,6 @@ open Cpr_ir
     Checks: [sched] (error, one per {!Cpr_sched.Schedule.check}
     violation), [sched-waw] (error). *)
 
-val check :
-  ?machine:Cpr_machine.Descr.t -> stats:Finding.stats -> Prog.t
-  -> Finding.t list
-(** [machine] defaults to {!Cpr_machine.Descr.medium}. *)
+val check : stats:Finding.stats -> Prog.t -> Finding.t list
+(** Checks the schedules for {!Cpr_machine.Descr.medium}, the machine
+    the pipeline's heuristics target. *)

@@ -103,8 +103,7 @@ let label_reaches prog l target =
   in
   go l
 
-let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
-    after =
+let validate ~stats ~stage ~before after =
   let cfg = config_of_stage stage in
   let findings = ref [] in
   let add ~check ~region ?op ?subject msg =
@@ -231,7 +230,7 @@ let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
   List.iter
     (fun (r : Region.t) ->
       if r.Region.ops <> [] then begin
-        let dg = Depgraph.build machine before live r in
+        let dg = Depgraph.build Cpr_machine.Descr.medium before live r in
         List.iter
           (fun (e : Depgraph.edge) ->
             match e.Depgraph.kind with
@@ -307,8 +306,8 @@ let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
   (* tv-store-guard *)
   if cfg.check_store_guard then begin
     let norm = function
-      | Pqs.Cond id -> Pqs.Cond (resolve id)
-      | Pqs.Entry _ as k -> k
+      | Pqs.Cond id -> Pqs.cond_lit (resolve id)
+      | Pqs.Entry id -> Pqs.entry_lit (Reg.pred id)
     in
     let after_envs = Hashtbl.create 7 in
     let env_of (label : string) (r : Region.t) =
@@ -349,22 +348,23 @@ let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
         | Some t -> push t (q, None)
         | None -> ())
       after_regions;
-    (* Entry-literal resolver for [label], valid only when its unique
-       predecessor is the transformed parent region itself (same label
-       as the input region being validated) — that alignment makes the
-       parent's own entry literals coincide with the input region's, so
-       the substituted expression and the input condition range over
-       one shared literal space. *)
+    (* Entry-literal values for [label], over input literals, valid only
+       when its unique predecessor is the transformed parent region
+       itself (same label as the input region being validated) — that
+       alignment makes the parent's own entry literals coincide with the
+       input region's, so the substituted expression and the input
+       condition range over one shared literal space. *)
     let entry_value ~parent label =
       match Hashtbl.find_opt entering_edges label with
       | Some [ ((q : Region.t), at) ] when q.Region.label = parent ->
         let env_q, _ = env_of q.Region.label q in
         Some
           (fun rid ->
-            let reg = { Reg.id = rid; cls = Reg.Pred } in
-            match at with
-            | Some k -> Pred_env.reg_expr_before env_q k reg
-            | None -> Pred_env.reg_expr_at_end env_q reg)
+            let reg = Reg.pred rid in
+            Pqs.subst norm
+              (match at with
+              | Some k -> Pred_env.reg_expr_before env_q k reg
+              | None -> Pred_env.reg_expr_at_end env_q reg))
       | _ -> None
     in
     List.iter
@@ -395,103 +395,50 @@ let validate ?(machine = Cpr_machine.Descr.medium) ~stats ~stage ~before
                       Pqs.and_ pc_a.(inst.idx)
                         (Pred_env.guard_expr env_a inst.idx)
                     in
-                    (* Entry literals of [ea] are shared free variables
-                       when the instance stayed in its own region; in a
-                       different output region they denote *that*
-                       region's entry state and must be substituted
-                       through its entering edge (or the comparison
-                       degrades to unknown — a free reading would
-                       manufacture witnesses no execution exhibits). *)
-                    let entry_defs =
-                      if inst.label = r.Region.label then Some []
-                      else
-                        let ids =
-                          List.filter_map
-                            (function
-                              | Pqs.Entry id -> Some id
-                              | Pqs.Cond _ -> None)
-                            (Pqs.keys ea)
-                        in
-                        if ids = [] then Some []
-                        else
-                          match
-                            entry_value ~parent:r.Region.label inst.label
-                          with
-                          | None -> None
-                          | Some value ->
-                            Some (List.map (fun id -> (id, value id)) ids)
+                    (* Rewrite [ea] onto the input's literals.  Entry
+                       literals are shared free variables when the
+                       instance stayed in its own region; in a different
+                       output region they denote *that* region's entry
+                       state and are replaced by their values along its
+                       entering edge (or the comparison degrades to
+                       unknown — a free reading would manufacture
+                       differences no execution exhibits). *)
+                    let entry =
+                      if inst.label = r.Region.label then
+                        Some (fun id -> Pqs.entry_lit (Reg.pred id))
+                      else entry_value ~parent:r.Region.label inst.label
                     in
-                    match entry_defs with
-                    | None ->
+                    let unresolved = ref false in
+                    let ea' =
+                      Pqs.subst
+                        (function
+                          | Pqs.Cond _ as k -> norm k
+                          | Pqs.Entry id as k -> (
+                            match entry with
+                            | Some value -> value id
+                            | None ->
+                              unresolved := true;
+                              norm k))
+                        ea
+                    in
+                    (* Both sides are hash-consed in one epoch, so the
+                       conditions are equal exactly when the nodes are. *)
+                    if !unresolved then
                       stats.Finding.unknown <- stats.Finding.unknown + 1
-                    | Some entry_defs ->
-                      let keys_b =
-                        List.sort_uniq compare (Pqs.keys eb)
-                      in
-                      let keys_a =
-                        List.concat_map
-                          (fun k ->
-                            match k with
-                            | Pqs.Cond _ -> [ norm k ]
-                            | Pqs.Entry id -> (
-                              match List.assoc_opt id entry_defs with
-                              | Some e -> List.map norm (Pqs.keys e)
-                              | None -> [ k ]))
-                          (Pqs.keys ea)
-                      in
-                      (* The two conditions need not mention the same
-                         literals — compensation-region path conditions
-                         routinely carry extra predicates that cancel —
-                         so enumerate assignments over the *union* of
-                         their key sets; each expression is total over
-                         a superset of its own keys. *)
-                      let keys =
-                        List.sort_uniq compare (keys_b @ keys_a)
-                      in
-                      if List.length keys > 12 then
-                        stats.Finding.unknown <- stats.Finding.unknown + 1
-                      else begin
-                        let arr = Array.of_list keys in
-                        let n = Array.length arr in
-                        let lookup mask k =
-                          let rec find j =
-                            if j >= n then false
-                            else if arr.(j) = k then
-                              mask land (1 lsl j) <> 0
-                            else find (j + 1)
-                          in
-                          find 0
-                        in
-                        let witness = ref None in
-                        let mask = ref 0 in
-                        while !witness = None && !mask < 1 lsl n do
-                          let sigma = lookup !mask in
-                          let sigma_a k =
-                            match k with
-                            | Pqs.Cond _ -> sigma (norm k)
-                            | Pqs.Entry id -> (
-                              match List.assoc_opt id entry_defs with
-                              | None -> sigma k
-                              | Some e ->
-                                Pqs.eval (fun k' -> sigma (norm k')) e)
-                          in
-                          if Pqs.eval sigma eb <> Pqs.eval sigma_a ea then
-                            witness := Some !mask;
-                          incr mask
-                        done;
-                        match !witness with
-                        | None ->
-                          stats.Finding.proved <- stats.Finding.proved + 1
-                        | Some m ->
-                          add ~check:"tv-store-guard"
-                            ~region:inst.label ~op:op.Op.id
-                            (Format.asprintf
-                               "store %d executes under a different \
-                                condition after the transformation \
-                                (witness assignment %d: before %a, \
-                                after %a)"
-                               op.Op.id m Pqs.pp eb Pqs.pp ea)
-                      end)
+                    else if ea' == eb then
+                      stats.Finding.proved <- stats.Finding.proved + 1
+                    else
+                      add ~check:"tv-store-guard" ~region:inst.label
+                        ~op:op.Op.id
+                        (Format.asprintf
+                           "store %d executes under a different condition \
+                            after the transformation (the two differ under \
+                            %a: before %a, after %a)"
+                           op.Op.id Pqs.pp
+                           (Pqs.or_
+                              (Pqs.and_ eb (Pqs.not_ ea'))
+                              (Pqs.and_ ea' (Pqs.not_ eb)))
+                           Pqs.pp eb Pqs.pp ea))
                 same_id
             end)
           r.Region.ops)

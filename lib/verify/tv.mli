@@ -31,23 +31,25 @@ open Cpr_ir
     - [tv-store-guard] (error): for a store present under the same id on
       both sides, the execution conditions (path condition conjoined with
       the guard expression) are compared as {!Cpr_analysis.Pqs}
-      expressions — output condition literals are normalized through
-      [orig] onto input literals, and when the literal bases coincide the
-      two expressions are brute-force enumerated; a differing assignment
-      is a proven guard change on a store, which no stage may make.
-      Enabled for the FRP-based stages ([frp], [spec], [fullcpr],
-      [icbm]), where store guards must be exactly the original path
-      conditions.
+      expressions.  {!Cpr_analysis.Pqs.subst} rewrites the output
+      condition onto the input's literals: condition literals through
+      [orig], and, for an instance in another region, entry literals by
+      their values along that region's entering edge.  The store is
+      proved when the rewritten condition is the input's (hash-consing
+      makes that a physical equality); otherwise the finding prints the
+      condition under which the two differ.  Enabled for the FRP-based
+      stages ([frp], [spec], [fullcpr], [icbm]), where store guards must
+      be exactly the original path conditions.
 
-    Checks that cannot decide (instances missing, literal bases that do
-    not line up, expressions past the enumeration cap) count as
+    Checks that cannot decide (entry literals of a region without a
+    unique entering edge from the input region's own output) count as
     [unknown] in the stats rather than reporting. *)
 
 val validate :
-  ?machine:Cpr_machine.Descr.t -> stats:Finding.stats -> stage:string
-  -> before:Prog.t -> Prog.t -> Finding.t list
+  stats:Finding.stats -> stage:string -> before:Prog.t -> Prog.t
+  -> Finding.t list
 (** [validate ~stats ~stage ~before after].  [stage] is a
     {!Cpr_fuzz.Stage} name ([ifconv], [frp], [spec], [unroll],
     [fullcpr], [icbm], [fullpipe]); unknown names get every check except
-    [tv-store-guard].  [machine] (default {!Cpr_machine.Descr.medium})
-    only affects dependence-graph construction for [tv-order]. *)
+    [tv-store-guard].  [tv-order] builds dependence graphs for
+    {!Cpr_machine.Descr.medium}. *)

@@ -21,21 +21,17 @@ type report = {
   stats : Finding.stats;
 }
 
-val check_program :
-  ?machine:Cpr_machine.Descr.t -> ?sched:bool -> ?only_checks:string list
-  -> Prog.t -> report
-(** Dataflow lint plus (unless [sched:false]) schedule hazard checks.
-    [machine] defaults to {!Cpr_machine.Descr.medium}; [only_checks]
-    restricts the run to the named checks, see {!Dataflow.lint}. *)
+val check_program : Prog.t -> report
+(** Dataflow lint plus schedule hazard checks on
+    {!Cpr_machine.Descr.medium}. *)
 
 val check_stage :
-  ?machine:Cpr_machine.Descr.t -> ?sched:bool -> stage:string
-  -> before:Prog.t -> Prog.t -> report
+  ?sched:bool -> stage:string -> before:Prog.t -> Prog.t -> report
 (** [check_stage ~stage ~before after]: {!check_program} on the
-    transformed program [after], minus the findings [before] already
-    exhibits, plus translation validation of the [stage] (skipped for
-    [superblock] and [baseline], which are the identity on region
-    content). *)
+    transformed program [after] (without the schedule hazard checks when
+    [sched:false]), minus the findings [before] already exhibits, plus
+    translation validation of the [stage] (skipped for [superblock] and
+    [baseline], which are the identity on region content). *)
 
 val errors : report -> Finding.t list
 
@@ -43,6 +39,5 @@ exception Verify_error of Finding.t list
 (** Carries only the error-severity findings; a printer is registered. *)
 
 val check_stage_exn :
-  ?machine:Cpr_machine.Descr.t -> ?sched:bool -> stage:string
-  -> before:Prog.t -> Prog.t -> unit
+  ?sched:bool -> stage:string -> before:Prog.t -> Prog.t -> unit
 (** Raise {!Verify_error} if {!check_stage} reports any error. *)

@@ -128,7 +128,7 @@ let live_expr_after l env (r : Region.t) idx reg =
      if Reg.Set.mem reg (A.Liveness.live_out_region l r) then
        acc := A.Pqs.or_ !acc !path
    with Exit -> ());
-  A.Pqs.and_ (A.Pred_env.path_cond env 0 (idx + 1)) !acc
+  A.Pqs.and_ (A.Pred_env.path_conds env).(idx + 1) !acc
 
 (* The same condition as the disjunction of the terms
    [live_after_implies] checks one at a time, each built on the region's

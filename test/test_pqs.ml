@@ -162,6 +162,47 @@ let prop_eval_homomorphic =
           && Pqs.eval assign (Pqs.not_ a) = not va)
         (all_assignments (Pqs.keys a @ Pqs.keys b)))
 
+(* [subst f t] evaluates like [t] under [k -> eval s (f k)].  [t] reads
+   [Cond 0..2] and [Entry 3]; the image of literal [i] ranges over
+   [Cond (4 + i) .. Cond (7 + i)], so brute force covers at most 11
+   literals.  Substituting every literal by itself gives back [t]. *)
+let rec shift off = function
+  | L i -> L (i + off)
+  | (T | F) as c -> c
+  | And (a, b) -> And (shift off a, shift off b)
+  | Or (a, b) -> Or (shift off a, shift off b)
+  | Not a -> Not (shift off a)
+
+let rec build_with_entry = function
+  | L 3 -> Pqs.entry_lit (Cpr_ir.Reg.pred 3)
+  | L i -> Pqs.cond_lit i
+  | T -> Pqs.tru
+  | F -> Pqs.fls
+  | And (a, b) -> Pqs.and_ (build_with_entry a) (build_with_entry b)
+  | Or (a, b) -> Pqs.or_ (build_with_entry a) (build_with_entry b)
+  | Not a -> Pqs.not_ (build_with_entry a)
+
+let lit_of = function
+  | Pqs.Cond i -> Pqs.cond_lit i
+  | Pqs.Entry r -> Pqs.entry_lit (Cpr_ir.Reg.pred r)
+
+let prop_subst_pointwise =
+  QCheck2.Test.make ~name:"subst evaluates pointwise" ~count:300
+    QCheck2.Gen.(pair gen_ast (array_repeat 4 gen_ast))
+    (fun (x, ys) ->
+      let t = build_with_entry x in
+      let images = Array.mapi (fun i y -> build_bdd (shift (4 + i) y)) ys in
+      let f = function Pqs.Cond i -> images.(i) | Pqs.Entry r -> images.(r) in
+      let s = Pqs.subst f t in
+      let keys = List.concat_map Pqs.keys (Array.to_list images) in
+      List.length (List.sort_uniq compare keys) <= 12
+      && Pqs.subst lit_of t == t
+      && List.for_all
+           (fun assign ->
+             Pqs.eval assign s
+             = Pqs.eval (fun k -> Pqs.eval assign (f k)) t)
+           (all_assignments keys))
+
 (* --- the reference DNF engine, replayed on identical constructions --- *)
 
 module RefEnv = Cpr_analysis.Pred_env.Make (Pqs_reference)
@@ -302,5 +343,6 @@ let suite =
       QCheck_alcotest.to_alcotest prop_disjoint_exact;
       QCheck_alcotest.to_alcotest prop_implies_exact;
       QCheck_alcotest.to_alcotest prop_eval_homomorphic;
+      QCheck_alcotest.to_alcotest prop_subst_pointwise;
       QCheck_alcotest.to_alcotest prop_engines_agree;
     ] )

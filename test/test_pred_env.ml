@@ -51,7 +51,8 @@ let fallthrough_is_conjunction () =
   assert (Cpr_core.Frp.convert_region prog loop);
   let env = A.Pred_env.analyze loop in
   let ops = A.Pred_env.ops env in
-  let ft = A.Pred_env.fallthrough_expr env in
+  let pc = A.Pred_env.path_conds env in
+  let ft = pc.(Array.length pc - 1) in
   Array.iteri
     (fun i op ->
       if Op.is_branch op then

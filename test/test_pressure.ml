@@ -61,21 +61,11 @@ let prog_sound machine prog =
   List.iter
     (fun (r : Region.t) ->
       if r.Region.ops <> [] then begin
-        let sweep = Pr.sweep live prog r in
+        let sweep = Pr.sweep live r in
         result_consistent (r.Region.label ^ "/sweep") sweep;
-        (* refine:false is the blind figure, exactly *)
-        let blind = Pr.sweep ~refine:false live prog r in
-        List.iter
-          (fun cls ->
-            checki
-              (Printf.sprintf "%s: unrefined %s equals blind" r.Region.label
-                 (cls_name cls))
-              (Pr.maxlive_blind blind cls)
-              (Pr.maxlive blind cls))
-          classes;
         let s = Cpr_sched.List_sched.schedule machine prog live r in
         let sched =
-          Pr.of_schedule live prog r ~ops:s.Cpr_sched.Schedule.ops
+          Pr.of_schedule live r ~ops:s.Cpr_sched.Schedule.ops
             ~cycle:s.Cpr_sched.Schedule.cycle
             ~length:s.Cpr_sched.Schedule.length
         in
@@ -156,7 +146,7 @@ let disjoint_guards_share_slots () =
   let prog = forked_region () in
   let live = A.Liveness.analyze prog in
   let r = Prog.find_exn prog "Main" in
-  let t = Pr.sweep live prog r in
+  let t = Pr.sweep live r in
   let blind = Pr.maxlive_blind t Reg.Gpr in
   let pa = Pr.maxlive t Reg.Gpr in
   checkb
@@ -171,7 +161,7 @@ let disjoint_guards_share_slots () =
   (* the schedule-level count refines the same way *)
   let s = Cpr_sched.List_sched.schedule Descr.wide prog live r in
   let sched =
-    Pr.of_schedule live prog r ~ops:s.Cpr_sched.Schedule.ops
+    Pr.of_schedule live r ~ops:s.Cpr_sched.Schedule.ops
       ~cycle:s.Cpr_sched.Schedule.cycle ~length:s.Cpr_sched.Schedule.length
   in
   checkb "scheduled refined < scheduled blind" true
@@ -195,7 +185,7 @@ let contributions_telescope () =
   let prog = B.prog ctx ~entry:"Main" [ region ] in
   let live = A.Liveness.analyze prog in
   let r = Prog.find_exn prog "Main" in
-  let t = Pr.sweep live prog r in
+  let t = Pr.sweep live r in
   let total = ref 0 in
   for i = 0 to List.length r.Region.ops - 1 do
     total := !total + Pr.contribution t Reg.Gpr i

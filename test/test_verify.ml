@@ -105,6 +105,32 @@ let tv_order_swap () =
        (V.Verify.check_stage ~stage:"icbm" ~before:prog (Prog.copy prog))
          .V.Verify.findings)
 
+(* tv-store-guard decides by substitution, with no cap on the literal
+   count: a store behind 13 exit branches, each on its own compare,
+   is proved on the identity transformation, not counted unknown. *)
+let tv_store_guard_wide () =
+  let n = 13 in
+  let prog =
+    single_region (fun ctx e ->
+        let r = Builder.gpr ctx in
+        let ps = Builder.preds ctx n in
+        ignore (Builder.movi e r 0 : Op.t);
+        Array.iteri
+          (fun k p ->
+            ignore (Builder.cmpp1 e Op.Eq Op.Un p (Op.Reg r) (Op.Imm k) : Op.t);
+            ignore (Builder.branch_to e ~guard:(Op.If p) "Exit" : Op.t))
+          ps;
+        ignore (Builder.store e ~base:r ~off:0 (Op.Reg r) : Op.t))
+  in
+  let stats = V.Finding.new_stats () in
+  let findings =
+    V.Tv.validate ~stats ~stage:"frp" ~before:prog (Prog.copy prog)
+  in
+  check Alcotest.(list string) "identity is clean" [] (checks findings);
+  checki "store guard over 13 literals is not unknown" 0
+    stats.V.Finding.unknown;
+  checki "store guard over 13 literals is proved" 1 stats.V.Finding.proved
+
 (* End-to-end on the paper workload: the ICBM output verifies clean
    against its input, and every injectable historical miscompile is
    flagged by the verifier alone. *)
@@ -323,6 +349,7 @@ let suite =
       case "accumulator needs init" accumulator_needs_init;
       case "loop first-iteration undef" loop_first_iteration_undef;
       case "tv-order swap" tv_order_swap;
+      case "tv-store-guard past 12 literals" tv_store_guard_wide;
       case "strcpy faults caught" strcpy_faults_caught;
       case "corpus static regression" corpus_static_regression;
       case "lint matches brute force" lint_matches_brute_force;
