@@ -125,9 +125,7 @@ let vliw_cmd spec machine cpr =
   | Ok () -> Format.printf "scheduled code matches the architectural interpreter@."
   | Error e -> Format.printf "MISMATCH: %s@." e);
   let input = match inputs with i :: _ -> i | [] -> Cpr_sim.Equiv.no_input in
-  let st = Cpr_sim.State.create () in
-  Cpr_sim.State.set_memory st input.Cpr_sim.Equiv.memory;
-  let out = Cpr_sim.Vliw.run ~state:st m compiled.P.Passes.prog in
+  let out = List.hd (Cpr_sim.Vliw.run m compiled.P.Passes.prog [ input ]) in
   Format.printf "executed %d cycles over %d region entries@."
     out.Cpr_sim.Vliw.cycles out.Cpr_sim.Vliw.region_entries;
   0

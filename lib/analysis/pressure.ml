@@ -7,7 +7,6 @@ type class_stat = {
   cls : Reg.cls;
   maxlive : int;
   maxlive_blind : int;
-  peak_at : int;
 }
 
 type t = {
@@ -71,25 +70,14 @@ let count_point ~cond live_per_class =
   (blind, pa)
 
 let finish ~n_points ~per_point ~per_point_blind =
+  let top = Array.fold_left max 0 in
   let stats =
     Array.mapi
       (fun k cls ->
-        let maxlive = ref 0 and maxlive_blind = ref 0 and peak = ref 0 in
-        Array.iteri
-          (fun p c ->
-            if c > !maxlive then begin
-              maxlive := c;
-              peak := p
-            end)
-          per_point.(k);
-        Array.iter
-          (fun c -> if c > !maxlive_blind then maxlive_blind := c)
-          per_point_blind.(k);
         {
           cls;
-          maxlive = !maxlive;
-          maxlive_blind = !maxlive_blind;
-          peak_at = !peak;
+          maxlive = top per_point.(k);
+          maxlive_blind = top per_point_blind.(k);
         })
       classes
   in
@@ -218,11 +206,6 @@ let sweep liveness (region : Region.t) =
   done;
   finish ~n_points:(n + 1) ~per_point ~per_point_blind
 
-let contribution t cls i =
-  let k = Reg.cls_rank cls in
-  if i + 1 >= t.n_points then 0
-  else t.per_point_blind.(k).(i + 1) - t.per_point_blind.(k).(i)
-
 (* ------------------------------------------------------------------ *)
 (* Exact per-cycle counts over a schedule                              *)
 
@@ -322,14 +305,3 @@ let of_schedule liveness (region : Region.t) ~(ops : Op.t array)
     Array.iteri (fun k v -> per_point.(k).(c) <- v) pa
   done;
   finish ~n_points:n_cycles ~per_point ~per_point_blind
-
-let pp ppf t =
-  Array.iter
-    (fun s ->
-      Format.fprintf ppf "%s maxlive %d (blind %d, peak at %d)@."
-        (match s.cls with
-        | Reg.Gpr -> "gpr"
-        | Reg.Pred -> "pred"
-        | Reg.Btr -> "btr")
-        s.maxlive s.maxlive_blind s.peak_at)
-    t.stats

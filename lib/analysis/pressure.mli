@@ -36,7 +36,6 @@ type class_stat = {
   cls : Reg.cls;
   maxlive : int;  (** predicate-aware maximum over points/cycles *)
   maxlive_blind : int;  (** without the disjointness refinement *)
-  peak_at : int;  (** point (sweep) or cycle ({!of_schedule}) of the peak *)
 }
 
 type t = {
@@ -61,10 +60,3 @@ val of_schedule :
 (** Exact per-cycle live counts for a schedule of the region given as
     program-ordered [ops] with per-op issue [cycle]s (the fields of
     [Cpr_sched.Schedule.t]). *)
-
-val contribution : t -> Reg.cls -> int -> int
-(** [contribution t cls i] (sweep results only): net change in the blind
-    live count of [cls] across op [i] — positive when the op lengthens
-    pressure, negative when its operands die. *)
-
-val pp : Format.formatter -> t -> unit

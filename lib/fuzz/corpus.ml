@@ -12,39 +12,22 @@ type entry = {
 
 let filename ~stage ~seed = Printf.sprintf "%s-seed%04d.cpr" stage seed
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
-let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
-
-(* The textual input format lives with the type it serializes; the
-   crash-bundle writer (Cpr_resilience.Bundle) shares it. *)
-let input_to_string = Cpr_sim.Equiv.input_to_string
-let input_of_string = Cpr_sim.Equiv.input_of_string
-
 let save ~dir (repro : Shrink.t) =
-  mkdir_p dir;
   let path =
     Filename.concat dir
       (filename ~stage:repro.Shrink.stage ~seed:repro.Shrink.seed)
   in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "# cpr-fuzz counterexample (regenerate with `dune exec bin/fuzz.exe`)\n";
-  Printf.fprintf oc "# seed: %d\n" repro.Shrink.seed;
-  Printf.fprintf oc "# stage: %s\n" repro.Shrink.stage;
-  Printf.fprintf oc "# reason: %s\n" (one_line repro.Shrink.reason);
-  Printf.fprintf oc "# shape: %s\n"
-    (Cpr_workloads.Gen.shape_to_string repro.Shrink.shape);
-  Printf.fprintf oc "# shrink-steps: %d\n" repro.Shrink.steps;
-  List.iter
-    (fun i -> Printf.fprintf oc "# input: %s\n" (input_to_string i))
-    repro.Shrink.inputs;
-  output_string oc (Printer.to_text repro.Shrink.prog);
-  close_out oc;
+  Cpr_resilience.Bundle.write_cpr path
+    ~title:"cpr-fuzz counterexample (regenerate with `dune exec bin/fuzz.exe`)"
+    ~fields:
+      [
+        ("seed", string_of_int repro.Shrink.seed);
+        ("stage", repro.Shrink.stage);
+        ("reason", repro.Shrink.reason);
+        ("shape", Cpr_workloads.Gen.shape_to_string repro.Shrink.shape);
+        ("shrink-steps", string_of_int repro.Shrink.steps);
+      ]
+    ~inputs:repro.Shrink.inputs repro.Shrink.prog;
   path
 
 let strip_prefix prefix line =
@@ -84,7 +67,7 @@ let load path =
         match strip_prefix "# input:" l with
         | None -> parse_inputs acc rest
         | Some v -> (
-          match input_of_string v with
+          match Cpr_sim.Equiv.input_of_string v with
           | input -> parse_inputs (input :: acc) rest
           | exception (Invalid_argument msg | Failure msg) ->
             error n "malformed input %S: %s" v msg))

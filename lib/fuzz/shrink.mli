@@ -32,10 +32,6 @@ type t = {
   steps : int;  (** accepted shrink steps *)
 }
 
-val of_failure : Driver.check -> Stage.t -> seed:int -> t
-(** The unshrunk reproducer (phase 0), for [--no-shrink] corpus output.
-    Raises [Invalid_argument] when the seed does not fail the stage. *)
-
 val minimize : Driver.check -> Stage.t -> seed:int -> t
 (** Shrink to a local minimum.  Raises [Invalid_argument] when the seed
     does not fail the stage. *)

@@ -29,11 +29,13 @@ let check_entry (e : Corpus.entry) =
       | [] -> Ok ()
       | f :: _ -> Error (Format.asprintf "%a" Cpr_verify.Finding.pp f)
     in
+    (* The transform is deterministic: each fault goes into a copy of
+       the one clean candidate rather than a fresh run of the stage. *)
+    let pristine = Printer.to_text candidate in
     let faults =
       List.map
         (fun fault ->
-          let cand = stage.Stage.apply e.Corpus.prog e.Corpus.inputs in
-          let pristine = Printer.to_text cand in
+          let cand = Prog.copy candidate in
           Fault.inject fault cand;
           if Printer.to_text cand = pristine then (fault, Inapplicable)
           else

@@ -1,13 +1,13 @@
 (** Static regression checking of corpus artifacts: the verifier as the
     only oracle, no simulation.
 
-    For each {!Corpus.entry} the transform is re-applied and
+    For each {!Corpus.entry} the transform is re-applied once and
     {!Cpr_verify.Verify.check_stage} run on the (correct) output — which
-    must be clean — and then once more per {!Fault.t} with the fault
-    injected — which must be caught.  Each fault models one historical
-    miscompile class (the bypass-without-compensation and
-    dropped-pred-init bugs of the first fuzzing campaign, the Set-3
-    sinking bug of icbm-seed1921), so a corpus sweep demonstrates that
+    must be clean — and then once more per {!Fault.t} on a copy of that
+    output with the fault injected — which must be caught.  Each fault
+    models one historical miscompile class (the
+    bypass-without-compensation and dropped-pred-init bugs of the first
+    fuzzing campaign, the Set-3 sinking bug of icbm-seed1921), so a corpus sweep demonstrates that
     the static verifier alone flags every known bug class on its own
     shrunk reproducer, with zero simulator-oracle invocations.  (The
     transform itself profiles its input as part of compilation; that is

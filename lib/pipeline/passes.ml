@@ -59,7 +59,8 @@ let interpret prog inputs f =
 let profile prog inputs = ignore (interpret prog inputs ignore : unit list)
 
 let profile_observed prog inputs =
-  interpret prog inputs (Cpr_sim.Equiv.observation_of prog)
+  interpret prog inputs (fun (out : Cpr_sim.Interp.outcome) ->
+      Cpr_sim.Equiv.observation_of prog out.exit_label out.state)
 
 (* Both compiled codes start from the same superblock formation — the
    paper's baseline is "optimized superblock code produced by the IMPACT

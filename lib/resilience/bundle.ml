@@ -1,5 +1,4 @@
 module Obs = Cpr_obs.Obs
-module Json = Cpr_obs.Json
 
 let default_dir = "_crash"
 let c_written = Obs.counter "bundle.written"
@@ -14,12 +13,23 @@ let rec mkdir_p dir =
 let one_line s = String.map (function '\n' | '\r' -> ' ' | c -> c) s
 
 let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+  Out_channel.with_open_text path (fun oc -> output_string oc contents)
 
-let write ?(dir = default_dir) ?(retries = 0) ?(findings = [])
-    ?(inputs = []) ~stage ~reason ~prog () =
+let write_cpr path ~title ~fields ~inputs prog =
+  mkdir_p (Filename.dirname path);
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "# %s\n" title;
+      List.iter
+        (fun (k, v) -> Printf.fprintf oc "# %s: %s\n" k (one_line v))
+        fields;
+      List.iter
+        (fun i ->
+          Printf.fprintf oc "# input: %s\n" (Cpr_sim.Equiv.input_to_string i))
+        inputs;
+      output_string oc (Cpr_ir.Printer.to_text prog))
+
+let write ?(dir = default_dir) ?(findings = []) ?(inputs = []) ~stage ~reason
+    ~prog () =
   match
     let text = Cpr_ir.Printer.to_text prog in
     let id =
@@ -29,40 +39,18 @@ let write ?(dir = default_dir) ?(retries = 0) ?(findings = [])
            0 12)
     in
     let bdir = Filename.concat dir id in
-    mkdir_p bdir;
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf
-      "# cpr crash bundle (replay with `lint --replay-bundle` or `fuzz \
-       --replay-bundle`)\n";
-    Buffer.add_string buf (Printf.sprintf "# stage: %s\n" stage);
-    Buffer.add_string buf (Printf.sprintf "# reason: %s\n" (one_line reason));
-    List.iter
-      (fun i ->
-        Buffer.add_string buf
-          (Printf.sprintf "# input: %s\n" (Cpr_sim.Equiv.input_to_string i)))
-      inputs;
-    Buffer.add_string buf text;
-    write_file (input_file bdir) (Buffer.contents buf);
-    let rendered_findings =
-      List.map (fun f -> Format.asprintf "%a" Cpr_verify.Finding.pp f) findings
-    in
-    let meta =
-      Json.(
-        Obj
-          ([
-             ("id", Str id);
-             ("stage", Str stage);
-             ("reason", Str (one_line reason));
-             ("retries", Num (float_of_int retries));
-             ("inputs", Num (float_of_int (List.length inputs)));
-             ("findings", Arr (List.map (fun f -> Str f) rendered_findings));
-           ]))
-    in
-    write_file (Filename.concat bdir "meta.json") (Json.to_string meta);
-    if rendered_findings <> [] then
+    write_cpr (input_file bdir)
+      ~title:
+        "cpr crash bundle (replay with `lint --replay-bundle` or `fuzz \
+         --replay-bundle`)"
+      ~fields:[ ("stage", stage); ("reason", reason) ]
+      ~inputs prog;
+    if findings <> [] then
       write_file
         (Filename.concat bdir "findings.txt")
-        (String.concat "\n" rendered_findings ^ "\n");
+        (String.concat "\n"
+           (List.map (Format.asprintf "%a" Cpr_verify.Finding.pp) findings)
+        ^ "\n");
     if Obs.enabled () then
       write_file (Filename.concat bdir "trace.json") (Obs.Trace.to_string ());
     Obs.incr c_written;

@@ -9,8 +9,6 @@
       input.cpr     input IR + "# stage:"/"# reason:"/"# input:" header
                     (the fuzz-corpus artifact format, so Cpr_fuzz.Corpus
                     loads it unchanged)
-      meta.json     structured failure record: stage, reason, retries,
-                    input count, findings
       findings.txt  pretty-printed verifier findings (when any)
       trace.json    Chrome-trace telemetry snapshot (when Cpr_obs is
                     enabled)
@@ -27,7 +25,6 @@ val default_dir : string
 
 val write :
   ?dir:string ->
-  ?retries:int ->
   ?findings:Cpr_verify.Finding.t list ->
   ?inputs:Cpr_sim.Equiv.input list ->
   stage:string ->
@@ -42,3 +39,17 @@ val write :
 
 val input_file : string -> string
 (** [input_file dir] is the [input.cpr] path inside a bundle dir. *)
+
+val write_cpr :
+  string ->
+  title:string ->
+  fields:(string * string) list ->
+  inputs:Cpr_sim.Equiv.input list ->
+  Cpr_ir.Prog.t ->
+  unit
+(** [write_cpr path ~title ~fields ~inputs prog] writes one [.cpr]
+    artifact, creating its directory if needed: a [# title] line, a
+    [# key: value] line per field (line breaks in the value become
+    spaces), a [# input:] line per input, then the program text.  The
+    one writer of the format [Cpr_fuzz.Corpus.load] reads, for crash
+    bundles and fuzz-corpus artifacts alike.  Raises [Sys_error]. *)

@@ -78,7 +78,7 @@ let protect ?on_failure ~stage ~fallback f =
 
 let bundle_to ?dir ?(inputs = []) prog fail =
   match
-    Bundle.write ?dir ~retries:fail.retries ~findings:fail.findings
+    Bundle.write ?dir ~findings:fail.findings
       ~inputs ~stage:fail.stage ~reason:fail.reason ~prog ()
   with
   | Ok path -> Some path

@@ -9,12 +9,14 @@ type input = {
 let no_input = { memory = []; gprs = []; preds = [] }
 let input_of_memory memory = { no_input with memory }
 
-let run_on ?profile prog input =
+let state_of input =
   let st = State.create () in
   State.set_memory st input.memory;
   List.iter (fun (r, v) -> State.write_gpr st r v) input.gprs;
   List.iter (fun (r, v) -> State.write_pred st r v) input.preds;
-  Interp.run ~state:st ?profile prog
+  st
+
+let run_on ?profile prog input = Interp.run ?profile prog (state_of input)
 
 type observation = {
   exit_label : string option;
@@ -33,10 +35,9 @@ let per_address trace =
   Hashtbl.fold (fun a vs acc -> (a, List.rev vs) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
-let observation_of prog (out : Interp.outcome) =
-  let st = out.Interp.state in
+let observation_of prog exit_label st =
   {
-    exit_label = out.Interp.exit_label;
+    exit_label;
     final_memory = State.memory_snapshot st;
     stores = per_address (State.store_trace st);
     live =
@@ -45,7 +46,9 @@ let observation_of prog (out : Interp.outcome) =
         prog.Prog.live_out;
   }
 
-let observe prog input = observation_of prog (run_on prog input)
+let observe prog input =
+  let out = run_on prog input in
+  observation_of prog out.Interp.exit_label out.Interp.state
 
 let diff reference candidate =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in

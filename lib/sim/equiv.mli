@@ -9,7 +9,8 @@ open Cpr_ir
     one cell), and agree on the program's declared live-out registers.
 
     A run is reduced to an {!observation} holding exactly those four
-    things, and {!diff} is the one comparison.  A caller that has
+    things, and {!diff} is the one comparison; the cycle-level executor
+    ({!Vliw.check_against_interp}) is judged by it too.  A caller that has
     already interpreted a program on the inputs (the pipeline's final
     profiling run does) keeps the observations and passes them to
     {!verdict} as [Observed], so the program is not interpreted again. *)
@@ -31,9 +32,13 @@ val input_of_string : string -> input
 (** Inverse of {!input_to_string}.  Raises [Invalid_argument] or
     [Failure] on malformed text. *)
 
+val state_of : input -> State.t
+(** A fresh state loaded with the input: the one loader, shared by the
+    interpreter and the cycle-level executor. *)
+
 val run_on : ?profile:bool -> Prog.t -> input -> Interp.outcome
-(** Interpret the program from a fresh state loaded with the input.
-    [profile] is passed to {!Interp.run}. *)
+(** Interpret the program on [state_of input].  [profile] is passed to
+    {!Interp.run}. *)
 
 (** {2 Observations} *)
 
@@ -48,12 +53,14 @@ type observation = {
 }
 (** What equivalence compares of one run.  Holds no interpreter state. *)
 
-val observation_of : Prog.t -> Interp.outcome -> observation
-(** The observation of a finished run of the given program. *)
+val observation_of : Prog.t -> string option -> State.t -> observation
+(** [observation_of prog exit_label state]: the observation of a
+    finished run of the given program, by the interpreter or the
+    cycle-level executor, that reached [exit_label] and left [state]. *)
 
 val observe : Prog.t -> input -> observation
-(** [observation_of prog (run_on prog input)]: raises
-    {!Interp.Stuck} like the interpreter. *)
+(** The observation of [run_on prog input]: raises {!Interp.Stuck} like
+    the interpreter. *)
 
 val diff : observation -> observation -> (unit, string) result
 (** [diff reference candidate]: [Ok] when they agree, else the first

@@ -13,9 +13,11 @@ open Cpr_ir
       executor treats it as a fatal error);
     - region boundaries synchronize pending writes.
 
+    What an operation computes is {!Interp.issue}'s, the same code the
+    interpreter runs; this module adds only the schedule and the timing.
     Running the scheduled program and comparing with the architectural
-    interpreter validates the entire scheduling model: dependence graph,
-    latencies, speculation and branch rules. *)
+    interpreter therefore validates the scheduling model alone:
+    dependence graph, latencies, speculation and branch rules. *)
 
 type outcome = {
   state : State.t;
@@ -26,12 +28,20 @@ type outcome = {
 
 exception Vliw_error of string
 
-val run : ?state:State.t -> Cpr_machine.Descr.t -> Prog.t -> outcome
-(** Schedules every region with {!Cpr_sched.List_sched} and executes the
-    schedules cycle by cycle from the program entry.  Raises
-    {!Vliw_error} past 10,000,000 cycles. *)
+val run : Cpr_machine.Descr.t -> Prog.t -> Equiv.input list -> outcome list
+(** Schedules every region once with {!Cpr_sched.List_sched}, then
+    executes the schedules cycle by cycle from the program entry on
+    {!Equiv.state_of} of each input, one outcome per input.  Raises
+    {!Vliw_error} past 10,000,000 cycles in one run, and with the
+    interpreter's message where {!Interp.issue} raises
+    {!Interp.Stuck}. *)
 
 val check_against_interp :
   Cpr_machine.Descr.t -> Prog.t -> Equiv.input list -> (unit, string) result
-(** Execute both the interpreter and the scheduled code on each input and
-    compare exit labels, final memories and per-address store sequences. *)
+(** For each input in turn, {!Equiv.observe} the interpreter, execute
+    the scheduled code, and compare the two with {!Equiv.diff}: exit
+    label, final memory, per-address store sequences and live-out
+    registers.  Stops at the first difference, or at a {!Vliw_error}
+    (["vliw error: ..."]); a stuck reference raises {!Interp.Stuck}.
+    The program is scheduled once, after the reference has run on the
+    first input. *)

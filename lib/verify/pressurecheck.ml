@@ -8,7 +8,6 @@ type row = {
   cls : Reg.cls;
   sweep_maxlive : int;
   sched_maxlive : int;
-  maxlive_blind : int;
   file_size : int;
   margin : int;
 }
@@ -38,8 +37,6 @@ let region_rows machine prog live (r : Region.t) =
         cls;
         sweep_maxlive;
         sched_maxlive;
-        maxlive_blind =
-          max (Pressure.maxlive_blind sw cls) (Pressure.maxlive_blind sc cls);
         file_size;
         margin = file_size - max sweep_maxlive sched_maxlive;
       })

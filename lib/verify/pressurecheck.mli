@@ -24,7 +24,6 @@ type row = {
   cls : Reg.cls;
   sweep_maxlive : int;  (** predicate-aware, unscheduled program points *)
   sched_maxlive : int;  (** predicate-aware, per schedule cycle *)
-  maxlive_blind : int;  (** without disjoint-guard sharing (worst of both) *)
   file_size : int;
   margin : int;  (** [file_size - max sweep_maxlive sched_maxlive] *)
 }

@@ -65,15 +65,16 @@ let step_budget () =
   in
   let prog = B.prog ctx ~entry:"Spin" [ region ] in
   checkb "infinite loop hits the budget" true
-    (match Sim.Interp.run ~max_steps:1000 prog with
+    (match Sim.Interp.run ~max_steps:1000 prog (Sim.State.create ()) with
     | exception Sim.Interp.Stuck _ -> true
     | _ -> false)
 
 let profile_recording () =
   let prog = W.Strcpy.build ~unroll:4 () in
-  let st = Sim.State.create () in
-  Sim.State.set_memory st (W.Strcpy.string_input (List.init 20 (fun _ -> 3))).Sim.Equiv.memory;
-  let (_ : Sim.Interp.outcome) = Sim.Interp.run ~state:st ~profile:true prog in
+  let (_ : Sim.Interp.outcome) =
+    Sim.Equiv.run_on ~profile:true prog
+      (W.Strcpy.string_input (List.init 20 (fun _ -> 3)))
+  in
   let loop = Prog.find_exn prog "Loop" in
   checki "loop entered 5 times (20 elts / unroll 4)" 5 loop.Region.entry_count;
   let back = List.nth (Region.branches loop) 3 in

@@ -169,6 +169,14 @@ let disjoint_guards_share_slots () =
   checkb "scheduled refined covers per-path demand" true
     (Pr.maxlive sched Reg.Gpr >= k)
 
+(* Net change in the blind live count of [cls] across op [i] of a sweep:
+   positive when the op lengthens pressure, negative when its operands
+   die. *)
+let contribution (t : Pr.t) cls i =
+  let k = Reg.cls_rank cls in
+  if i + 1 >= t.Pr.n_points then 0
+  else t.Pr.per_point_blind.(k).(i + 1) - t.Pr.per_point_blind.(k).(i)
+
 (* Sweep contributions: a def raises the blind count, the last use
    lowers it, and they telescope back to zero live registers across a
    straight-line region with no live-outs. *)
@@ -188,7 +196,7 @@ let contributions_telescope () =
   let t = Pr.sweep live r in
   let total = ref 0 in
   for i = 0 to List.length r.Region.ops - 1 do
-    total := !total + Pr.contribution t Reg.Gpr i
+    total := !total + contribution t Reg.Gpr i
   done;
   (* a and b die at the add; c is dead (no live-out), so the defs' +1s
      and the uses' -2 cancel to c's lone +1 - 1 = 0... c is never used,

@@ -106,7 +106,7 @@ let bundle_roundtrip () =
   let prog, inputs = profiled_strcpy () in
   let dir = fresh_dir "cpr-bundle" in
   match
-    Bundle.write ~dir ~retries:1 ~inputs ~stage:"icbm"
+    Bundle.write ~dir ~inputs ~stage:"icbm"
       ~reason:"unit-test reason" ~prog ()
   with
   | Error msg -> Alcotest.failf "bundle write failed: %s" msg
@@ -127,7 +127,7 @@ let bundle_roundtrip () =
         (Cpr_ir.Printer.to_text entry.F.Corpus.prog);
       (* Same failure -> same content digest -> same directory. *)
       (match
-         Bundle.write ~dir ~retries:1 ~inputs ~stage:"icbm"
+         Bundle.write ~dir ~inputs ~stage:"icbm"
            ~reason:"unit-test reason" ~prog ()
        with
       | Ok bdir2 -> check Alcotest.string "idempotent id" bdir bdir2
@@ -149,8 +149,6 @@ let bundle_via_protected () =
     | None -> Alcotest.fail "degraded run must quarantine a bundle"
     | Some bdir ->
       checkb "bundle dir exists" true (Sys.file_exists bdir);
-      checkb "meta.json written" true
-        (Sys.file_exists (Filename.concat bdir "meta.json"));
       (match F.Corpus.load (Bundle.input_file bdir) with
       | Ok entry ->
         check Alcotest.string "bundle replays at the failing stage" "icbm"

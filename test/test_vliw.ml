@@ -46,11 +46,7 @@ let latency_visibility () =
 let cycle_counts_scale_with_machine () =
   let prog, inputs = profiled_strcpy () in
   let input = List.nth inputs (List.length inputs - 1) in
-  let cycles m =
-    let st = Sim.State.create () in
-    Sim.State.set_memory st input.Sim.Equiv.memory;
-    (Sim.Vliw.run ~state:st m prog).Sim.Vliw.cycles
-  in
+  let cycles m = (List.hd (Sim.Vliw.run m prog [ input ])).Sim.Vliw.cycles in
   let seq = cycles M.sequential and wide = cycles M.wide in
   checkb "wide at least 2x faster than sequential on strcpy" true
     (wide * 2 <= seq)
@@ -58,13 +54,30 @@ let cycle_counts_scale_with_machine () =
 (* Cycles the executor spends on [prog], summed over [inputs]. *)
 let executed_cycles m prog inputs =
   List.fold_left
-    (fun acc (input : Sim.Equiv.input) ->
-      let st = Sim.State.create () in
-      Sim.State.set_memory st input.Sim.Equiv.memory;
-      List.iter (fun (r, v) -> Sim.State.write_gpr st r v) input.Sim.Equiv.gprs;
-      List.iter (fun (r, v) -> Sim.State.write_pred st r v) input.Sim.Equiv.preds;
-      acc + (Sim.Vliw.run ~state:st m prog).Sim.Vliw.cycles)
-    0 inputs
+    (fun acc (o : Sim.Vliw.outcome) -> acc + o.Sim.Vliw.cycles)
+    0
+    (Sim.Vliw.run m prog inputs)
+
+(* One issue table serves every input of a run: executing [a; b]
+   together gives what executing each alone gives, so nothing of one
+   input's run leaks into the next. *)
+let shared_table_is_stateless () =
+  let summary (o : Sim.Vliw.outcome) =
+    (o.Sim.Vliw.cycles, o.Sim.Vliw.exit_label,
+     Sim.State.memory_snapshot o.Sim.Vliw.state)
+  in
+  let prog, inputs = profiled_strcpy () in
+  let a = List.hd inputs and b = List.nth inputs (List.length inputs - 1) in
+  List.iter
+    (fun m ->
+      let together = List.map summary (Sim.Vliw.run m prog [ a; b ]) in
+      let apart =
+        List.map summary (Sim.Vliw.run m prog [ a ] @ Sim.Vliw.run m prog [ b ])
+      in
+      checkb (m.M.name ^ ": [a; b] = [a] @ [b]") true (together = apart);
+      checkb (m.M.name ^ ": the two inputs differ") true
+        (List.nth together 0 <> List.nth together 1))
+    M.all
 
 let exit_aware_estimator_matches_vliw () =
   (* the exit-aware estimator over a profile equals the VLIW executor's
@@ -133,6 +146,7 @@ let suite =
       case "latency visibility" latency_visibility;
       case "cycles scale with machine" cycle_counts_scale_with_machine;
       case "exit-aware estimator = executed cycles" exit_aware_estimator_matches_vliw;
+      case "one issue table, independent inputs" shared_table_is_stateless;
       QCheck_alcotest.to_alcotest prop_vliw_matches_interp;
       QCheck_alcotest.to_alcotest prop_vliw_matches_after_cpr;
     ] )

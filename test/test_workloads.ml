@@ -79,10 +79,8 @@ let stream_bias_controls_exits () =
   let run p =
     Prog.clear_profile prog;
     let input = W.Kernels.stream_input ~spec ~len:400 ~exit_probability:p ~seed:5 in
-    let st = Cpr_sim.State.create () in
-    Cpr_sim.State.set_memory st input.Cpr_sim.Equiv.memory;
     let (_ : Cpr_sim.Interp.outcome) =
-      Cpr_sim.Interp.run ~state:st ~profile:true prog
+      Cpr_sim.Equiv.run_on ~profile:true prog input
     in
     (Prog.find_exn prog "Loop").Region.entry_count
   in
