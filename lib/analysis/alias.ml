@@ -28,37 +28,28 @@ let root = function
   | Entry_base r | Segment (r, _) -> Some r
   | Const_base | Opaque _ -> None
 
-(* Ascending def-site indices per register, computed in one pass so that
-   [chase] resolves "last def of [r] before [idx]" by walking a small
-   per-register array instead of rescanning the whole op prefix (which
-   made address resolution O(ops^2) per region).  Registers index the
-   slot array arithmetically ({!Reg.slot}, with [stride] bounding every
-   per-class id in the region), so no hashing. *)
-type sites = {
-  stride : int;
-  defs : int array array;  (* slot -> ascending def op indices *)
-}
-
+(* Def-site indices per register, descending, computed in one pass so
+   that [chase] resolves "last def of [r] before [idx]" by walking a
+   short per-register list instead of rescanning the whole op prefix
+   (which made address resolution O(ops^2) per region).  The table holds
+   only the registers the region defines. *)
 let def_sites ops =
-  let stride = Array.fold_left Op.reg_bound 1 ops in
-  let rev = Array.make (3 * stride) [] in
+  let sites : int list Reg.Tbl.t = Reg.Tbl.create 32 in
   Array.iteri
     (fun k op ->
       List.iter
         (fun d ->
-          let ix = Reg.slot ~stride d in
-          rev.(ix) <- k :: rev.(ix))
+          Reg.Tbl.replace sites d
+            (k :: Option.value ~default:[] (Reg.Tbl.find_opt sites d)))
         (Op.defs op))
     ops;
-  { stride; defs = Array.map (fun l -> Array.of_list (List.rev l)) rev }
+  sites
 
 (* Index of the last def of [r] strictly before [idx]. *)
 let last_def sites (r : Reg.t) idx =
-  let a = sites.defs.(Reg.slot ~stride:sites.stride r) in
-  let rec go i =
-    if i < 0 then None else if a.(i) < idx then Some a.(i) else go (i - 1)
-  in
-  go (Array.length a - 1)
+  match Reg.Tbl.find_opt sites r with
+  | None -> None
+  | Some l -> List.find_opt (fun k -> k < idx) l
 
 let rec chase ops sites r idx fuel =
   if fuel = 0 then None

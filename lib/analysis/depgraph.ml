@@ -64,16 +64,15 @@ let ev_push b ev =
    events per register in ascending op-index order and, within one op,
    in evaluation order (uses first).  Replaces the old per-register
    rescan of every op, which made register edge construction
-   O(ops x registers).  Registers index the slot array arithmetically
-   ({!Reg.slot}), so the pass does no hashing and ascending slot order is
-   exactly [Reg.compare] order. *)
-let access_events stride ops =
-  let events : evbuf option array = Array.make (3 * stride) None in
+   O(ops x registers).  The table holds only the registers the region
+   touches, so its size — and the work of walking it — follows the
+   region, not the program-global register ids. *)
+let access_events ops =
+  let events : evbuf Reg.Tbl.t = Reg.Tbl.create 32 in
   let push (r : Reg.t) ev =
-    let ix = Reg.slot ~stride r in
-    match events.(ix) with
+    match Reg.Tbl.find_opt events r with
     | Some b -> ev_push b ev
-    | None -> events.(ix) <- Some { buf = Array.make 4 ev; len = 1 }
+    | None -> Reg.Tbl.add events r { buf = Array.make 4 ev; len = 1 }
   in
   Array.iteri
     (fun i (op : Op.t) ->
@@ -154,15 +153,11 @@ let build machine (prog : Prog.t) liveness (region : Region.t) =
     done
   in
   (* Visit registers in ascending [Reg.compare] order — the same order
-     [Reg.Set.iter] used to produce — so edge order is unchanged; with
-     arithmetic indexing that is simply ascending slot order. *)
-  let stride = Array.fold_left Op.reg_bound 1 ops in
-  let events = access_events stride ops in
-  for ix = 0 to Array.length events - 1 do
-    match events.(ix) with
-    | Some ev -> reg_edges (Reg.of_slot ~stride ix) ev
-    | None -> ()
-  done;
+     [Reg.Set.iter] used to produce — so edge order is unchanged. *)
+  let events = access_events ops in
+  Reg.Tbl.fold (fun r _ acc -> r :: acc) events []
+  |> List.sort Reg.compare
+  |> List.iter (fun r -> reg_edges r (Reg.Tbl.find events r));
 
   (* Memory dependences. *)
   let alias = Alias.analyze prog region in

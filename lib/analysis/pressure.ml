@@ -36,35 +36,38 @@ let written env defs r u =
 (* Greedy slot packing: registers whose occupancy conditions are pairwise
    disjoint share one physical slot (Johnson & Schlansker-style
    predicate-cognizant counting).  A register joins the first slot whose
-   accumulated condition it is provably disjoint from; a [tru] condition
-   can never share, so it skips the queries entirely. *)
+   accumulated condition it is provably disjoint from. *)
 let place slots c =
-  if Pqs.is_const_true c then c :: slots
-  else
-    let rec go = function
-      | [] -> [ c ]
-      | s :: rest ->
-        Obs.incr c_queries;
-        if Pqs.disjoint s c then Pqs.or_ s c :: rest else s :: go rest
-    in
-    go slots
+  let rec go = function
+    | [] -> [ c ]
+    | s :: rest ->
+      Obs.incr c_queries;
+      if Pqs.disjoint s c then Pqs.or_ s c :: rest else s :: go rest
+  in
+  go slots
 
-(* Count one program point / cycle: [live] is the blind live list per
-   class rank; [cond] gives each register's occupancy condition. *)
-let count_point ~cond live_per_class =
+(* Count one program point / cycle: [live_per_class] holds, per class
+   rank, the occupancy condition of each live register in ascending
+   [Reg.compare] order.  A [fls] register needs no slot.  A [tru]
+   register takes a slot of its own that nothing can join later
+   ([disjoint tru c] holds only for [c = fls]), and it cannot join an
+   earlier slot either; so the packed count is the number of [tru]
+   registers plus the packing of the rest, and [tru] ones are counted
+   without a query. *)
+let count_point live_per_class =
   let blind = Array.map List.length live_per_class in
   let pa =
     Array.map
-      (fun regs ->
-        let slots =
+      (fun conds ->
+        let n_tru, slots =
           List.fold_left
-            (fun slots r ->
-              let c = cond r in
-              if Pqs.is_const_false c then slots else place slots c)
-            []
-            (List.sort Reg.compare regs)
+            (fun (n_tru, slots) c ->
+              if Pqs.is_const_false c then (n_tru, slots)
+              else if Pqs.is_const_true c then (n_tru + 1, slots)
+              else (n_tru, place slots c))
+            (0, []) conds
         in
-        List.length slots)
+        n_tru + List.length slots)
       live_per_class
   in
   (blind, pa)
@@ -83,13 +86,15 @@ let finish ~n_points ~per_point ~per_point_blind =
   in
   { n_points; per_point; per_point_blind; stats }
 
-let by_class set =
+(* Per class rank, the conditions of [set]'s registers in ascending
+   [Reg.compare] order. *)
+let by_class ~cond set =
   let per = Array.make 3 [] in
-  Reg.Set.iter
+  Seq.iter
     (fun (r : Reg.t) ->
       let k = Reg.cls_rank r.Reg.cls in
-      per.(k) <- r :: per.(k))
-    set;
+      per.(k) <- cond r :: per.(k))
+    (Reg.Set.to_rev_seq set);
   per
 
 (* Does a register's region-entry value matter?  The blind liveness
@@ -199,7 +204,7 @@ let sweep liveness (region : Region.t) =
   let per_point = Array.init 3 (fun _ -> Array.make (n + 1) 0) in
   let per_point_blind = Array.init 3 (fun _ -> Array.make (n + 1) 0) in
   for i = 0 to n do
-    let blind, pa = count_point ~cond:get_cond (by_class live.(i)) in
+    let blind, pa = count_point (by_class ~cond:get_cond live.(i)) in
     Array.iteri (fun k c -> per_point_blind.(k).(i) <- c) blind;
     Array.iteri (fun k c -> per_point.(k).(i) <- c) pa;
     if i < n then record i
@@ -254,12 +259,14 @@ let of_schedule liveness (region : Region.t) ~(ops : Op.t array)
         (fun acc k -> if k < u then max acc cycle.(k) else acc)
         0 l
   in
-  (* Collect occupancy intervals (lo, hi, cond) per register. *)
-  let ivals : (Reg.t * (int * int * Pqs.t Lazy.t)) list ref = ref [] in
+  (* Occupancy intervals per register: [(lo, hi, u)] for a demand at op
+     [u] (or [n], the fall-through). *)
+  let ivals = Reg.Tbl.create 16 in
   let add_demand r ~end_cycle ~u =
     let lo = start_of r u in
-    let lo, hi = (min lo end_cycle, max lo end_cycle) in
-    ivals := (r, (lo, hi, lazy (cond_at r u))) :: !ivals
+    let iv = (min lo end_cycle, max lo end_cycle, u) in
+    Reg.Tbl.replace ivals r
+      (iv :: Option.value ~default:[] (Reg.Tbl.find_opt ivals r))
   in
   Array.iteri
     (fun i op ->
@@ -273,35 +280,49 @@ let of_schedule liveness (region : Region.t) ~(ops : Op.t array)
     (fun r -> add_demand r ~end_cycle:(max 0 (length - 1)) ~u:n)
     live_out;
   let n_cycles = max length 0 in
+  (* Each cycle's live registers, as per-class condition lists in
+     ascending [Reg.compare] order: registers are visited in descending
+     order and prepended.  Each register is walked over its own
+     [min lo, max hi] span only, so the work is the sum of the interval
+     lengths, not cycles x registers. *)
+  let live = Array.init n_cycles (fun _ -> Array.make 3 []) in
+  let walk (r : Reg.t) ivs =
+    let lo0 = List.fold_left (fun m (lo, _, _) -> min m lo) max_int ivs in
+    let hi0 =
+      min (n_cycles - 1) (List.fold_left (fun m (_, hi, _) -> max m hi) 0 ivs)
+    in
+    if lo0 <= hi0 then begin
+      let conds = Array.make (hi0 - lo0 + 1) None in
+      List.iter
+        (fun (lo, hi, u) ->
+          if lo <= hi0 then begin
+            let c = cond_at r u in
+            for cy = lo to min hi hi0 do
+              conds.(cy - lo0) <-
+                Some
+                  (match conds.(cy - lo0) with
+                  | None -> c
+                  | Some acc -> Pqs.or_ acc c)
+            done
+          end)
+        ivs;
+      let k = Reg.cls_rank r.Reg.cls in
+      Array.iteri
+        (fun i -> function
+          | Some c -> live.(lo0 + i).(k) <- c :: live.(lo0 + i).(k)
+          | None -> ())
+        conds
+    end
+  in
+  Reg.Tbl.fold (fun r ivs acc -> (r, ivs) :: acc) ivals []
+  |> List.sort (fun (a, _) (b, _) -> Reg.compare b a)
+  |> List.iter (fun (r, ivs) -> walk r ivs);
   let per_point = Array.init 3 (fun _ -> Array.make n_cycles 0) in
   let per_point_blind = Array.init 3 (fun _ -> Array.make n_cycles 0) in
-  (* Group intervals per register once, then count each cycle. *)
-  let by_reg = Reg.Tbl.create 16 in
-  List.iter
-    (fun (r, iv) ->
-      Reg.Tbl.replace by_reg r
-        (iv :: (Option.value ~default:[] (Reg.Tbl.find_opt by_reg r))))
-    !ivals;
-  for c = 0 to n_cycles - 1 do
-    let live_per_class = Array.make 3 [] in
-    let conds = Reg.Tbl.create 16 in
-    Reg.Tbl.iter
-      (fun r ivs ->
-        let covering = List.filter (fun (lo, hi, _) -> lo <= c && c <= hi) ivs in
-        if covering <> [] then begin
-          let k = Reg.cls_rank r.Reg.cls in
-          live_per_class.(k) <- r :: live_per_class.(k);
-          Reg.Tbl.replace conds r
-            (List.fold_left
-               (fun acc (_, _, cond) -> Pqs.or_ acc (Lazy.force cond))
-               Pqs.fls covering)
-        end)
-      by_reg;
-    let cond r =
-      match Reg.Tbl.find_opt conds r with Some c -> c | None -> Pqs.tru
-    in
-    let blind, pa = count_point ~cond live_per_class in
-    Array.iteri (fun k v -> per_point_blind.(k).(c) <- v) blind;
-    Array.iteri (fun k v -> per_point.(k).(c) <- v) pa
-  done;
+  Array.iteri
+    (fun c live_per_class ->
+      let blind, pa = count_point live_per_class in
+      Array.iteri (fun k v -> per_point_blind.(k).(c) <- v) blind;
+      Array.iteri (fun k v -> per_point.(k).(c) <- v) pa)
+    live;
   finish ~n_points:n_cycles ~per_point ~per_point_blind

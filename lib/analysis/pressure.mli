@@ -59,4 +59,6 @@ val of_schedule :
   -> t
 (** Exact per-cycle live counts for a schedule of the region given as
     program-ordered [ops] with per-op issue [cycle]s (the fields of
-    [Cpr_sched.Schedule.t]). *)
+    [Cpr_sched.Schedule.t]).  Each register is visited only over the
+    cycles its occupancy intervals span, so the work is the sum of the
+    interval lengths. *)

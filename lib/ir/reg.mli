@@ -31,7 +31,9 @@ val slot : stride:int -> t -> int
     registers whose ids are below [stride] ({!Op.reg_bound} computes
     one), [3 * stride] slots in all.  Ascending slots enumerate in
     exactly {!compare} order, so analyses index arrays and bitsets with
-    it instead of hashing. *)
+    it instead of hashing.  Ids are program-global, so [stride] is sized
+    by the program: use it in whole-program analyses, which pay it once
+    per program, and key per-region tables by {!Tbl} instead. *)
 
 val of_slot : stride:int -> int -> t
 (** The register at a {!slot}. *)

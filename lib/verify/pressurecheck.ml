@@ -19,14 +19,16 @@ let cls_name = function
 
 let classes = [ Reg.Gpr; Reg.Pred; Reg.Btr ]
 
+(* The per-cycle counts over the region's list schedule. *)
+let scheduled machine prog live (r : Region.t) =
+  let sched = List_sched.schedule machine prog live r in
+  Pressure.of_schedule live r ~ops:sched.Cpr_sched.Schedule.ops
+    ~cycle:sched.Cpr_sched.Schedule.cycle
+    ~length:sched.Cpr_sched.Schedule.length
+
 let region_rows machine prog live (r : Region.t) =
   let sw = Pressure.sweep live r in
-  let sched = List_sched.schedule machine prog live r in
-  let sc =
-    Pressure.of_schedule live r ~ops:sched.Cpr_sched.Schedule.ops
-      ~cycle:sched.Cpr_sched.Schedule.cycle
-      ~length:sched.Cpr_sched.Schedule.length
-  in
+  let sc = scheduled machine prog live r in
   List.map
     (fun cls ->
       let sweep_maxlive = Pressure.maxlive sw cls in
@@ -46,18 +48,18 @@ let rows ?(machine = Descr.medium) prog =
   List.concat (Sweep.map_regions prog ~f:(region_rows machine prog))
 
 (* Program-level figure per class: the worst region's scheduled
-   (allocator-visible) predicate-aware MAXLIVE. *)
-let worst_per_class rs =
+   (allocator-visible) predicate-aware MAXLIVE, read from each item by
+   [maxlive item cls]. *)
+let worst_per_class maxlive items =
   List.map
     (fun cls ->
-      ( cls,
-        List.fold_left
-          (fun acc row -> if row.cls = cls then max acc row.sched_maxlive else acc)
-          0 rs ))
+      (cls, List.fold_left (fun acc x -> max acc (maxlive x cls)) 0 items))
     classes
 
+(* Only the scheduled count: the unscheduled sweep is for the lint rows. *)
 let summary ?(machine = Descr.medium) prog =
-  worst_per_class (rows ~machine prog)
+  worst_per_class Pressure.maxlive
+    (Sweep.map_regions prog ~f:(scheduled machine prog))
 
 let check ?(machine = Descr.medium) ?(growth_factor = 1.5) ?baseline ~stats
     prog =
@@ -101,5 +103,7 @@ let check ?(machine = Descr.medium) ?(growth_factor = 1.5) ?baseline ~stats
                   height"
                  (cls_name cls) b cur growth_factor)
             :: !findings)
-      (worst_per_class rs));
+      (worst_per_class
+         (fun row cls -> if row.cls = cls then row.sched_maxlive else 0)
+         rs));
   (rs, List.rev !findings)

@@ -182,6 +182,97 @@ let priority_is_path_to_sink () =
         (a.(i) + p.(i) <= D.height g))
     p
 
+(* Register ids are program-global, so a region late in a large program
+   mentions large ids.  Renumbering every register to id + 2^20 must
+   change nothing but the names: the same edges in the same order, the
+   same alias verdicts, the same schedule — and the per-region tables
+   must stay region-sized, so building the graph allocates about as much
+   as for the original. *)
+let big = 1 lsl 20
+let shift_reg (r : Reg.t) = { r with Reg.id = r.Reg.id + big }
+
+let shift_op (op : Op.t) =
+  {
+    op with
+    Op.dests = List.map shift_reg op.Op.dests;
+    srcs =
+      List.map
+        (function Op.Reg r -> Op.Reg (shift_reg r) | o -> o)
+        op.Op.srcs;
+    guard = (match op.Op.guard with Op.If p -> Op.If (shift_reg p) | g -> g);
+  }
+
+let shift_prog prog =
+  let p = Prog.copy prog in
+  List.iter
+    (fun (r : Region.t) -> r.Region.ops <- List.map shift_op r.Region.ops)
+    (Prog.regions p);
+  p.Prog.live_out <- List.map shift_reg p.Prog.live_out;
+  p.Prog.noalias_bases <- List.map shift_reg p.Prog.noalias_bases;
+  Prog.sync_generators p;
+  p
+
+let shift_kind = function
+  | D.Flow r -> D.Flow (shift_reg r)
+  | D.Anti r -> D.Anti (shift_reg r)
+  | D.Output r -> D.Output (shift_reg r)
+  | D.Exit_live r -> D.Exit_live (shift_reg r)
+  | k -> k
+
+let edge_list ?(rename = fun k -> k) g =
+  List.map
+    (fun (e : D.edge) -> (e.D.src, e.D.dst, rename e.D.kind, e.D.latency))
+    (D.edges g)
+
+let allocated f =
+  let before = Gc.allocated_bytes () in
+  ignore (Sys.opaque_identity (f ()));
+  Gc.allocated_bytes () -. before
+
+let large_ids_change_nothing () =
+  let machine = Cpr_machine.Descr.medium in
+  let prog, inputs = profiled_strcpy () in
+  let reduced = (Cpr_pipeline.Passes.height_reduce prog inputs).prog in
+  List.iter
+    (fun prog ->
+      let big_prog = shift_prog prog in
+      let live = A.Liveness.analyze prog in
+      let big_live = A.Liveness.analyze big_prog in
+      List.iter2
+        (fun (r : Region.t) (br : Region.t) ->
+          let where = r.Region.label in
+          let g = D.build machine prog live r in
+          let bg = D.build machine big_prog big_live br in
+          checkb (where ^ ": same edges in the same order") true
+            (edge_list ~rename:shift_kind g = edge_list bg);
+          let al = A.Alias.analyze prog r in
+          let bal = A.Alias.analyze big_prog br in
+          let n = D.n_ops g in
+          for i = 0 to n - 1 do
+            for j = 0 to n - 1 do
+              checkb
+                (Printf.sprintf "%s: alias verdict %d/%d" where i j)
+                (A.Alias.independent al i j)
+                (A.Alias.independent bal i j)
+            done
+          done;
+          let s = Cpr_sched.List_sched.schedule machine prog live r in
+          let bs = Cpr_sched.List_sched.schedule machine big_prog big_live br in
+          check Alcotest.(array int) (where ^ ": same schedule")
+            s.Cpr_sched.Schedule.cycle bs.Cpr_sched.Schedule.cycle;
+          (* Both builds run once above, so the predicate engine is warm
+             for each and the figures compare the graph construction. *)
+          let base = allocated (fun () -> D.build machine prog live r) in
+          let shifted =
+            allocated (fun () -> D.build machine big_prog big_live br)
+          in
+          if shifted > 2. *. base then
+            Alcotest.failf
+              "%s: renumbered build allocated %.0f bytes, original %.0f" where
+              shifted base)
+        (Prog.regions prog) (Prog.regions big_prog))
+    [ prog; reduced ]
+
 let suite =
   ( "depgraph",
     [
@@ -192,4 +283,5 @@ let suite =
       case "disjoint guards relax memory" disjoint_guards_relax_memory;
       case "latencies in asap" latencies_in_asap;
       case "priority bounded" priority_is_path_to_sink;
+      case "large register ids change nothing" large_ids_change_nothing;
     ] )

@@ -104,6 +104,56 @@ let workloads_sound () =
     W.Registry.all
 
 (* ------------------------------------------------------------------ *)
+(* The span walk against the per-cycle rescan it replaced.             *)
+(* ------------------------------------------------------------------ *)
+
+(* Every region of [prog] scheduled on every machine: [Pr.of_schedule]
+   and {!Pressure_reference.of_schedule} give the same per-cycle counts,
+   blind and refined, and the same statistics. *)
+let matches_reference where prog =
+  let live = A.Liveness.analyze prog in
+  List.iter
+    (fun (m : Descr.t) ->
+      List.iter
+        (fun (r : Region.t) ->
+          let s = Cpr_sched.List_sched.schedule m prog live r in
+          let ops = s.Cpr_sched.Schedule.ops
+          and cycle = s.Cpr_sched.Schedule.cycle
+          and length = s.Cpr_sched.Schedule.length in
+          let got = Pr.of_schedule live r ~ops ~cycle ~length in
+          let want =
+            Pressure_reference.of_schedule live r ~ops ~cycle ~length
+          in
+          if
+            got.Pr.per_point <> want.Pr.per_point
+            || got.Pr.per_point_blind <> want.Pr.per_point_blind
+            || got.Pr.stats <> want.Pr.stats
+          then
+            Alcotest.failf "%s/%s on %s: of_schedule differs from the reference"
+              where r.Region.label m.Descr.name)
+        (Prog.regions prog))
+    Descr.all
+
+let reference_on_workloads () =
+  List.iter
+    (fun (w : W.Workload.t) ->
+      let prog = w.W.Workload.build () in
+      let inputs = w.W.Workload.inputs () in
+      List.iter
+        (fun (stage : P.Passes.stage) ->
+          let c = P.Passes.run ~verify:false stage prog inputs in
+          matches_reference
+            (w.W.Workload.name ^ "/" ^ stage.P.Passes.name)
+            c.P.Passes.prog)
+        P.Passes.stages)
+    W.Registry.all
+
+let reference_on_fuzz () =
+  for seed = 0 to 499 do
+    matches_reference (Printf.sprintf "seed %d" seed) (W.Gen.prog_of_seed seed)
+  done
+
+(* ------------------------------------------------------------------ *)
 (* The refinement: complementary cmpp guards share a slot.             *)
 (* ------------------------------------------------------------------ *)
 
@@ -280,6 +330,9 @@ let suite =
       QCheck_alcotest.to_alcotest prop_pressure_sound;
       QCheck_alcotest.to_alcotest prop_pressure_sound_transformed;
       case "all workloads consistent on all machines" workloads_sound;
+      case "of_schedule = reference on every workload stage"
+        reference_on_workloads;
+      case "of_schedule = reference on 500 fuzz programs" reference_on_fuzz;
       case "complementary cmpp guards share register slots"
         disjoint_guards_share_slots;
       case "sweep contributions telescope" contributions_telescope;
