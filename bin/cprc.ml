@@ -121,13 +121,21 @@ let vliw_cmd spec machine cpr =
     else P.Passes.baseline prog inputs
   in
   let m = machine_of_name machine in
-  (match Cpr_sim.Vliw.check_against_interp m compiled.P.Passes.prog inputs with
+  let prog = compiled.P.Passes.prog in
+  (* One execution per input gives both the verdict and the counts, which
+     are the first input's. *)
+  let outcomes, verdict =
+    Cpr_sim.Vliw.check m prog ~reference:(Cpr_sim.Equiv.Run prog)
+      (if inputs = [] then [ Cpr_sim.Equiv.no_input ] else inputs)
+  in
+  (match verdict with
   | Ok () -> Format.printf "scheduled code matches the architectural interpreter@."
   | Error e -> Format.printf "MISMATCH: %s@." e);
-  let input = match inputs with i :: _ -> i | [] -> Cpr_sim.Equiv.no_input in
-  let out = List.hd (Cpr_sim.Vliw.run m compiled.P.Passes.prog [ input ]) in
-  Format.printf "executed %d cycles over %d region entries@."
-    out.Cpr_sim.Vliw.cycles out.Cpr_sim.Vliw.region_entries;
+  (match outcomes with
+  | out :: _ ->
+    Format.printf "executed %d cycles over %d region entries@."
+      out.Cpr_sim.Vliw.cycles out.Cpr_sim.Vliw.region_entries
+  | [] -> ());
   0
 
 open Cmdliner

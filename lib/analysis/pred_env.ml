@@ -54,22 +54,30 @@ module Make (P : ENGINE) = struct
      the same boolean, so they share one PQS literal — this is what lets
      duplicated compares (ICBM lookaheads, full-CPR predicate columns) be
      recognized as equal or complementary by the scheduler's disjointness
-     queries. *)
+     queries.  An operand's version is a variant, never a packed int: a
+     packing once gave an immediate and a register's entry version the
+     same number, and so unrelated compares one literal. *)
+  type version =
+    | Imm of int
+    | Lab
+    | Def of int  (* id of the register's last def op in the region *)
+    | Entry of Reg.t  (* the register's value on region entry *)
+
   type vn_state = {
-    versions : int Reg.Tbl.t;  (* reg -> id of its last def op (0 = entry) *)
-    cond_ids : (Op.cond * int * int, int) Hashtbl.t;
+    versions : int Reg.Tbl.t;  (* reg -> id of its last def op *)
+    cond_ids : (Op.cond * version * version, int) Hashtbl.t;
   }
 
   let vn_create () =
     { versions = Reg.Tbl.create 32; cond_ids = Hashtbl.create 32 }
 
   let operand_version st = function
-    | Op.Imm i -> -1000000 - i  (* immediates get negative pseudo-versions *)
-    | Op.Lab _ -> -2
+    | Op.Imm i -> Imm i
+    | Op.Lab _ -> Lab
     | Op.Reg r -> (
       match Reg.Tbl.find_opt st.versions r with
-      | Some v -> v
-      | None -> -(3 + Reg.hash r))  (* entry version, per register *)
+      | Some v -> Def v
+      | None -> Entry r)
 
   (* canonical condition: Eq/Lt/Le are canonical; Ne/Ge/Gt are their
      negations *)

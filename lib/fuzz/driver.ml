@@ -42,7 +42,7 @@ let reference_ok prog inputs =
   | e :: _ ->
     Error (Format.asprintf "reference invalid: %a" Validate.pp_error e)
   | [] -> (
-    match List.map (Cpr_sim.Equiv.observe prog) inputs with
+    match Cpr_sim.Equiv.observe_all prog inputs with
     | observed -> Ok observed
     | exception Cpr_sim.Interp.Stuck msg -> Error ("reference stuck: " ^ msg))
 
@@ -78,26 +78,27 @@ let run_prog check (stage : Stage.t) prog inputs =
         | Error e -> Fail e
         | Ok () -> (
         (* The candidate is interpreted fresh: a fault may have been
-           injected after the stage's own profiling run. *)
+           injected after the stage's own profiling run.  Its
+           observations are the cycle-level executor's reference. *)
         match
-          Cpr_sim.Equiv.verdict (Cpr_sim.Equiv.Observed observed)
+          Cpr_sim.Equiv.judge (Cpr_sim.Equiv.Observed observed)
             (Cpr_sim.Equiv.Run candidate) inputs
         with
         | Error e -> Fail ("equivalence: " ^ e)
         | exception Cpr_sim.Interp.Stuck msg ->
           Fail ("candidate stuck: " ^ msg)
-        | Ok () ->
+        | Ok candidate_observed ->
           if not check.vliw then Pass
           else (
             match
-              Cpr_sim.Vliw.check_against_interp Cpr_machine.Descr.medium
-                candidate inputs
+              snd
+                (Cpr_sim.Vliw.check Cpr_machine.Descr.medium candidate
+                   ~reference:(Cpr_sim.Equiv.Observed candidate_observed)
+                   inputs)
             with
             | Ok () -> Pass
             | Error e -> Fail ("vliw: " ^ e)
-            | exception Cpr_sim.Vliw.Vliw_error msg -> Fail ("vliw: " ^ msg)
-            | exception Cpr_sim.Interp.Stuck msg ->
-              Fail ("vliw interp: " ^ msg))))))
+            | exception Cpr_sim.Vliw.Vliw_error msg -> Fail ("vliw: " ^ msg))))))
 
 let run_stage check stage ~seed =
   let outcome =

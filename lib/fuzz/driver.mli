@@ -7,8 +7,9 @@ open Cpr_ir
     checks the transformed code against the raw program with two
     oracles: architectural equivalence on a battery of seeded inputs
     ({!Cpr_sim.Equiv}), and scheduled-VLIW execution agreement on the
-    medium machine ({!Cpr_sim.Vliw.check_against_interp}).  Everything
-    is a deterministic function of the seed and the configuration. *)
+    medium machine ({!Cpr_sim.Vliw.check}, against the observations the
+    equivalence verdict took of the candidate).  Everything is a
+    deterministic function of the seed and the configuration. *)
 
 type check = {
   vliw : bool;  (** also require scheduled-VLIW / interpreter agreement *)

@@ -38,10 +38,8 @@ let branch_target t (br : Op.t) =
     scan None t.ops
 
 let taken_count t id = Option.value ~default:0 (Hashtbl.find_opt t.taken id)
-let record_entry t = t.entry_count <- t.entry_count + 1
-
-let record_taken t id =
-  Hashtbl.replace t.taken id (taken_count t id + 1)
+let add_entries t n = t.entry_count <- t.entry_count + n
+let add_taken t id n = Hashtbl.replace t.taken id (taken_count t id + n)
 
 let clear_profile t =
   t.entry_count <- 0;

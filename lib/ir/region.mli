@@ -37,8 +37,12 @@ val taken_count : t -> int -> int
 (** Profiled taken count of the branch with the given op id (0 if never
     recorded). *)
 
-val record_entry : t -> unit
-val record_taken : t -> int -> unit
+val add_entries : t -> int -> unit
+(** [add_entries r n] counts [n] more entries into [r]. *)
+
+val add_taken : t -> int -> int -> unit
+(** [add_taken r id n] counts [n] more takes of the branch with op id
+    [id]. *)
 
 val clear_profile : t -> unit
 

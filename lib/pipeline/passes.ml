@@ -47,14 +47,12 @@ let record_icbm before (stats : Cpr_core.Icbm.region_stats) after =
   end
 
 (* The one profiling loop: clear, then interpret every input with
-   profile recording on, keeping [f] of each outcome (and never the
-   interpreter state itself). *)
+   profile recording on (the program decoded once), keeping [f] of each
+   outcome (and never the interpreter state itself). *)
 let interpret prog inputs f =
   Obs.span "profile" (fun () ->
       Prog.clear_profile prog;
-      List.map
-        (fun input -> f (Cpr_sim.Equiv.run_on ~profile:true prog input))
-        inputs)
+      Cpr_sim.Equiv.run_each ~profile:true prog inputs f)
 
 let profile prog inputs = ignore (interpret prog inputs ignore : unit list)
 

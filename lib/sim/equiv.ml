@@ -9,46 +9,52 @@ type input = {
 let no_input = { memory = []; gprs = []; preds = [] }
 let input_of_memory memory = { no_input with memory }
 
-let state_of input =
-  let st = State.create () in
-  State.set_memory st input.memory;
+let state_of code input =
+  let st = State.create code ~memory:input.memory in
   List.iter (fun (r, v) -> State.write_gpr st r v) input.gprs;
   List.iter (fun (r, v) -> State.write_pred st r v) input.preds;
   st
 
-let run_on ?profile prog input = Interp.run ?profile prog (state_of input)
+let run_each ?(profile = false) prog inputs f =
+  let code = Code.decode prog in
+  let run input = f (Interp.run ~profile code (state_of code input)) in
+  if profile then
+    Fun.protect
+      ~finally:(fun () -> Code.commit_profile code)
+      (fun () -> List.map run inputs)
+  else List.map run inputs
+
+let run_on ?profile prog input =
+  List.hd (run_each ?profile prog [ input ] Fun.id)
 
 type observation = {
   exit_label : string option;
   final_memory : (int * int) list;
-  stores : (int * int list) list;
+  stores : (int * int) list;
   live : (Reg.t * int) list;
 }
-
-let per_address trace =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (a, v) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt tbl a) in
-      Hashtbl.replace tbl a (v :: prev))
-    trace;
-  Hashtbl.fold (fun a vs acc -> (a, List.rev vs) :: acc) tbl []
-  |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
 let observation_of prog exit_label st =
   {
     exit_label;
     final_memory = State.memory_snapshot st;
-    stores = per_address (State.store_trace st);
+    (* sorted stably by address: equal exactly when every address saw
+       the same sequence of stores *)
+    stores =
+      List.stable_sort
+        (fun (a, _) (b, _) -> Int.compare a b)
+        (State.store_trace st);
     live =
       List.filter_map
         (fun r -> if Reg.is_pred r then None else Some (r, State.read_gpr st r))
         prog.Prog.live_out;
   }
 
-let observe prog input =
-  let out = run_on prog input in
-  observation_of prog out.Interp.exit_label out.Interp.state
+let observe_code (code : Code.t) input =
+  let out = Interp.run code (state_of code input) in
+  observation_of code.Code.prog out.Interp.exit_label out.Interp.state
+
+let observe_all prog inputs = List.map (observe_code (Code.decode prog)) inputs
 
 let diff reference candidate =
   let fail fmt = Format.kasprintf (fun s -> Error s) fmt in
@@ -73,16 +79,18 @@ type side =
   | Observed of observation list
   | Run of Prog.t
 
-let verdict reference candidate inputs =
-  let nth = function
-    | Observed obs ->
-      let obs = Array.of_list obs in
-      fun i _ -> obs.(i)
-    | Run prog -> fun _ input -> observe prog input
-  in
-  let reference = nth reference and candidate = nth candidate in
-  let rec go i = function
-    | [] -> Ok ()
+let observer = function
+  | Observed obs ->
+    let obs = Array.of_list obs in
+    fun i _ -> obs.(i)
+  | Run prog ->
+    let code = lazy (Code.decode prog) in
+    fun _ input -> observe_code (Lazy.force code) input
+
+let judge reference candidate inputs =
+  let reference = observer reference and candidate = observer candidate in
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
     | input :: rest -> (
       (* The candidate runs first: when both are stuck, its message is
          the one reported. *)
@@ -91,9 +99,15 @@ let verdict reference candidate inputs =
         (reference i input, c)
       with
       | exception Interp.Stuck msg -> Error ("interpreter stuck: " ^ msg)
-      | r, c -> ( match diff r c with Ok () -> go (i + 1) rest | e -> e))
+      | r, c -> (
+        match diff r c with
+        | Ok () -> go (i + 1) (c :: acc) rest
+        | Error e -> Error e))
   in
-  go 0 inputs
+  go 0 [] inputs
+
+let verdict reference candidate inputs =
+  Result.map ignore (judge reference candidate inputs)
 
 let check_many reference candidate inputs =
   verdict (Run reference) (Run candidate) inputs

@@ -1,6 +1,5 @@
-open Cpr_ir
-
-(** Architectural (sequential, in-program-order) interpreter.
+(** Architectural (sequential, in-program-order) interpreter over a
+    decoded program ({!Code}).
 
     This is the reference semantics against which every transformation is
     differentially tested, and the profiler that produces the branch
@@ -10,22 +9,25 @@ open Cpr_ir
     in when the writes land. *)
 
 type sink = {
-  gpr : Reg.t -> int -> unit;
-  pred : Reg.t -> bool -> unit;
-  btr : Reg.t -> string -> unit;
+  gpr : int -> int -> unit;
+  pred : int -> bool -> unit;
+  btr : int -> int -> unit;
   mem : int -> int -> unit;
 }
-(** Where {!issue} hands an operation's writes. *)
+(** Where {!issue} hands an operation's writes: register writes by file
+    index, a branch-target write as a label index, a memory write by
+    address. *)
 
 exception Stuck of string
 
-val issue : sink -> State.t -> Op.t -> string option
+val issue : sink -> State.t -> Code.op -> int
 (** Execute one operation: read its guard and operands from the state,
-    hand each write to the sink in order, and return the target label
-    when it is a taken branch.  Under a false guard nothing is written,
-    except a [cmpp]'s unconditional destinations (Table 1).  Raises
-    [Stuck] on a malformed operation, a btr or label read as a value,
-    or a branch through an unset btr. *)
+    hand each write to the sink in order, and return the label index
+    ({!Code.t}[.targets]) of a taken branch, or -1.  Under a false guard
+    nothing is written, except a [cmpp]'s unconditional destinations
+    (Table 1).  Raises [Stuck] on a malformed operation (a [cmpp] under
+    any guard, any other only when its guard holds), a btr or label read
+    as a value, or a branch through an unset btr. *)
 
 type outcome = {
   state : State.t;
@@ -38,11 +40,12 @@ type outcome = {
   steps : int;
 }
 
-val run : ?max_steps:int -> ?profile:bool -> Prog.t -> State.t -> outcome
+val run : ?max_steps:int -> ?profile:bool -> Code.t -> State.t -> outcome
 (** Execute from the program entry on the given state, writing it in
-    place ({!Equiv.state_of} loads an input into a fresh one).
-    [profile] (default false) records entry and branch-taken counts into
-    the program's regions (on top of whatever is already recorded).
-    [max_steps] (default 1_000_000) bounds executed operations;
-    exceeding it raises [Stuck], as do malformed programs (branch through
-    an unset btr, unknown label). *)
+    place.  The state must be one of this decoded program
+    ({!Equiv.state_of}); raises [Invalid_argument] otherwise.  [profile] (default
+    false) counts region entries and taken branches into the decoded
+    program's counters, which {!Code.commit_profile} adds to the
+    program's regions.  [max_steps] (default 1_000_000) bounds executed
+    operations; exceeding it raises [Stuck], as do malformed programs
+    (branch through an unset btr, unknown label). *)

@@ -1,30 +1,31 @@
 open Cpr_ir
 
-(** Architectural machine state for the IR interpreter. *)
+(** Architectural machine state of one run of a decoded program.
 
-type t = {
-  gprs : int Reg.Tbl.t;
-  preds : bool Reg.Tbl.t;
-  btrs : string Reg.Tbl.t;
-  memory : (int, int) Hashtbl.t;
-  mutable stores : (int * int) list;  (** write trace, newest first *)
-}
+    The three register files are arrays over the program's dense
+    numbering ({!Code}); a register the program never mentions (an input
+    it ignores) is kept beside them, so reads and writes by {!Reg.t}
+    behave as on one unbounded file.  Memory is a hash table.  The
+    representation is private to this library, whose executors index the
+    files directly: elsewhere [t] is abstract. *)
 
-val create : unit -> t
+type t = Machine.t
+
+val create : Code.t -> memory:(int * int) list -> t
+(** All registers 0 or false, branch-target registers unset, memory
+    holding the given cells (not traced as stores). *)
 
 val read_gpr : t -> Reg.t -> int
 (** Uninitialized registers read 0 (deterministic semantics so that
     speculated reads in property tests are well-defined). *)
 
 val read_pred : t -> Reg.t -> bool
-val read_btr : t -> Reg.t -> string option
 val write_gpr : t -> Reg.t -> int -> unit
 val write_pred : t -> Reg.t -> bool -> unit
-val write_btr : t -> Reg.t -> string -> unit
 val read_mem : t -> int -> int
 val write_mem : t -> int -> int -> unit
+(** Also appends to the store trace. *)
 
-val set_memory : t -> (int * int) list -> unit
 val store_trace : t -> (int * int) list
 (** Oldest first. *)
 

@@ -10,27 +10,36 @@ type outcome = {
 
 exception Vliw_error of string
 
-(* The issue table: per region label, one entry per cycle of its
+(* The issue table: per decoded region, one entry per cycle of its
    schedule (the array's length is the schedule's), holding the ops
-   issued that cycle in program order. *)
-let issue_table machine prog =
-  let table = Hashtbl.create 17 in
+   issued that cycle in program order with their latencies; [None] for
+   a region the scheduler was not given. *)
+let issue_table machine (code : Code.t) =
+  let schedules = Hashtbl.create 17 in
   List.iter
-    (fun (label, (s : Schedule.t)) ->
-      let by_cycle = Array.make s.Schedule.length [] in
-      for i = Array.length s.Schedule.ops - 1 downto 0 do
-        let c = s.Schedule.cycle.(i) in
-        if c < s.Schedule.length then
-          by_cycle.(c) <- s.Schedule.ops.(i) :: by_cycle.(c)
-      done;
-      Hashtbl.replace table label by_cycle)
-    (Cpr_sched.List_sched.schedule_prog machine prog);
-  table
+    (fun (label, s) -> Hashtbl.replace schedules label s)
+    (Cpr_sched.List_sched.schedule_prog machine code.Code.prog);
+  Array.map
+    (fun (r : Code.region) ->
+      Option.map
+        (fun (s : Schedule.t) ->
+          let by_cycle = Array.make s.Schedule.length [] in
+          for i = Array.length s.Schedule.ops - 1 downto 0 do
+            let c = s.Schedule.cycle.(i) in
+            if c < s.Schedule.length then
+              by_cycle.(c) <-
+                ( Cpr_machine.Descr.latency_of machine s.Schedule.ops.(i),
+                  r.Code.ops.(i) )
+                :: by_cycle.(c)
+          done;
+          by_cycle)
+        (Hashtbl.find_opt schedules r.Code.region.Region.label))
+    code.Code.regions
 
 (* Fuel: a run that exceeds it raises rather than loop forever. *)
 let max_cycles = 10_000_000
 
-let exec machine (prog : Prog.t) table st =
+let exec (code : Code.t) table st =
   let cycles = ref 0 and entries = ref 0 in
   (* landing cycle -> writes queued for it, newest first *)
   let pending = Hashtbl.create 17 in
@@ -42,9 +51,9 @@ let exec machine (prog : Prog.t) table st =
   in
   let sink =
     {
-      Interp.gpr = (fun r v -> queue (fun () -> State.write_gpr st r v));
-      pred = (fun r v -> queue (fun () -> State.write_pred st r v));
-      btr = (fun r l -> queue (fun () -> State.write_btr st r l));
+      Interp.gpr = (fun i v -> queue (fun () -> st.Machine.gprs.(i) <- v));
+      pred = (fun i b -> queue (fun () -> st.Machine.preds.(i) <- b));
+      btr = (fun i l -> queue (fun () -> st.Machine.btrs.(i) <- l));
       mem = (fun a v -> queue (fun () -> State.write_mem st a v));
     }
   in
@@ -59,23 +68,26 @@ let exec machine (prog : Prog.t) table st =
     Hashtbl.fold (fun c _ acc -> c :: acc) pending []
     |> List.sort Int.compare |> List.iter retire
   in
-  (* [redirect] is the earliest taken branch so far: (cycle, target). *)
-  let issue c redirect op =
-    lands_at := c + Cpr_machine.Descr.latency_of machine op;
-    match Interp.issue sink st op with
-    | None -> redirect
-    | Some target -> (
+  (* [redirect] is the earliest taken branch so far: (cycle, label). *)
+  let issue c redirect (latency, op) =
+    lands_at := c + latency;
+    let l = Interp.issue sink st op in
+    if l < 0 then redirect
+    else
       match redirect with
       | Some (rc, _) when rc = !lands_at ->
         raise (Vliw_error "simultaneous taken branches")
       | Some (rc, _) when rc < !lands_at -> redirect
-      | _ -> Some (!lands_at, target))
+      | _ -> Some (!lands_at, l)
   in
-  let rec region label =
-    if Prog.is_exit prog label then Some label
-    else
-      match Hashtbl.find_opt table label with
-      | None -> raise (Vliw_error ("no schedule for " ^ label))
+  let rec enter = function
+    | Code.Exit label -> Some label
+    | Code.Unknown label -> raise (Vliw_error ("no schedule for " ^ label))
+    | Code.Region i -> (
+      let r = code.Code.regions.(i) in
+      match table.(i) with
+      | None ->
+        raise (Vliw_error ("no schedule for " ^ r.Code.region.Region.label))
       | Some by_cycle ->
         incr entries;
         let rec cycle c redirect =
@@ -83,46 +95,51 @@ let exec machine (prog : Prog.t) table st =
             raise (Vliw_error "cycle budget exceeded");
           retire c;
           match redirect with
-          | Some (rc, target) when rc = c ->
+          | Some (rc, l) when rc = c ->
             flush ();
-            region target
+            enter code.Code.targets.(l)
           | _ when c >= Array.length by_cycle -> (
             flush ();
-            match (Prog.find_exn prog label).Region.fallthrough with
-            | Some next -> region next
+            match r.Code.fallthrough with
+            | Some next -> enter next
             | None -> None)
           | _ ->
             let redirect = List.fold_left (issue c) redirect by_cycle.(c) in
             incr cycles;
             cycle (c + 1) redirect
         in
-        cycle 0 None
+        cycle 0 None)
   in
   let exit_label =
-    try region prog.Prog.entry with Interp.Stuck m -> raise (Vliw_error m)
+    try enter code.Code.entry with Interp.Stuck m -> raise (Vliw_error m)
   in
   { state = st; exit_label; cycles = !cycles; region_entries = !entries }
 
 let run machine prog inputs =
-  let table = issue_table machine prog in
-  List.map
-    (fun input -> exec machine prog table (Equiv.state_of input))
-    inputs
+  let code = Code.decode prog in
+  let table = issue_table machine code in
+  List.map (fun input -> exec code table (Equiv.state_of code input)) inputs
 
-let check_against_interp machine prog inputs =
+let check machine prog ~reference inputs =
+  let code = Code.decode prog in
+  let reference = Equiv.observer reference in
   (* Scheduled lazily: the reference runs on the first input before
      anything is scheduled, so a stuck reference is reported as such. *)
-  let table = lazy (issue_table machine prog) in
-  let rec go = function
-    | [] -> Ok ()
+  let table = lazy (issue_table machine code) in
+  let rec go i acc = function
+    | [] -> (List.rev acc, Ok ())
     | input :: rest -> (
-      let reference = Equiv.observe prog input in
-      match exec machine prog (Lazy.force table) (Equiv.state_of input) with
-      | exception Vliw_error m -> Error ("vliw error: " ^ m)
+      let expected = reference i input in
+      match exec code (Lazy.force table) (Equiv.state_of code input) with
+      | exception Vliw_error m -> (List.rev acc, Error ("vliw error: " ^ m))
       | vl -> (
+        let acc = vl :: acc in
         let candidate = Equiv.observation_of prog vl.exit_label vl.state in
-        match Equiv.diff reference candidate with
-        | Ok () -> go rest
-        | e -> e))
+        match Equiv.diff expected candidate with
+        | Ok () -> go (i + 1) acc rest
+        | e -> (List.rev acc, e)))
   in
-  go inputs
+  go 0 [] inputs
+
+let check_against_interp machine prog inputs =
+  snd (check machine prog ~reference:(Equiv.Run prog) inputs)

@@ -29,19 +29,30 @@ type outcome = {
 exception Vliw_error of string
 
 val run : Cpr_machine.Descr.t -> Prog.t -> Equiv.input list -> outcome list
-(** Schedules every region once with {!Cpr_sched.List_sched}, then
-    executes the schedules cycle by cycle from the program entry on
-    {!Equiv.state_of} of each input, one outcome per input.  Raises
-    {!Vliw_error} past 10,000,000 cycles in one run, and with the
-    interpreter's message where {!Interp.issue} raises
-    {!Interp.Stuck}. *)
+(** Decodes the program and schedules every region once with
+    {!Cpr_sched.List_sched}, then executes the schedules cycle by cycle
+    from the program entry on {!Equiv.state_of} of each input, one
+    outcome per input.  Raises {!Vliw_error} past 10,000,000 cycles in
+    one run, and with the interpreter's message where {!Interp.issue}
+    raises {!Interp.Stuck}. *)
 
-val check_against_interp :
-  Cpr_machine.Descr.t -> Prog.t -> Equiv.input list -> (unit, string) result
-(** For each input in turn, {!Equiv.observe} the interpreter, execute
+val check :
+  Cpr_machine.Descr.t ->
+  Prog.t ->
+  reference:Equiv.side ->
+  Equiv.input list ->
+  outcome list * (unit, string) result
+(** For each input in turn, take the [reference] observation of the
+    program ({!Equiv.observer}: recorded, or interpreted now), execute
     the scheduled code, and compare the two with {!Equiv.diff}: exit
     label, final memory, per-address store sequences and live-out
     registers.  Stops at the first difference, or at a {!Vliw_error}
     (["vliw error: ..."]); a stuck reference raises {!Interp.Stuck}.
-    The program is scheduled once, after the reference has run on the
-    first input. *)
+    Returns the outcomes of the executions that finished, in input
+    order, beside the verdict.  The program is scheduled once, after
+    the reference observation of the first input. *)
+
+val check_against_interp :
+  Cpr_machine.Descr.t -> Prog.t -> Equiv.input list -> (unit, string) result
+(** The verdict of {!check} against the interpreter on the same
+    program ([reference:(Run prog)]). *)

@@ -111,3 +111,33 @@ let wide_dispatch d_unroll =
   ( K.dispatch_prog spec,
     [ K.dispatch_input ~spec ~len:(4 * d_unroll) ~case_probability:0. ~seed:1 ]
   )
+
+(* A valid region on which value numbering once gave [cmpp.un.eq(p3, r1)]
+   and [cmpp.uc.eq(9, r1)] one literal: p3's entry version and the
+   immediate 9 packed to the same int.  On the input both stores write
+   address 7, so their guards must not look disjoint. *)
+let vn_collision () =
+  let prog =
+    Parser_.of_text
+      {|program entry A
+exits Exit
+region A fallthrough Exit
+  1. r5 = load(r2, 0) if T
+  2. r6 = load(r5, 0) if T
+  3. p1 = cmpp.un.eq(p3, r1) if T
+  4. p2 = cmpp.uc.eq(9, r1) if T
+  5. store(r6, 0, r7) if p1
+  6. store(r8, 0, r9) if p2
+endregion
+|}
+  in
+  let input =
+    {
+      Cpr_sim.Equiv.memory = [ (100, 200); (200, 7) ];
+      gprs =
+        [ (Reg.gpr 1, 0); (Reg.gpr 2, 100); (Reg.gpr 7, 1); (Reg.gpr 8, 7);
+          (Reg.gpr 9, 2) ];
+      preds = [];
+    }
+  in
+  (prog, input)

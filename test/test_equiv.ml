@@ -71,7 +71,7 @@ let verdict_string f =
 let same_verdict what ~oracle ~actual =
   check Alcotest.string what (verdict_string oracle) (verdict_string actual)
 
-let observed prog inputs = Equiv.Observed (List.map (Equiv.observe prog) inputs)
+let observed prog inputs = Equiv.Observed (Equiv.observe_all prog inputs)
 
 (* ------------------------------------------------------------------ *)
 
@@ -264,6 +264,42 @@ let diff_clauses () =
       );
     ]
 
+(* Store sequences are compared per address: interleaving stores to two
+   cells differently is equivalent, reordering one cell's is not. *)
+let per_address_stores () =
+  let ctx = B.create () in
+  let r = B.gpr ctx in
+  let prog stores =
+    B.prog ctx ~entry:"Main"
+      [
+        B.region ctx "Main" ~fallthrough:"Exit" (fun e ->
+            List.iter
+              (fun (addr, v) ->
+                let (_ : Op.t) = B.movi e r addr in
+                let (_ : Op.t) = B.store e ~base:r ~off:0 (Op.Imm v) in
+                ())
+              stores);
+      ]
+  in
+  let inputs = [ Equiv.no_input ] in
+  List.iter
+    (fun (what, base, cand, expected) ->
+      same_verdict what
+        ~oracle:(fun () -> state_check_many base cand inputs)
+        ~actual:(fun () -> Equiv.check_many base cand inputs);
+      check Alcotest.string (what ^ " message") expected
+        (verdict_string (fun () -> Equiv.check_many base cand inputs)))
+    [
+      ( "interleaved",
+        prog [ (8, 1); (9, 2); (8, 3) ],
+        prog [ (9, 2); (8, 1); (8, 3) ],
+        "ok" );
+      ( "reordered",
+        prog [ (8, 1); (8, 3) ],
+        prog [ (8, 3); (8, 1); (8, 3) ],
+        "error: store sequences differ" );
+    ]
+
 let suite =
   ( "equivalence",
     [
@@ -272,4 +308,5 @@ let suite =
       case "corpus x faults: same verdicts and messages" corpus_faults_match;
       case "stuck messages" stuck_messages;
       case "comparison clauses and messages" diff_clauses;
+      case "store sequences per address" per_address_stores;
     ] )

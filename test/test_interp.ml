@@ -64,8 +64,12 @@ let step_budget () =
         ())
   in
   let prog = B.prog ctx ~entry:"Spin" [ region ] in
+  let code = Sim.Code.decode prog in
   checkb "infinite loop hits the budget" true
-    (match Sim.Interp.run ~max_steps:1000 prog (Sim.State.create ()) with
+    (match
+       Sim.Interp.run ~max_steps:1000 code
+         (Sim.Equiv.state_of code Sim.Equiv.no_input)
+     with
     | exception Sim.Interp.Stuck _ -> true
     | _ -> false)
 

@@ -136,6 +136,15 @@ let wired_or_accumulates () =
   checkb "not constant" true
     ((not (A.Pqs.is_const_true e)) && not (A.Pqs.is_const_false e))
 
+(* A compare against an entry predicate and a compare against an
+   immediate are different conditions, whatever the register's number. *)
+let entry_and_immediate_versions_differ () =
+  let prog, _ = vn_collision () in
+  let env = A.Pred_env.analyze (Prog.find_exn prog "A") in
+  checkb "store guards not disjoint" false
+    (A.Pqs.disjoint (A.Pred_env.guard_expr env 4)
+       (A.Pred_env.guard_expr env 5))
+
 let suite =
   ( "pred_env",
     [
@@ -145,4 +154,6 @@ let suite =
       case "pred_init constants" pred_init_sets_constants;
       case "entry predicates opaque" entry_preds_are_opaque;
       case "wired-or expression" wired_or_accumulates;
+      case "entry and immediate versions differ"
+        entry_and_immediate_versions_differ;
     ] )

@@ -42,9 +42,8 @@ let pbr_rebinding () =
 
 let profile_counters () =
   let r = Region.make "L" [] in
-  Region.record_entry r;
-  Region.record_entry r;
-  Region.record_taken r 7;
+  Region.add_entries r 2;
+  Region.add_taken r 7 1;
   checki "entries" 2 r.Region.entry_count;
   checki "taken" 1 (Region.taken_count r 7);
   checki "unknown branch" 0 (Region.taken_count r 8);

@@ -43,6 +43,17 @@ let latency_visibility () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e
 
+(* Both stores of the value-numbering collision region write one
+   address: no machine may reorder them. *)
+let vn_collision_agrees () =
+  let prog, input = vn_collision () in
+  List.iter
+    (fun m ->
+      match Sim.Vliw.check_against_interp m prog [ input ] with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "%s: %s" m.M.name e)
+    M.all
+
 let cycle_counts_scale_with_machine () =
   let prog, inputs = profiled_strcpy () in
   let input = List.nth inputs (List.length inputs - 1) in
@@ -144,6 +155,7 @@ let suite =
       case "strcpy baseline matches interp" strcpy_vliw_matches;
       case "strcpy transformed matches interp" transformed_vliw_matches;
       case "latency visibility" latency_visibility;
+      case "value-numbering collision keeps store order" vn_collision_agrees;
       case "cycles scale with machine" cycle_counts_scale_with_machine;
       case "exit-aware estimator = executed cycles" exit_aware_estimator_matches_vliw;
       case "one issue table, independent inputs" shared_table_is_stateless;
