@@ -15,10 +15,12 @@
 # verification dominate.  Exits 1 if PARENT_REV does not
 # name a commit, if any run is incorrect (correct: false or failed > 0),
 # or if the change's median over the seeds is worse than the parent's by
-# more than 200% and by more than 20 ms on any row:
+# more than 200% and by more than 20 ms on any latency row:
 #   - latency_ms.p50 and latency_ms.p90 of each workload;
 #   - ms per program (1000 / programs_per_s) of each workload;
-#   - p50_ms of every paper-suite program.
+#   - p50_ms of every paper-suite program;
+# or by more than 25% and by more than 4 MB on the peak_rss_mb row of any
+# workload (caches kept for a whole Report.run show up there first).
 # Run from anywhere inside the repository; results go to
 # _bench/perf-gate/ at its root.
 set -euo pipefail
@@ -76,6 +78,7 @@ def load(path):
         return None
 
 rows = []  # (name, {side: [ms per seed]})
+rss_rows = []  # (name, {side: [MB per seed]})
 for w in workloads:
     runs = {}
     for side in ("parent", "change"):
@@ -94,6 +97,7 @@ for w in workloads:
     for name in ("latency_ms.p50", "latency_ms.p90"):
         rows.append((f"{w} {name}", series(lambda m, p: m[name]["value"])))
     rows.append((f"{w} ms/program", series(lambda m, p: 1e3 / m["programs_per_s"]["value"])))
+    rss_rows.append((f"{w} peak_rss_mb", series(lambda m, p: m["peak_rss_mb"]["value"])))
     if w == "paper-suite":
         names = {side: set(runs[side][0][1]) for side in runs}
         for prog in sorted(names["parent"] ^ names["change"]):
@@ -102,15 +106,22 @@ for w in workloads:
             rows.append((f"{w} {prog} p50_ms", series(lambda m, p: p[prog]["p50_ms"])))
 
 tripped = []
-print(f"\n{'row':44} {'parent ms':>10} {'change ms':>10} {'change':>8}")
-for name, vals in rows:
-    p, c = (statistics.median(vals[side]) for side in ("parent", "change"))
-    pct = 100 * (c - p) / p if p > 0 else float("inf") if c > p else 0.0
-    bad = pct > 200 and c - p > 20
-    if bad:
-        tripped.append(name)
-    print(f"{name:44} {p:10.3f} {c:10.3f} {pct:+7.1f}%{'  REGRESSED' if bad else ''}")
+
+def gate(rows, unit, max_pct, max_abs):
+    print(f"\n{'row':44} {'parent ' + unit:>10} {'change ' + unit:>10} {'change':>8}")
+    for name, vals in rows:
+        p, c = (statistics.median(vals[side]) for side in ("parent", "change"))
+        pct = 100 * (c - p) / p if p > 0 else float("inf") if c > p else 0.0
+        bad = pct > max_pct and c - p > max_abs
+        if bad:
+            tripped.append(f"{name} (more than {max_pct}% and {max_abs} {unit})")
+        print(f"{name:44} {p:10.3f} {c:10.3f} {pct:+7.1f}%{'  REGRESSED' if bad else ''}")
+
+gate(rows, "ms", 200, 20)
+gate(rss_rows, "MB", 25, 4)
 if tripped:
-    print(f"\nperf-gate: {len(tripped)} row(s) REGRESSED by more than 200% and 20 ms")
+    print(f"\nperf-gate: {len(tripped)} row(s) REGRESSED:")
+    for t in tripped:
+        print(f"  {t}")
 sys.exit(0 if ok and not tripped else 1)
 EOF

@@ -102,7 +102,9 @@ let schedule_cmd spec machine region cpr =
     else P.Passes.baseline prog inputs
   in
   let m = machine_of_name machine in
-  let schedules = Cpr_sched.List_sched.schedule_prog m compiled.P.Passes.prog in
+  let schedules =
+    Cpr_sched.Sched_table.schedule_prog m compiled.P.Passes.prog
+  in
   let selected =
     match region with
     | Some r -> List.filter (fun (l, _) -> l = r) schedules

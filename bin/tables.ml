@@ -129,7 +129,7 @@ let print_figure67 () =
   List.iter
     (fun m ->
       let loop p =
-        (List.assoc "Loop" (Cpr_sched.List_sched.schedule_prog m p))
+        (List.assoc "Loop" (Cpr_sched.Sched_table.schedule_prog m p))
           .Cpr_sched.Schedule.length
       in
       Format.printf "%s: loop schedule %d -> %d cycles@." m.Descr.name

@@ -21,7 +21,7 @@ let () =
   | Error e -> Format.printf "EQUIVALENCE FAILURE: %s@." e);
   let m = Cpr_machine.Descr.medium in
   let show tag p =
-    let schedules = Cpr_sched.List_sched.schedule_prog m p in
+    let schedules = Cpr_sched.Sched_table.schedule_prog m p in
     let s = List.assoc "Loop" schedules in
     Format.printf "@.--- %s (loop length %d) ---@.%a@." tag
       s.Cpr_sched.Schedule.length Cpr_sched.Schedule.pp s

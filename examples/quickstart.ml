@@ -113,8 +113,8 @@ let () =
   P.Passes.profile prog inputs;
   List.iter
     (fun (m : Cpr_machine.Descr.t) ->
-      let lb = Cpr_sched.List_sched.schedule_prog m baseline in
-      let lr = Cpr_sched.List_sched.schedule_prog m prog in
+      let lb = Cpr_sched.Sched_table.schedule_prog m baseline in
+      let lr = Cpr_sched.Sched_table.schedule_prog m prog in
       Format.printf "%s: loop schedule length %d -> %d@."
         m.Cpr_machine.Descr.name
         (List.assoc "Loop" lb).Cpr_sched.Schedule.length

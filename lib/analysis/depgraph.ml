@@ -96,11 +96,13 @@ let access_events ops =
     ops;
   events
 
-let build machine (prog : Prog.t) liveness (region : Region.t) =
+let build ?env machine (prog : Prog.t) liveness (region : Region.t) =
   let ops = Array.of_list region.Region.ops in
   let n = Array.length ops in
   let lat = Array.map (Cpr_machine.Descr.latency_of machine) ops in
-  let env = Pred_env.analyze region in
+  let env =
+    match env with Some e -> e | None -> Pred_env.analyze region
+  in
   let guard_expr = Array.init n (Pred_env.guard_expr env) in
   (* Edges accumulate in a preallocated, doubling array; the exposed
      [edges] list and the [preds]/[succs] adjacency lists are carved out
@@ -179,6 +181,7 @@ let build machine (prog : Prog.t) liveness (region : Region.t) =
   done;
 
   (* Control dependences around branches. *)
+  let live_at = Liveness.live_at_branches liveness region ops in
   for b = 0 to n - 1 do
     if Op.is_branch ops.(b) then begin
       let taken = guard_expr.(b) in
@@ -186,7 +189,7 @@ let build machine (prog : Prog.t) liveness (region : Region.t) =
          so), so the dominant unguarded-op case resolves on one constant
          test instead of a full query. *)
       let taken_live = not (Pqs.is_const_false taken) in
-      let live = Liveness.live_at_target liveness region ops.(b) in
+      let live = live_at.(b) in
       (* Forward: ops after the branch. *)
       for j = b + 1 to n - 1 do
         let opj = ops.(j) in
@@ -238,6 +241,7 @@ let build machine (prog : Prog.t) liveness (region : Region.t) =
 
 let n_ops t = Array.length t.ops
 let op t i = t.ops.(i)
+let ops t = t.ops
 let latency t i = t.lat.(i)
 let edges t = t.edges
 let preds t i = t.preds.(i)

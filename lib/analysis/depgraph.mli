@@ -48,10 +48,20 @@ type edge = {
 
 type t
 
-val build : Cpr_machine.Descr.t -> Prog.t -> Liveness.t -> Region.t -> t
+val build :
+  ?env:Pred_env.t -> Cpr_machine.Descr.t -> Prog.t -> Liveness.t -> Region.t
+  -> t
+(** The graph reads the region's ops, the live set at each branch
+    target, the program's [noalias_bases] and the machine's latencies —
+    nothing else.  [env] is the region's
+    {!Pred_env.analyze}, when the caller already has it. *)
 
 val n_ops : t -> int
 val op : t -> int -> Op.t
+
+val ops : t -> Op.t array
+(** The graph's ops in program order: the graph's own array, shared with
+    the schedules built from it, so never mutate it. *)
 
 val latency : t -> int -> int
 (** Latency of the op at this index on the machine the graph was built

@@ -66,6 +66,3 @@ let summarize machine t =
     res_bound;
     bound = max dep_height res_bound;
   }
-
-let of_region machine prog liveness region =
-  summarize machine (Depgraph.build machine prog liveness region)

@@ -1,5 +1,3 @@
-open Cpr_ir
-
 (** Static height analysis of one region.
 
     Answers, without running the scheduler or simulator, "how short can
@@ -58,7 +56,3 @@ val slack : Depgraph.t -> int array
 val summarize : Cpr_machine.Descr.t -> Depgraph.t -> summary
 (** All four numbers for one region.  Counts one [height.bound_queries]
     observation. *)
-
-val of_region :
-  Cpr_machine.Descr.t -> Prog.t -> Liveness.t -> Region.t -> summary
-(** Convenience: build the region's {!Depgraph} and summarize it. *)

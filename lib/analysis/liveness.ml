@@ -143,6 +143,26 @@ let live_at_target t (r : Region.t) (br : Op.t) =
   | Some target -> live_in t target
   | None -> t.boundary_set
 
+let live_at_targets t (r : Region.t) =
+  List.map
+    (fun (_, target) ->
+      match target with Some l -> live_in t l | None -> t.boundary_set)
+    (Region.branch_targets r)
+
+let live_at_branches t (r : Region.t) ops =
+  let at = Array.make (Array.length ops) Reg.Set.empty in
+  let sets = ref (live_at_targets t r) in
+  Array.iteri
+    (fun i op ->
+      if Op.is_branch op then
+        match !sets with
+        | s :: rest ->
+          at.(i) <- s;
+          sets := rest
+        | [] -> invalid_arg "Liveness.live_at_branches: another region's ops")
+    ops;
+  at
+
 let live_out_region t (r : Region.t) =
   match r.Region.fallthrough with
   | Some l -> live_in t l

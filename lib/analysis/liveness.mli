@@ -24,6 +24,14 @@ val live_in : t -> string -> Reg.Set.t
 val live_at_target : t -> Region.t -> Op.t -> Reg.Set.t
 (** Registers live at the target of a branch of the region. *)
 
+val live_at_targets : t -> Region.t -> Reg.Set.t list
+(** {!live_at_target} of every branch of the region, in program order,
+    from one pass over the region ({!Region.branch_targets}). *)
+
+val live_at_branches : t -> Region.t -> Op.t array -> Reg.Set.t array
+(** The same sets by op index of the region's ops (given as an array),
+    empty at every non-branch. *)
+
 val live_out_region : t -> Region.t -> Reg.Set.t
 (** Registers live when the region is exited by falling through. *)
 

@@ -97,19 +97,13 @@ let by_class ~cond set =
     (Reg.Set.to_rev_seq set);
   per
 
-(* Does a register's region-entry value matter?  The blind liveness
-   transfer keeps guarded defs alive all the way back to entry (a guarded
-   def does not kill), so [live_in] grossly overstates the set of entry
-   values anyone can read.  The entry value of [r] is consumable only at
-   a demand site with no kill of [r] before it whose execution condition
-   is not covered by the write conditions of the preceding defs — the
-   Johnson & Schlansker covering test.  In the canonical CPR shape (def
-   under [p], use under [p]) the def covers the use, the entry value is
-   dead, and the refinement below is what lets the two arms of a cmpp
-   share their slots. *)
-let entry_matters env liveness (region : Region.t) =
-  let ops = Pred_env.ops env in
-  let n = Array.length ops in
+(* Per register, in program order: definition sites and kill sites. *)
+type sites = {
+  defs : int list Reg.Tbl.t;
+  kills : int list Reg.Tbl.t;
+}
+
+let sites_of ops =
   let defs = Reg.Tbl.create 16 and kills = Reg.Tbl.create 16 in
   let push tbl r i =
     Reg.Tbl.replace tbl r
@@ -120,17 +114,38 @@ let entry_matters env liveness (region : Region.t) =
       List.iter (fun d -> push defs d i) op.Op.dests;
       List.iter (fun d -> push kills d i) (Liveness.kills op))
     ops;
-  let sites tbl r = Option.value ~default:[] (Reg.Tbl.find_opt tbl r) in
+  { defs; kills }
+
+let sites tbl r = Option.value ~default:[] (Reg.Tbl.find_opt tbl r)
+
+(* Does a register's region-entry value matter?  The blind liveness
+   transfer keeps guarded defs alive all the way back to entry (a guarded
+   def does not kill), so [live_in] grossly overstates the set of entry
+   values anyone can read.  The entry value of [r] is consumable only at
+   a demand site with no kill of [r] before it whose execution condition
+   is not covered by the write conditions of the preceding defs — the
+   Johnson & Schlansker covering test.  In the canonical CPR shape (def
+   under [p], use under [p]) the def covers the use, the entry value is
+   dead, and the refinement below is what lets the two arms of a cmpp
+   share their slots.  A register the region never writes has no kill
+   and [written] = [fls], and [implies guard fls] holds exactly when the
+   guard is const-false, so it is decided without a query. *)
+let entry_matters env liveness (region : Region.t) st live_at =
+  let ops = Pred_env.ops env in
+  let n = Array.length ops in
   let needed = Reg.Tbl.create 16 in
   let demand r ~u ~guard =
-    if not (Reg.Tbl.mem needed r) then begin
-      let killed = List.exists (fun k -> k < u) (sites kills r) in
-      if not killed then begin
-        Obs.incr c_queries;
-        if not (Pqs.implies guard (written env (sites defs r) r u)) then
-          Reg.Tbl.replace needed r ()
-      end
-    end
+    if not (Reg.Tbl.mem needed r) then
+      match Reg.Tbl.find_opt st.defs r with
+      | None ->
+        if not (Pqs.is_const_false guard) then Reg.Tbl.replace needed r ()
+      | Some defs ->
+        let killed = List.exists (fun k -> k < u) (sites st.kills r) in
+        if not killed then begin
+          Obs.incr c_queries;
+          if not (Pqs.implies guard (written env defs r u)) then
+            Reg.Tbl.replace needed r ()
+        end
   in
   Array.iteri
     (fun i op ->
@@ -145,62 +160,136 @@ let entry_matters env liveness (region : Region.t) =
       Option.iter (fun p -> demand p ~u:i ~guard:Pqs.tru) (Op.guard_reg op);
       List.iter (fun r -> demand r ~u:i ~guard:Pqs.tru) (Op.accumulator_dests op);
       if Op.is_branch op then
-        Reg.Set.iter
-          (fun r -> demand r ~u:i ~guard:g)
-          (Liveness.live_at_target liveness region op))
+        Reg.Set.iter (fun r -> demand r ~u:i ~guard:g) live_at.(i))
     ops;
   Reg.Set.iter
     (fun r -> demand r ~u:n ~guard:Pqs.tru)
     (Liveness.live_out_region liveness region);
   fun r -> Reg.Tbl.mem needed r
 
+(* What both counts know of a region before walking it: the predicate
+   environment, the def/kill sites, the live set at each branch's target
+   (by op index), and whether a register is occupied from entry (live in
+   and its entry value needed, see {!entry_matters}). *)
+type context = {
+  env : Pred_env.t;
+  st : sites;
+  live_at : Reg.Set.t array;
+  entry_occupied : Reg.t -> bool;
+}
+
+let context ?env liveness (region : Region.t) =
+  let env =
+    match env with Some e -> e | None -> Pred_env.analyze region
+  in
+  let ops = Pred_env.ops env in
+  let st = sites_of ops in
+  let live_at = Liveness.live_at_branches liveness region ops in
+  let entry_live = Liveness.live_in liveness region.Region.label in
+  let needed = entry_matters env liveness region st live_at in
+  {
+    env;
+    st;
+    live_at;
+    entry_occupied = (fun r -> Reg.Set.mem r entry_live && needed r);
+  }
+
+(* Registers the region never writes.  Such a register is never killed,
+   so it is live over one prefix [0, last] of the points (or cycles),
+   under one constant occupancy condition: [tru] when it is occupied from
+   entry, else [fls].  Neither constant takes part in slot packing (see
+   {!count_point}), so these registers are counted per class with
+   difference arrays instead of entering every point's list: the
+   registers live through a cold region grow with the program, the
+   region's own registers do not. *)
+type prefixes = {
+  blind : int array array;  (* per class rank, one delta per point *)
+  occupied : int array array;
+}
+
+let prefixes n_points =
+  let deltas () = Array.init 3 (fun _ -> Array.make (n_points + 1) 0) in
+  { blind = deltas (); occupied = deltas () }
+
+let add_prefix p (r : Reg.t) ~last ~occupied =
+  let k = Reg.cls_rank r.Reg.cls in
+  let bump a =
+    a.(0) <- a.(0) + 1;
+    a.(last + 1) <- a.(last + 1) - 1
+  in
+  bump p.blind.(k);
+  if occupied then bump p.occupied.(k)
+
+let add_prefixes p ~per_point ~per_point_blind =
+  for k = 0 to 2 do
+    let blind = ref 0 and occupied = ref 0 in
+    for i = 0 to Array.length per_point.(k) - 1 do
+      blind := !blind + p.blind.(k).(i);
+      occupied := !occupied + p.occupied.(k).(i);
+      per_point_blind.(k).(i) <- per_point_blind.(k).(i) + !blind;
+      per_point.(k).(i) <- per_point.(k).(i) + !occupied
+    done
+  done
+
 (* Occupancy conditions accumulate forward: once a register has been
    written under condition [c], it may hold a needed value whenever [c]
    held; an unconditional write ([write_cond] = tru) pins it to tru.
-   Registers whose entry value matters (see {!entry_matters}) are
-   occupied from entry, hence tru. *)
-let make_cond_env env liveness (region : Region.t) =
-  let entry_live = Liveness.live_in liveness region.Region.label in
-  let entry_needed = entry_matters env liveness region in
+   Registers occupied from entry are tru until then. *)
+let make_cond_env cx =
   let tbl = Reg.Tbl.create 16 in
   let get r =
     match Reg.Tbl.find_opt tbl r with
     | Some c -> c
-    | None ->
-      if Reg.Set.mem r entry_live && entry_needed r then Pqs.tru else Pqs.fls
+    | None -> if cx.entry_occupied r then Pqs.tru else Pqs.fls
   in
   let record i =
     List.iter
       (fun d ->
-        Reg.Tbl.replace tbl d (Pqs.or_ (get d) (Pred_env.write_cond env i d)))
-      (Pred_env.ops env).(i).Op.dests
+        Reg.Tbl.replace tbl d
+          (Pqs.or_ (get d) (Pred_env.write_cond cx.env i d)))
+      (Pred_env.ops cx.env).(i).Op.dests
   in
   (get, record)
 
-let sweep liveness (region : Region.t) =
-  let ops = Array.of_list region.Region.ops in
+let sweep ?env liveness (region : Region.t) =
+  let cx = context ?env liveness region in
+  let ops = Pred_env.ops cx.env in
   let n = Array.length ops in
-  (* Backward pass: blind live set at each of the n+1 program points
-     (point i = just before op i; point n = region exit), using the same
-     transfer as [Liveness] — guarded defs do not kill, branches merge
-     their target's live-in. *)
+  let pre = prefixes (n + 1) in
+  (* Walking backward, the first point where an unwritten register is
+     live is the last point of its prefix. *)
+  let seen = Reg.Tbl.create 16 in
+  let add_live point r s =
+    if Reg.Tbl.mem cx.st.defs r then Reg.Set.add r s
+    else begin
+      if not (Reg.Tbl.mem seen r) then begin
+        Reg.Tbl.add seen r ();
+        add_prefix pre r ~last:point ~occupied:(cx.entry_occupied r)
+      end;
+      s
+    end
+  in
+  (* Backward pass: blind live set, of the registers the region writes,
+     at each of the n+1 program points (point i = just before op i;
+     point n = region exit), using the same transfer as [Liveness] —
+     guarded defs do not kill, branches merge their target's live-in. *)
   let live = Array.make (n + 1) Reg.Set.empty in
-  live.(n) <- Liveness.live_out_region liveness region;
+  live.(n) <-
+    Reg.Set.fold (add_live n)
+      (Liveness.live_out_region liveness region)
+      Reg.Set.empty;
   for i = n - 1 downto 0 do
     let op = ops.(i) in
     let s = live.(i + 1) in
     let s =
-      if Op.is_branch op then
-        Reg.Set.union s (Liveness.live_at_target liveness region op)
+      if Op.is_branch op then Reg.Set.fold (add_live i) cx.live_at.(i) s
       else s
     in
     let s = List.fold_left (fun s d -> Reg.Set.remove d s) s (Liveness.kills op) in
-    let s = List.fold_left (fun s u -> Reg.Set.add u s) s (Op.uses op) in
+    let s = List.fold_left (fun s u -> add_live i u s) s (Op.uses op) in
     live.(i) <- s
   done;
-  let get_cond, record =
-    make_cond_env (Pred_env.analyze region) liveness region
-  in
+  let get_cond, record = make_cond_env cx in
   let per_point = Array.init 3 (fun _ -> Array.make (n + 1) 0) in
   let per_point_blind = Array.init 3 (fun _ -> Array.make (n + 1) 0) in
   for i = 0 to n do
@@ -209,6 +298,7 @@ let sweep liveness (region : Region.t) =
     Array.iteri (fun k c -> per_point.(k).(i) <- c) pa;
     if i < n then record i
   done;
+  add_prefixes pre ~per_point ~per_point_blind;
   finish ~n_points:(n + 1) ~per_point ~per_point_blind
 
 (* ------------------------------------------------------------------ *)
@@ -220,53 +310,41 @@ let sweep liveness (region : Region.t) =
    demand's cycle.  Guarded writes in between only widen the occupancy
    condition, not the interval: if no guard held, an older value (or the
    entry value) is still the one being kept alive. *)
-let of_schedule liveness (region : Region.t) ~(ops : Op.t array)
+let of_schedule ?env liveness (region : Region.t) ~(ops : Op.t array)
     ~(cycle : int array) ~length =
   let n = Array.length ops in
-  let env = Pred_env.analyze region in
-  let entry_live = Liveness.live_in liveness region.Region.label in
-  let entry_needed = entry_matters env liveness region in
+  let cx = context ?env liveness region in
+  let defs = cx.st.defs and kills = cx.st.kills in
   let live_out = Liveness.live_out_region liveness region in
-  (* Per register, in program order: definition sites and kill sites. *)
-  let defs = Reg.Tbl.create 16 and kills = Reg.Tbl.create 16 in
-  let push tbl r i =
-    Reg.Tbl.replace tbl r (i :: (Option.value ~default:[] (Reg.Tbl.find_opt tbl r)))
-  in
-  Array.iteri
-    (fun i op ->
-      List.iter (fun d -> push defs d i) op.Op.dests;
-      List.iter (fun d -> push kills d i) (Liveness.kills op))
-    ops;
   (* Occupancy condition at a demand site: tru when the entry value can
      still reach it, else the disjunction of the write conditions of the
      preceding definitions. *)
   let cond_at r u =
-    let has_kill_before =
-      match Reg.Tbl.find_opt kills r with
-      | Some l -> List.exists (fun k -> k < u) l
-      | None -> false
-    in
-    if (not has_kill_before) && Reg.Set.mem r entry_live && entry_needed r
-    then Pqs.tru
-    else
-      written env (Option.value ~default:[] (Reg.Tbl.find_opt defs r)) r u
+    let has_kill_before = List.exists (fun k -> k < u) (sites kills r) in
+    if (not has_kill_before) && cx.entry_occupied r then Pqs.tru
+    else written cx.env (sites defs r) r u
   in
   let start_of r u =
-    match Reg.Tbl.find_opt kills r with
-    | None -> 0
-    | Some l ->
-      List.fold_left
-        (fun acc k -> if k < u then max acc cycle.(k) else acc)
-        0 l
+    List.fold_left
+      (fun acc k -> if k < u then max acc cycle.(k) else acc)
+      0 (sites kills r)
   in
   (* Occupancy intervals per register: [(lo, hi, u)] for a demand at op
-     [u] (or [n], the fall-through). *)
+     [u] (or [n], the fall-through).  A register the region never writes
+     keeps only its last demand cycle: its prefix ends there. *)
   let ivals = Reg.Tbl.create 16 in
+  let unwritten_last = Reg.Tbl.create 16 in
   let add_demand r ~end_cycle ~u =
-    let lo = start_of r u in
-    let iv = (min lo end_cycle, max lo end_cycle, u) in
-    Reg.Tbl.replace ivals r
-      (iv :: Option.value ~default:[] (Reg.Tbl.find_opt ivals r))
+    if Reg.Tbl.mem defs r then begin
+      let lo = start_of r u in
+      let iv = (min lo end_cycle, max lo end_cycle, u) in
+      Reg.Tbl.replace ivals r
+        (iv :: Option.value ~default:[] (Reg.Tbl.find_opt ivals r))
+    end
+    else
+      match Reg.Tbl.find_opt unwritten_last r with
+      | Some hi when hi >= end_cycle -> ()
+      | _ -> Reg.Tbl.replace unwritten_last r end_cycle
   in
   Array.iteri
     (fun i op ->
@@ -274,12 +352,19 @@ let of_schedule liveness (region : Region.t) ~(ops : Op.t array)
       if Op.is_branch op then
         Reg.Set.iter
           (fun r -> add_demand r ~end_cycle:cycle.(i) ~u:i)
-          (Liveness.live_at_target liveness region op))
+          cx.live_at.(i))
     ops;
   Reg.Set.iter
     (fun r -> add_demand r ~end_cycle:(max 0 (length - 1)) ~u:n)
     live_out;
   let n_cycles = max length 0 in
+  let pre = prefixes n_cycles in
+  if n_cycles > 0 then
+    Reg.Tbl.iter
+      (fun r hi ->
+        add_prefix pre r ~last:(min (n_cycles - 1) hi)
+          ~occupied:(cx.entry_occupied r))
+      unwritten_last;
   (* Each cycle's live registers, as per-class condition lists in
      ascending [Reg.compare] order: registers are visited in descending
      order and prepended.  Each register is walked over its own
@@ -325,4 +410,5 @@ let of_schedule liveness (region : Region.t) ~(ops : Op.t array)
       Array.iteri (fun k v -> per_point_blind.(k).(c) <- v) blind;
       Array.iteri (fun k v -> per_point.(k).(c) <- v) pa)
     live;
+  add_prefixes pre ~per_point ~per_point_blind;
   finish ~n_points:n_cycles ~per_point ~per_point_blind

@@ -50,15 +50,19 @@ val stat : t -> Reg.cls -> class_stat
 val maxlive : t -> Reg.cls -> int
 val maxlive_blind : t -> Reg.cls -> int
 
-val sweep : Liveness.t -> Region.t -> t
+val sweep : ?env:Pred_env.t -> Liveness.t -> Region.t -> t
 (** Program-point sweep over the unscheduled region: point [i] is just
-    before op [i]; point [n] is the region exit. *)
+    before op [i]; point [n] is the region exit.  [env] is the region's
+    {!Pred_env.analyze}, when the caller already has it. *)
 
 val of_schedule :
-  Liveness.t -> Region.t -> ops:Op.t array -> cycle:int array -> length:int
-  -> t
+  ?env:Pred_env.t -> Liveness.t -> Region.t -> ops:Op.t array
+  -> cycle:int array -> length:int -> t
 (** Exact per-cycle live counts for a schedule of the region given as
     program-ordered [ops] with per-op issue [cycle]s (the fields of
     [Cpr_sched.Schedule.t]).  Each register is visited only over the
     cycles its occupancy intervals span, so the work is the sum of the
-    interval lengths. *)
+    interval lengths.  A register the region never writes is live over
+    one prefix of the cycles under one constant condition, so it is
+    counted per class with a difference array instead of being visited
+    cycle by cycle (likewise in {!sweep}). *)

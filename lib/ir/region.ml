@@ -64,8 +64,35 @@ let reaching_pbr t (br : Op.t) =
     in
     scan None t.ops
 
+(* One forward pass: the label of the last [pbr] seen per btr register. *)
+let branch_targets t =
+  let prepared = Reg.Tbl.create 4 in
+  List.filter_map
+    (fun (op : Op.t) ->
+      if Op.is_pbr op then begin
+        let lab =
+          List.find_map
+            (function Op.Lab l -> Some l | Op.Reg _ | Op.Imm _ -> None)
+            op.Op.srcs
+        in
+        List.iter (fun d -> Reg.Tbl.replace prepared d lab) op.Op.dests;
+        None
+      end
+      else if Op.is_branch op then
+        let target =
+          List.find_map
+            (function
+              | Op.Reg r when r.Reg.cls = Reg.Btr ->
+                Some (Option.join (Reg.Tbl.find_opt prepared r))
+              | _ -> None)
+            op.Op.srcs
+        in
+        Some (op, Option.join target)
+      else None)
+    t.ops
+
 let successors t =
-  let targets = List.filter_map (branch_target t) (branches t) in
+  let targets = List.filter_map snd (branch_targets t) in
   let all = targets @ Option.to_list t.fallthrough in
   List.fold_left (fun acc l -> if List.mem l acc then acc else acc @ [ l ]) [] all
 

@@ -29,6 +29,10 @@ val branch_target : t -> Op.t -> string option
     writing the branch's btr source that last precedes it.  [None] when the
     branch has no btr source or no preceding [pbr] defines it. *)
 
+val branch_targets : t -> (Op.t * string option) list
+(** Every branch in program order with its {!branch_target}, in one pass
+    over the region instead of one scan per branch. *)
+
 val reaching_pbr : t -> Op.t -> Op.t option
 (** The [pbr] operation {!branch_target} resolves through: the last one
     before the branch defining its btr source. *)

@@ -174,7 +174,7 @@ let before ~stage prog inputs =
    whole check runs inside a [verify/<stage>] span; the [verify_time]
    ref keeps the pre-span accounting contract (the <10%-of-suite budget
    tables.exe reports) for callers that do not read traces. *)
-let verify_stage ?(verify = true) ?verify_time stage ~before p =
+let verify_stage ?(verify = true) ?verify_time ?table stage ~before p =
   if verify then
     Obs.span ("verify/" ^ stage.name) (fun () ->
         let t0 = Unix.gettimeofday () in
@@ -182,7 +182,8 @@ let verify_stage ?(verify = true) ?verify_time stage ~before p =
            so the schedule-hazard re-derivation cannot find anything the
            transformed stages would not also see; skip it there. *)
         let sched = stage.name <> superblock.name in
-        Cpr_verify.Verify.check_stage_exn ~sched ~stage:stage.name ~before p;
+        Cpr_verify.Verify.check_stage_exn ~sched ?table ~stage:stage.name
+          ~before p;
         match verify_time with
         | Some r -> r := !r +. (Unix.gettimeofday () -. t0)
         | None -> ())
@@ -193,14 +194,15 @@ let verify_stage ?(verify = true) ?verify_time stage ~before p =
    this stage on this domain (a no-op in production); it sits after the
    transform and before validation so a [Corrupt] fault takes exactly
    the detection path (validate -> verify -> fallback) a real miscompile
-   would. *)
-let finish ?(heur = Cpr_core.Heur.default) ?verify ?verify_time stage p
-    inputs =
-  let before = Prog.copy p in
+   would.  [before], what verification compares against, is a copy of
+   [p] unless the caller holds the same program unrewritten. *)
+let finish ?(heur = Cpr_core.Heur.default) ?verify ?verify_time ?table ?before
+    stage p inputs =
+  let before = match before with Some b -> b | None -> Prog.copy p in
   let stats = stage.transform heur p in
   Chaos.trip ~stage:stage.name p;
   Validate.check_exn p;
-  verify_stage ?verify ?verify_time stage ~before p;
+  verify_stage ?verify ?verify_time ?table stage ~before p;
   (* Only the height-reduced code needs observations, for {!equivalent};
      the other stages' outputs are just re-profiled. *)
   let observed =
@@ -277,7 +279,7 @@ let protected ?verify ?verify_time ?bundle_dir ~stage prog inputs =
    so a retry starts clean) instead of preparing the input again.  A
    degraded baseline is no starting point; ICBM then prepares for
    itself. *)
-let compile ?verify_time ?bundle_dir prog inputs =
+let compile ?verify_time ?table ?bundle_dir prog inputs =
   let base =
     protected ?verify_time ?bundle_dir ~stage:superblock.name prog inputs
   in
@@ -286,9 +288,12 @@ let compile ?verify_time ?bundle_dir prog inputs =
     | Recover.Committed b ->
       guard ?bundle_dir ~stage:icbm.name prog inputs (fun () ->
           with_pass ~stage:icbm.name prog (fun () ->
-              (* The trim [prepare] would have done. *)
+              (* The trim [prepare] would have done.  The committed
+                 baseline is never rewritten, so it serves as the
+                 stage's input for verification. *)
               Cpr_analysis.Pqs.trim ();
-              height_reduce_prepared ?verify_time (Prog.copy b.prog) inputs))
+              finish ?verify_time ?table ~before:b.prog icbm
+                (Prog.copy b.prog) inputs))
     | Recover.Fell_back _ ->
       protected ?verify_time ?bundle_dir ~stage:icbm.name prog inputs
   in

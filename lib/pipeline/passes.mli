@@ -131,6 +131,7 @@ val protected :
 
 val compile :
   ?verify_time:float ref ->
+  ?table:Cpr_sched.Sched_table.t ->
   ?bundle_dir:string ->
   Prog.t ->
   Cpr_sim.Equiv.input list ->
@@ -142,7 +143,12 @@ val compile :
     the input again; when the baseline degraded, the ICBM stage is
     [protected ~stage:"icbm"] unchanged.  Either way a failed ICBM stage
     falls back to the pre-pass input, and crash bundles record the raw
-    input program. *)
+    input program.  [table] serves the committed baseline's ICBM stage:
+    its schedule hazard check runs on the finished height-reduced
+    program and translation validation on the committed baseline (the
+    stage's input), neither of which is rewritten afterwards, so a
+    caller that schedules the returned codes with the same table reuses
+    that work. *)
 
 val equivalent :
   compiled -> compiled -> Cpr_sim.Equiv.input list -> (unit, string) result

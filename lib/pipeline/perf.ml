@@ -1,18 +1,20 @@
 open Cpr_ir
+module Sched_table = Cpr_sched.Sched_table
 
-let estimate machine prog =
-  let schedules = Cpr_sched.List_sched.schedule_prog machine prog in
+(* Σ over the program's regions of [charge region schedule]. *)
+let sum_schedules ?(table = Sched_table.create ()) machine prog charge =
+  let v = Sched_table.version table prog in
   List.fold_left
-    (fun acc (label, (s : Cpr_sched.Schedule.t)) ->
-      let region = Prog.find_exn prog label in
-      acc + (s.Cpr_sched.Schedule.length * region.Region.entry_count))
-    0 schedules
+    (fun acc (r : Region.t) ->
+      acc + charge r (Sched_table.schedule v machine r))
+    0 (Prog.regions prog)
 
-let estimate_exit_aware machine prog =
-  let schedules = Cpr_sched.List_sched.schedule_prog machine prog in
-  List.fold_left
-    (fun acc (label, (s : Cpr_sched.Schedule.t)) ->
-      let region = Prog.find_exn prog label in
+let estimate ?table machine prog =
+  sum_schedules ?table machine prog (fun region s ->
+      s.Cpr_sched.Schedule.length * region.Region.entry_count)
+
+let estimate_exit_aware ?table machine prog =
+  sum_schedules ?table machine prog (fun region s ->
       let taken_total = ref 0 in
       let exit_cycles = ref 0 in
       List.iter
@@ -31,16 +33,16 @@ let estimate_exit_aware machine prog =
       let fallthrough_entries =
         max 0 (region.Region.entry_count - !taken_total)
       in
-      acc + !exit_cycles + (fallthrough_entries * s.Cpr_sched.Schedule.length))
-    0 schedules
+      !exit_cycles + (fallthrough_entries * s.Cpr_sched.Schedule.length))
 
-let bound_estimate machine prog =
-  let live = Cpr_analysis.Liveness.analyze prog in
+let bound_estimate ?(table = Sched_table.create ()) machine prog =
+  let v = Sched_table.version table prog in
   List.fold_left
     (fun acc (r : Region.t) ->
       if r.Region.ops = [] then acc
       else
-        let s = Cpr_analysis.Height.of_region machine prog live r in
+        let g = Sched_table.graph v machine r in
+        let s = Cpr_analysis.Height.summarize machine g in
         acc + (s.Cpr_analysis.Height.bound * r.Region.entry_count))
     0 (Prog.regions prog)
 

@@ -29,8 +29,13 @@ let run ?bundle_dir ~name prog inputs =
   @@ fun () ->
   let t0 = Unix.gettimeofday () in
   let verify_time = ref 0.0 in
+  (* One schedule table for the run: the ICBM stage's verifier, the
+     estimates on both codes and all five machines, the bound and the
+     pressure summary share each distinct region's graph and schedules.
+     It dies with the run. *)
+  let table = Cpr_sched.Sched_table.create () in
   let base_p, reduced_p =
-    Passes.compile ~verify_time ?bundle_dir prog inputs
+    Passes.compile ~verify_time ~table ?bundle_dir prog inputs
   in
   let failures = List.filter_map Recover.failure [ base_p; reduced_p ] in
   let base = Recover.value base_p and reduced = Recover.value reduced_p in
@@ -40,12 +45,12 @@ let run ?bundle_dir ~name prog inputs =
   let base = base.Passes.prog and reduced = reduced.Passes.prog in
   let baseline_cycles =
     List.map
-      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate m base))
+      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate ~table m base))
       Descr.all
   in
   let reduced_cycles =
     List.map
-      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate m reduced))
+      (fun (m : Descr.t) -> (m.Descr.name, Perf.estimate ~table m reduced))
       Descr.all
   in
   let speedups =
@@ -58,7 +63,7 @@ let run ?bundle_dir ~name prog inputs =
      entry-weighted.  The gap is part of the deterministic result that
      the cprbench fingerprint and test_pipeline compare, so a scheduler
      or analyzer change that moves it shows up there. *)
-  let bound_cycles = Perf.bound_estimate Descr.medium reduced in
+  let bound_cycles = Perf.bound_estimate ~table Descr.medium reduced in
   let achieved_cycles =
     Option.value ~default:0
       (List.assoc_opt Descr.medium.Descr.name reduced_cycles)
@@ -74,7 +79,7 @@ let run ?bundle_dir ~name prog inputs =
   let pressure =
     List.map
       (fun (cls, v) -> (Cpr_verify.Pressurecheck.cls_name cls, v))
-      (Cpr_verify.Pressurecheck.summary ~machine:Descr.medium reduced)
+      (Cpr_verify.Pressurecheck.summary ~machine:Descr.medium ~table reduced)
   in
   let sb = Stats_ir.of_prog base in
   let sr = Stats_ir.of_prog reduced in

@@ -37,10 +37,9 @@ let finish machine region ops cycle =
    release buckets are skipped in O(log buckets) instead of burning a
    rescan per cycle, with fuel charged for the skipped cycles so the
    no-progress failure mode is unchanged. *)
-let schedule machine prog liveness (region : Region.t) =
-  let graph = Depgraph.build machine prog liveness region in
+let of_graph machine (region : Region.t) graph =
   let n = Depgraph.n_ops graph in
-  let ops = Array.init n (Depgraph.op graph) in
+  let ops = Depgraph.ops graph in
   let priority = Cpr_analysis.Height.priority graph in
   let cycle = Array.make n (-1) in
   let resources = Resource.create machine in
@@ -114,8 +113,5 @@ let schedule machine prog liveness (region : Region.t) =
          region.Region.label);
   finish machine region ops cycle
 
-let schedule_prog machine prog =
-  let liveness = Cpr_analysis.Liveness.analyze prog in
-  List.map
-    (fun (r : Region.t) -> (r.Region.label, schedule machine prog liveness r))
-    (Prog.regions prog)
+let schedule machine prog liveness region =
+  of_graph machine region (Depgraph.build machine prog liveness region)

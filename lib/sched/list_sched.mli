@@ -9,15 +9,18 @@ open Cpr_ir
     window, speculation/anticipation constraints) are entirely encoded in
     the dependence graph, so the scheduler itself is machine-generic. *)
 
-val schedule :
-  Cpr_machine.Descr.t -> Prog.t -> Cpr_analysis.Liveness.t -> Region.t
-  -> Schedule.t
-(** Ready-queue implementation: per-op unplaced-predecessor counters and
+val of_graph :
+  Cpr_machine.Descr.t -> Region.t -> Cpr_analysis.Depgraph.t -> Schedule.t
+(** Schedule a region from its dependence graph for this machine (built
+    by {!Cpr_analysis.Depgraph.build} with the same machine's latencies).
+    Ready-queue implementation: per-op unplaced-predecessor counters and
     cycle-keyed release buckets replace a full rescan of the unscheduled
     ops every cycle, preserving that greedy policy (and its output)
     exactly. *)
 
-val schedule_prog :
-  Cpr_machine.Descr.t -> Prog.t -> (string * Schedule.t) list
-(** Schedule every region of the program (computing liveness once);
-    association list keyed by region label in layout order. *)
+val schedule :
+  Cpr_machine.Descr.t -> Prog.t -> Cpr_analysis.Liveness.t -> Region.t
+  -> Schedule.t
+(** {!of_graph} on a freshly built graph.  Consumers that schedule a
+    finished program go through {!Sched_table}, which builds each distinct
+    graph and schedule once. *)

@@ -1,0 +1,131 @@
+open Cpr_ir
+module Descr = Cpr_machine.Descr
+module Depgraph = Cpr_analysis.Depgraph
+module Liveness = Cpr_analysis.Liveness
+module Obs = Cpr_obs.Obs
+
+let c_graph_misses = Obs.counter "sched.table.graph_misses"
+let c_schedule_misses = Obs.counter "sched.table.schedule_misses"
+let c_hits = Obs.counter "sched.table.hits"
+let c_liveness = Obs.counter "sched.table.liveness"
+
+(* Everything [Depgraph.build] reads of a region, plus its fallthrough:
+   the ops (the op list is compared physically first — [Region.copy]
+   shares it — then structurally), the live set at each branch target in
+   program order, the program's [noalias] bases and the per-op latency
+   vector (all five paper machines share one, so they share graphs). *)
+type key = {
+  ops : Op.t list;
+  fallthrough : string option;
+  live_at_targets : Reg.Set.t list;
+  noalias : Reg.t list;
+  lat : int array;
+}
+
+type entry = {
+  key : key;
+  graph : Depgraph.t;
+  mutable schedules : (Descr.issue * Schedule.t) list;
+}
+
+type t = {
+  entries : (int, entry list) Hashtbl.t;
+  mutable versions : version list;
+  mutable resident : version option;
+}
+
+and version = {
+  table : t;
+  prog : Prog.t;
+  mutable live : Liveness.t option;
+}
+
+let create () =
+  { entries = Hashtbl.create 64; versions = []; resident = None }
+
+let version t prog =
+  match List.find_opt (fun v -> v.prog == prog) t.versions with
+  | Some v -> v
+  | None ->
+    let v = { table = t; prog; live = None } in
+    t.versions <- v :: t.versions;
+    v
+
+(* One program's liveness is resident at a time: consumers go program by
+   program, and a whole-program solution is the largest thing a version
+   holds. *)
+let liveness v =
+  match v.live with
+  | Some l -> l
+  | None ->
+    Option.iter (fun (old : version) -> old.live <- None) v.table.resident;
+    Obs.incr c_liveness;
+    let l = Liveness.analyze v.prog in
+    v.live <- Some l;
+    v.table.resident <- Some v;
+    l
+
+let key_of v machine (r : Region.t) =
+  let live = liveness v in
+  {
+    ops = r.Region.ops;
+    fallthrough = r.Region.fallthrough;
+    live_at_targets = Liveness.live_at_targets live r;
+    noalias = v.prog.Prog.noalias_bases;
+    lat = Array.of_list (List.map (Descr.latency_of machine) r.Region.ops);
+  }
+
+(* Bucket by what distinguishes most regions cheaply: op ids are unique
+   within a program and copies get fresh ids. *)
+let bucket_of k =
+  Hashtbl.hash
+    ( (match k.ops with [] -> -1 | op :: _ -> op.Op.id),
+      Array.length k.lat,
+      k.fallthrough )
+
+let same_key a b =
+  (a.ops == b.ops || a.ops = b.ops)
+  && a.fallthrough = b.fallthrough
+  && a.lat = b.lat && a.noalias = b.noalias
+  && List.equal
+       (fun x y -> x == y || Reg.Set.equal x y)
+       a.live_at_targets b.live_at_targets
+
+(* The entry for [r]'s key and whether it was already there. *)
+let entry ?env v machine r =
+  let key = key_of v machine r in
+  let h = bucket_of key in
+  let bucket =
+    Option.value ~default:[] (Hashtbl.find_opt v.table.entries h)
+  in
+  match List.find_opt (fun e -> same_key e.key key) bucket with
+  | Some e -> (e, true)
+  | None ->
+    Obs.incr c_graph_misses;
+    let graph = Depgraph.build ?env machine v.prog (liveness v) r in
+    let e = { key; graph; schedules = [] } in
+    Hashtbl.replace v.table.entries h (e :: bucket);
+    (e, false)
+
+let graph ?env v machine r =
+  let e, hit = entry ?env v machine r in
+  if hit then Obs.incr c_hits;
+  e.graph
+
+let schedule ?env v machine r =
+  let e, _ = entry ?env v machine r in
+  match List.assoc_opt machine.Descr.issue e.schedules with
+  | Some s ->
+    Obs.incr c_hits;
+    { s with Schedule.region = r }
+  | None ->
+    Obs.incr c_schedule_misses;
+    let s = List_sched.of_graph machine r e.graph in
+    e.schedules <- (machine.Descr.issue, s) :: e.schedules;
+    s
+
+let schedule_prog ?(table = create ()) machine prog =
+  let v = version table prog in
+  List.map
+    (fun (r : Region.t) -> (r.Region.label, schedule v machine r))
+    (Prog.regions prog)

@@ -1,0 +1,59 @@
+open Cpr_ir
+
+(** One dependence graph and one schedule per distinct region.
+
+    A table serves every consumer that schedules finished programs
+    (the estimator on both compiled codes and all five machines, the
+    height bound, the pressure summary, the schedule hazard check and
+    translation validation's dependence graphs).  Graphs are keyed by
+    everything {!Cpr_analysis.Depgraph.build} reads — the region's ops,
+    the live set at each branch target, the program's [noalias_bases],
+    the per-op latency vector — plus the region's fallthrough; schedules
+    additionally by the machine's [issue].  So a region that is the same
+    in the baseline and the height-reduced code, or on two machines with
+    the same latencies, is analyzed once.
+
+    Entries hold no {!Cpr_analysis.Pqs} value, so trimming the predicate
+    engine cannot make them stale.  A table is meant to live for one run
+    over programs that are no longer rewritten: drop it with the run.
+    Telemetry counts [sched.table.graph_misses] (graphs built),
+    [sched.table.schedule_misses] (schedules built) and
+    [sched.table.hits] (requests served from the table).  See DESIGN.md
+    "One schedule per distinct region". *)
+
+type t
+
+val create : unit -> t
+
+type version
+(** A program as the table sees it.  Make a version only after the
+    program's last rewrite: a version is found again by the program's
+    physical identity. *)
+
+val version : t -> Prog.t -> version
+
+val liveness : version -> Cpr_analysis.Liveness.t
+(** The program's liveness, computed on first use.  A table keeps one
+    version's liveness at a time (the whole-program solution is the
+    largest thing it would hold), so consumers should go program by
+    program: returning to an earlier version computes it again, and the
+    [sched.table.liveness] counter counts every computation. *)
+
+val graph :
+  ?env:Cpr_analysis.Pred_env.t -> version -> Cpr_machine.Descr.t -> Region.t
+  -> Cpr_analysis.Depgraph.t
+(** The region's dependence graph for this machine's latencies, built on
+    the first request for its key.  [env] is the region's
+    {!Cpr_analysis.Pred_env.analyze}, used only when the graph is built. *)
+
+val schedule :
+  ?env:Cpr_analysis.Pred_env.t -> version -> Cpr_machine.Descr.t -> Region.t
+  -> Schedule.t
+(** {!List_sched.of_graph} on {!graph}, computed once per key and
+    machine [issue]; a reused schedule is returned with the caller's
+    region. *)
+
+val schedule_prog :
+  ?table:t -> Cpr_machine.Descr.t -> Prog.t -> (string * Schedule.t) list
+(** Every region of the program, keyed by label in layout order; a fresh
+    table by default. *)

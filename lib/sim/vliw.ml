@@ -18,7 +18,7 @@ let issue_table machine (code : Code.t) =
   let schedules = Hashtbl.create 17 in
   List.iter
     (fun (label, s) -> Hashtbl.replace schedules label s)
-    (Cpr_sched.List_sched.schedule_prog machine code.Code.prog);
+    (Cpr_sched.Sched_table.schedule_prog machine code.Code.prog);
   Array.map
     (fun (r : Code.region) ->
       Option.map

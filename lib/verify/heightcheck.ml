@@ -1,9 +1,7 @@
 open Cpr_ir
-module Depgraph = Cpr_analysis.Depgraph
 module Height = Cpr_analysis.Height
-module Liveness = Cpr_analysis.Liveness
 module Descr = Cpr_machine.Descr
-module List_sched = Cpr_sched.List_sched
+module Sched_table = Cpr_sched.Sched_table
 
 type row = {
   region : string;
@@ -30,11 +28,11 @@ let cold_branch (r : Region.t) (op : Op.t) =
    many times the static bound, plus a 2-cycle grace. *)
 let quality_factor = 2.0
 
-let check_region machine ~missed ~stats prog live (r : Region.t) =
-  let dg = Depgraph.build machine prog live r in
+let check_region machine ~missed ~stats v (r : Region.t) =
+  let dg = Sched_table.graph v machine r in
   let s = Height.summarize machine dg in
   let achieved =
-    (List_sched.schedule machine prog live r).Cpr_sched.Schedule.length
+    (Sched_table.schedule v machine r).Cpr_sched.Schedule.length
   in
   let row =
     {
@@ -107,6 +105,7 @@ let check_region machine ~missed ~stats prog live (r : Region.t) =
 let check ?(machine = Descr.medium) ?(missed = false) ~stats prog =
   let rows, findings =
     List.split
-      (Sweep.map_regions prog ~f:(check_region machine ~missed ~stats prog))
+      (Sweep.map_regions (Sched_table.create ()) prog
+         ~f:(check_region machine ~missed ~stats))
   in
   (rows, List.concat findings)

@@ -1,7 +1,8 @@
 open Cpr_ir
 module Pressure = Cpr_analysis.Pressure
+module Pred_env = Cpr_analysis.Pred_env
 module Descr = Cpr_machine.Descr
-module List_sched = Cpr_sched.List_sched
+module Sched_table = Cpr_sched.Sched_table
 
 type row = {
   region : string;
@@ -20,15 +21,18 @@ let cls_name = function
 let classes = [ Reg.Gpr; Reg.Pred; Reg.Btr ]
 
 (* The per-cycle counts over the region's list schedule. *)
-let scheduled machine prog live (r : Region.t) =
-  let sched = List_sched.schedule machine prog live r in
-  Pressure.of_schedule live r ~ops:sched.Cpr_sched.Schedule.ops
-    ~cycle:sched.Cpr_sched.Schedule.cycle
+let scheduled ?env machine v (r : Region.t) =
+  let sched = Sched_table.schedule ?env v machine r in
+  Pressure.of_schedule ?env (Sched_table.liveness v) r
+    ~ops:sched.Cpr_sched.Schedule.ops ~cycle:sched.Cpr_sched.Schedule.cycle
     ~length:sched.Cpr_sched.Schedule.length
 
-let region_rows machine prog live (r : Region.t) =
-  let sw = Pressure.sweep live r in
-  let sc = scheduled machine prog live r in
+(* One predicate environment per region, shared by the sweep, the
+   schedule count and (when the graph is built here) the graph. *)
+let region_rows machine v (r : Region.t) =
+  let env = Pred_env.analyze r in
+  let sw = Pressure.sweep ~env (Sched_table.liveness v) r in
+  let sc = scheduled ~env machine v r in
   List.map
     (fun cls ->
       let sweep_maxlive = Pressure.maxlive sw cls in
@@ -44,8 +48,11 @@ let region_rows machine prog live (r : Region.t) =
       })
     classes
 
+let rows_in table machine prog =
+  List.concat (Sweep.map_regions table prog ~f:(region_rows machine))
+
 let rows ?(machine = Descr.medium) prog =
-  List.concat (Sweep.map_regions prog ~f:(region_rows machine prog))
+  rows_in (Sched_table.create ()) machine prog
 
 (* Program-level figure per class: the worst region's scheduled
    (allocator-visible) predicate-aware MAXLIVE, read from each item by
@@ -57,13 +64,14 @@ let worst_per_class maxlive items =
     classes
 
 (* Only the scheduled count: the unscheduled sweep is for the lint rows. *)
-let summary ?(machine = Descr.medium) prog =
+let summary ?(machine = Descr.medium) ?(table = Sched_table.create ()) prog =
   worst_per_class Pressure.maxlive
-    (Sweep.map_regions prog ~f:(scheduled machine prog))
+    (Sweep.map_regions table prog ~f:(scheduled machine))
 
 let check ?(machine = Descr.medium) ?(growth_factor = 1.5) ?baseline ~stats
     prog =
-  let rs = rows ~machine prog in
+  let table = Sched_table.create () in
+  let rs = rows_in table machine prog in
   let findings = ref [] in
   List.iter
     (fun row ->
@@ -86,7 +94,7 @@ let check ?(machine = Descr.medium) ?(growth_factor = 1.5) ?baseline ~stats
   (match baseline with
   | None -> ()
   | Some before ->
-    let base = summary ~machine before in
+    let base = summary ~machine ~table before in
     List.iter
       (fun (cls, cur) ->
         let b = List.assoc cls base in

@@ -34,9 +34,12 @@ val cls_name : Reg.cls -> string
 val rows : ?machine:Cpr_machine.Descr.t -> Prog.t -> row list
 (** Three rows (one per class) per reachable non-empty region. *)
 
-val summary : ?machine:Cpr_machine.Descr.t -> Prog.t -> (Reg.cls * int) list
+val summary :
+  ?machine:Cpr_machine.Descr.t -> ?table:Cpr_sched.Sched_table.t -> Prog.t
+  -> (Reg.cls * int) list
 (** Worst-region scheduled MAXLIVE per class — the figure [Report.run]
-    records per workload and the growth warning compares. *)
+    records per workload and the growth warning compares.  The schedules
+    come from [table] (a fresh one by default). *)
 
 val check :
   ?machine:Cpr_machine.Descr.t ->

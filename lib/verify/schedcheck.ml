@@ -1,10 +1,8 @@
 open Cpr_ir
 module Pqs = Cpr_analysis.Pqs
 module Pred_env = Cpr_analysis.Pred_env
-module Depgraph = Cpr_analysis.Depgraph
-module Liveness = Cpr_analysis.Liveness
 module Descr = Cpr_machine.Descr
-module List_sched = Cpr_sched.List_sched
+module Sched_table = Cpr_sched.Sched_table
 module Schedule = Cpr_sched.Schedule
 
 (* Wiring class of a cmpp destination, when it is an accumulator
@@ -27,9 +25,10 @@ let acc_class (op : Op.t) (d : Reg.t) =
 
 let machine = Descr.medium
 
-let check_region prog live ~stats (r : Region.t) =
-  let dg = Depgraph.build machine prog live r in
-  let sched = List_sched.schedule machine prog live r in
+let check_region v ~stats (r : Region.t) =
+  let env = Pred_env.analyze r in
+  let dg = Sched_table.graph ~env v machine r in
+  let sched = Sched_table.schedule v machine r in
   let findings = ref [] in
   List.iter
     (fun v ->
@@ -38,7 +37,6 @@ let check_region prog live ~stats (r : Region.t) =
           ~region:r.Region.label v
         :: !findings)
     (Schedule.check machine dg sched);
-  let env = Pred_env.analyze r in
   let ops = sched.Schedule.ops in
   let pc = Pred_env.path_conds env in
   let write_cond i d = Pqs.and_ pc.(i) (Pred_env.write_cond env i d) in
@@ -78,12 +76,6 @@ let check_region prog live ~stats (r : Region.t) =
     ops;
   List.rev !findings
 
-let check ~stats prog =
-  let reachable = Dataflow.reachable_labels prog in
-  let live = Liveness.analyze prog in
-  List.concat_map
-    (fun (r : Region.t) ->
-      if Hashtbl.mem reachable r.Region.label && r.Region.ops <> [] then
-        check_region prog live ~stats r
-      else [])
-    (Prog.regions prog)
+let check ?(table = Sched_table.create ()) ~stats prog =
+  let v = Sched_table.version table prog in
+  List.concat_map (check_region v ~stats) (Sweep.regions_of prog)

@@ -2,10 +2,10 @@ open Cpr_ir
 
 (** EQ-model schedule hazard check.
 
-    Re-derives the dependence graph of every reachable region from
-    scratch ({!Cpr_analysis.Depgraph.build}), schedules the region with
-    the production list scheduler and asserts the result respects every
-    edge and the machine's per-cycle resources
+    Derives the dependence graph of every reachable region
+    ({!Cpr_analysis.Depgraph.build}, through {!Cpr_sched.Sched_table}),
+    schedules the region with the production list scheduler and asserts
+    the result respects every edge and the machine's per-cycle resources
     ({!Cpr_sched.Schedule.check}).  On top of the edge check it scans
     for same-completion-cycle write-after-write hazards: two operations
     whose destinations overlap, whose completion cycles
@@ -18,6 +18,10 @@ open Cpr_ir
     Checks: [sched] (error, one per {!Cpr_sched.Schedule.check}
     violation), [sched-waw] (error). *)
 
-val check : stats:Finding.stats -> Prog.t -> Finding.t list
+val check :
+  ?table:Cpr_sched.Sched_table.t -> stats:Finding.stats -> Prog.t
+  -> Finding.t list
 (** Checks the schedules for {!Cpr_machine.Descr.medium}, the machine
-    the pipeline's heuristics target. *)
+    the pipeline's heuristics target.  The graph and schedule of each
+    region come from [table] (a fresh one by default), so the check
+    builds each once. *)

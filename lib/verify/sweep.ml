@@ -1,12 +1,12 @@
 open Cpr_ir
-module Liveness = Cpr_analysis.Liveness
+module Sched_table = Cpr_sched.Sched_table
 
-(* Shared scaffolding for the whole-program quality lints (Heightcheck,
-   Pressurecheck): which regions a per-region analysis runs over, and a
-   runner that computes liveness once for all of them.  Unreachable
-   regions are dead text — scheduling or counting them would lint code
-   the program cannot execute — and empty regions have nothing to
-   analyze. *)
+(* Shared scaffolding for the per-region checks (Heightcheck,
+   Pressurecheck, Schedcheck): which regions a per-region analysis runs
+   over, and a runner that hands each the program's {!Sched_table}
+   version.  Unreachable regions are dead text — scheduling or counting
+   them would lint code the program cannot execute — and empty regions
+   have nothing to analyze. *)
 
 let regions_of prog =
   let reachable = Dataflow.reachable_labels prog in
@@ -15,6 +15,6 @@ let regions_of prog =
       Hashtbl.mem reachable r.Region.label && r.Region.ops <> [])
     (Prog.regions prog)
 
-let map_regions prog ~f =
-  let live = Liveness.analyze prog in
-  List.map (f live) (regions_of prog)
+let map_regions table prog ~f =
+  let v = Sched_table.version table prog in
+  List.map (f v) (regions_of prog)

@@ -2,7 +2,6 @@ open Cpr_ir
 module Pqs = Cpr_analysis.Pqs
 module Pred_env = Cpr_analysis.Pred_env
 module Depgraph = Cpr_analysis.Depgraph
-module Liveness = Cpr_analysis.Liveness
 
 type config = {
   check_branches : bool;
@@ -103,7 +102,8 @@ let label_reaches prog l target =
   in
   go l
 
-let validate ~stats ~stage ~before after =
+let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
+    after =
   let cfg = config_of_stage stage in
   let findings = ref [] in
   let add ~check ~region ?op ?subject msg =
@@ -209,7 +209,7 @@ let validate ~stats ~stage ~before after =
           (Region.branches r))
       before_regions;
   (* tv-order *)
-  let live = Liveness.analyze before in
+  let before_v = Cpr_sched.Sched_table.version table before in
   let dep_still_real kind xs ys =
     match kind with
     | Depgraph.Flow reg ->
@@ -230,7 +230,9 @@ let validate ~stats ~stage ~before after =
   List.iter
     (fun (r : Region.t) ->
       if r.Region.ops <> [] then begin
-        let dg = Depgraph.build Cpr_machine.Descr.medium before live r in
+        let dg =
+          Cpr_sched.Sched_table.graph before_v Cpr_machine.Descr.medium r
+        in
         List.iter
           (fun (e : Depgraph.edge) ->
             match e.Depgraph.kind with

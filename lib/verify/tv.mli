@@ -46,10 +46,11 @@ open Cpr_ir
     [unknown] in the stats rather than reporting. *)
 
 val validate :
-  stats:Finding.stats -> stage:string -> before:Prog.t -> Prog.t
-  -> Finding.t list
+  ?table:Cpr_sched.Sched_table.t -> stats:Finding.stats -> stage:string
+  -> before:Prog.t -> Prog.t -> Finding.t list
 (** [validate ~stats ~stage ~before after].  [stage] is a
     {!Cpr_fuzz.Stage} name ([ifconv], [frp], [spec], [unroll],
     [fullcpr], [icbm], [fullpipe]); unknown names get every check except
-    [tv-store-guard].  [tv-order] builds dependence graphs for
-    {!Cpr_machine.Descr.medium}. *)
+    [tv-store-guard].  [tv-order] takes the input's dependence graphs for
+    {!Cpr_machine.Descr.medium} from [table] (a fresh one by
+    default). *)

@@ -23,7 +23,7 @@ let observe r =
 
 (* Uncounted core shared by both entry points, so [check_stage]'s
    internal baseline re-lint is not double-counted in the telemetry. *)
-let lint_program ?(sched = true) ?only_checks prog =
+let lint_program ?(sched = true) ?table ?only_checks prog =
   let stats = Finding.new_stats () in
   let findings = Dataflow.lint ?only_checks ~stats prog in
   let sched =
@@ -34,7 +34,7 @@ let lint_program ?(sched = true) ?only_checks prog =
     | Some cs -> List.mem "sched" cs || List.mem "sched-waw" cs
   in
   let findings =
-    if sched then findings @ Schedcheck.check ~stats prog
+    if sched then findings @ Schedcheck.check ?table ~stats prog
     else findings
   in
   { findings; stats }
@@ -49,8 +49,9 @@ let check_program prog =
 
 let errors r = List.filter Finding.is_error r.findings
 
-let check_stage ?sched ~stage ~before after =
-  let aft = lint_program ?sched after in
+let check_stage ?sched ?(table = Cpr_sched.Sched_table.create ()) ~stage
+    ~before after =
+  let aft = lint_program ?sched ~table after in
   (* Baseline subtraction only matters when the output has findings at
      all, so the input program is checked lazily: in the common
      all-clean case the input check is skipped entirely (the report's
@@ -67,7 +68,7 @@ let check_stage ?sched ~stage ~before after =
         List.sort_uniq compare
           (List.map (fun f -> f.Finding.check) aft_findings)
       in
-      let base = lint_program ?sched ~only_checks:wanted before in
+      let base = lint_program ?sched ~table ~only_checks:wanted before in
       (* Key the input's findings with the identity resolver (its ops are
          the originals) and the output's through one-step [orig] chasing,
          so a finding inherited from the input doesn't re-report just
@@ -100,7 +101,7 @@ let check_stage ?sched ~stage ~before after =
   let tv =
     match stage with
     | "superblock" | "baseline" -> []
-    | _ -> Tv.validate ~stats:aft.stats ~stage ~before after
+    | _ -> Tv.validate ~table ~stats:aft.stats ~stage ~before after
   in
   observe { findings = fresh @ tv; stats = aft.stats }
 
@@ -115,7 +116,7 @@ let () =
            fs)
     | _ -> None)
 
-let check_stage_exn ?sched ~stage ~before after =
-  match errors (check_stage ?sched ~stage ~before after) with
+let check_stage_exn ?sched ?table ~stage ~before after =
+  match errors (check_stage ?sched ?table ~stage ~before after) with
   | [] -> ()
   | errs -> raise (Verify_error errs)

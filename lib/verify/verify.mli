@@ -26,12 +26,16 @@ val check_program : Prog.t -> report
     {!Cpr_machine.Descr.medium}. *)
 
 val check_stage :
-  ?sched:bool -> stage:string -> before:Prog.t -> Prog.t -> report
+  ?sched:bool -> ?table:Cpr_sched.Sched_table.t -> stage:string
+  -> before:Prog.t -> Prog.t -> report
 (** [check_stage ~stage ~before after]: {!check_program} on the
     transformed program [after] (without the schedule hazard checks when
     [sched:false]), minus the findings [before] already exhibits, plus
     translation validation of the [stage] (skipped for [superblock] and
-    [baseline], which are the identity on region content). *)
+    [baseline], which are the identity on region content).  The
+    schedule hazard check and translation validation take their graphs
+    and schedules from [table] (a fresh one by default); pass a table
+    only when neither program is rewritten while it lives. *)
 
 val errors : report -> Finding.t list
 
@@ -39,5 +43,6 @@ exception Verify_error of Finding.t list
 (** Carries only the error-severity findings; a printer is registered. *)
 
 val check_stage_exn :
-  ?sched:bool -> stage:string -> before:Prog.t -> Prog.t -> unit
+  ?sched:bool -> ?table:Cpr_sched.Sched_table.t -> stage:string
+  -> before:Prog.t -> Prog.t -> unit
 (** Raise {!Verify_error} if {!check_stage} reports any error. *)

@@ -1,7 +1,9 @@
 (* The per-cycle rescan that [Cpr_analysis.Pressure.of_schedule]
    replaced, kept as its oracle: at every cycle it scans every register's
    intervals, then sorts the live registers and greedily packs all of
-   them, [tru] ones included. *)
+   them, [tru] ones included.  Beside it, the program-point sweep with
+   every live register in every point's list, the registers the region
+   never writes included. *)
 
 open Cpr_ir
 module Pqs = Cpr_analysis.Pqs
@@ -126,6 +128,59 @@ let entry_matters env liveness (region : Region.t) =
     (fun r -> demand r ~u:n ~guard:Pqs.tru)
     (Liveness.live_out_region liveness region);
   fun r -> Reg.Tbl.mem needed r
+
+(* Backward pass: blind live set at each of the n+1 program points
+   (point i = just before op i; point n = region exit), with the
+   [Liveness] transfer; then a forward pass accumulating each register's
+   occupancy condition from the write conditions of its defs. *)
+let sweep liveness (region : Region.t) =
+  let ops = Array.of_list region.Region.ops in
+  let n = Array.length ops in
+  let live = Array.make (n + 1) Reg.Set.empty in
+  live.(n) <- Liveness.live_out_region liveness region;
+  for i = n - 1 downto 0 do
+    let op = ops.(i) in
+    let s = live.(i + 1) in
+    let s =
+      if Op.is_branch op then
+        Reg.Set.union s (Liveness.live_at_target liveness region op)
+      else s
+    in
+    let s =
+      List.fold_left (fun s d -> Reg.Set.remove d s) s (Liveness.kills op)
+    in
+    live.(i) <- List.fold_left (fun s u -> Reg.Set.add u s) s (Op.uses op)
+  done;
+  let env = Pred_env.analyze region in
+  let entry_live = Liveness.live_in liveness region.Region.label in
+  let entry_needed = entry_matters env liveness region in
+  let conds = Reg.Tbl.create 16 in
+  let cond r =
+    match Reg.Tbl.find_opt conds r with
+    | Some c -> c
+    | None ->
+      if Reg.Set.mem r entry_live && entry_needed r then Pqs.tru else Pqs.fls
+  in
+  let per_point = Array.init 3 (fun _ -> Array.make (n + 1) 0) in
+  let per_point_blind = Array.init 3 (fun _ -> Array.make (n + 1) 0) in
+  for i = 0 to n do
+    let live_per_class = Array.make 3 [] in
+    Reg.Set.iter
+      (fun (r : Reg.t) ->
+        let k = Reg.cls_rank r.Reg.cls in
+        live_per_class.(k) <- r :: live_per_class.(k))
+      live.(i);
+    let blind, pa = count_point ~cond live_per_class in
+    Array.iteri (fun k v -> per_point_blind.(k).(i) <- v) blind;
+    Array.iteri (fun k v -> per_point.(k).(i) <- v) pa;
+    if i < n then
+      List.iter
+        (fun d ->
+          Reg.Tbl.replace conds d
+            (Pqs.or_ (cond d) (Pred_env.write_cond env i d)))
+        ops.(i).Op.dests
+  done;
+  finish ~n_points:(n + 1) ~per_point ~per_point_blind
 
 (* Each demand for a register value (a use, a taken exit whose target
    needs it, or region fall-through) pins the register from the cycle of

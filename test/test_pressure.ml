@@ -107,11 +107,27 @@ let workloads_sound () =
 (* The span walk against the per-cycle rescan it replaced.             *)
 (* ------------------------------------------------------------------ *)
 
-(* Every region of [prog] scheduled on every machine: [Pr.of_schedule]
-   and {!Pressure_reference.of_schedule} give the same per-cycle counts,
-   blind and refined, and the same statistics. *)
-let matches_reference where prog =
+let same_counts (got : Pr.t) (want : Pr.t) =
+  got.Pr.n_points = want.Pr.n_points
+  && got.Pr.per_point = want.Pr.per_point
+  && got.Pr.per_point_blind = want.Pr.per_point_blind
+  && got.Pr.stats = want.Pr.stats
+
+(* Every region of [prog]: [Pr.sweep] gives the same per-point counts as
+   {!Pressure_reference.sweep}, and scheduled on each of [machines],
+   [Pr.of_schedule] and {!Pressure_reference.of_schedule} give the same
+   per-cycle counts, blind and refined, and the same statistics. *)
+let matches_reference ?(machines = Descr.all) where prog =
   let live = A.Liveness.analyze prog in
+  List.iter
+    (fun (r : Region.t) ->
+      if
+        not
+          (same_counts (Pr.sweep live r) (Pressure_reference.sweep live r))
+      then
+        Alcotest.failf "%s/%s: sweep differs from the reference" where
+          r.Region.label)
+    (Prog.regions prog);
   List.iter
     (fun (m : Descr.t) ->
       List.iter
@@ -124,15 +140,11 @@ let matches_reference where prog =
           let want =
             Pressure_reference.of_schedule live r ~ops ~cycle ~length
           in
-          if
-            got.Pr.per_point <> want.Pr.per_point
-            || got.Pr.per_point_blind <> want.Pr.per_point_blind
-            || got.Pr.stats <> want.Pr.stats
-          then
+          if not (same_counts got want) then
             Alcotest.failf "%s/%s on %s: of_schedule differs from the reference"
               where r.Region.label m.Descr.name)
         (Prog.regions prog))
-    Descr.all
+    machines
 
 let reference_on_workloads () =
   List.iter
@@ -152,6 +164,78 @@ let reference_on_fuzz () =
   for seed = 0 to 499 do
     matches_reference (Printf.sprintf "seed %d" seed) (W.Gen.prog_of_seed seed)
   done
+
+(* The many-regions kernels: a dispatch loop with a chain of cold
+   regions, each of which the registers of all the others live through
+   unwritten — where the bulk counting of registers a region never writes
+   does nearly all the work. *)
+let reference_on_dispatch () =
+  List.iter
+    (fun cold ->
+      let spec =
+        {
+          W.Kernels.default_dispatch with
+          cases =
+            List.init 4 (fun i ->
+                { W.Kernels.match_value = 3 + (7 * i); handler_work = 4 });
+          d_cold_regions = cold;
+          d_cold_size = 10;
+        }
+      in
+      let prog = W.Kernels.dispatch_prog spec in
+      let live = A.Liveness.analyze prog in
+      let widest =
+        List.fold_left
+          (fun acc (r : Region.t) ->
+            let written =
+              Reg.Set.of_list (List.concat_map Op.defs r.Region.ops)
+            in
+            max acc
+              (Reg.Set.cardinal
+                 (Reg.Set.diff
+                    (A.Liveness.live_in live r.Region.label)
+                    written)))
+          0 (Prog.regions prog)
+      in
+      checkb
+        (Printf.sprintf "cold %d: a region has %d live-through registers"
+           cold widest)
+        true (widest >= cold);
+      matches_reference
+        ~machines:[ Descr.narrow; Descr.medium ]
+        (Printf.sprintf "dispatch cold %d" cold)
+        prog)
+    [ 25; 50; 75; 100; 125; 150; 175; 200; 225; 250 ]
+
+(* A predicate [p] the region never writes, live at the target of an
+   exit whose guard [q] is constant false: blind liveness keeps [p] live
+   from entry to the exit, but no demand can read its entry value, so it
+   occupies no slot (condition [fls]). *)
+let unwritten_dead_entry_pred () =
+  let ctx = B.create () in
+  let p = B.pred ctx and q = B.pred ctx in
+  let x = B.gpr ctx in
+  let main =
+    B.region ctx "Main" ~fallthrough:"Exit" (fun e ->
+        let (_ : Op.t) = B.pred_init e [ (q, false) ] in
+        let (_ : Op.t) = B.branch_to e ~guard:(Op.If q) "Side" in
+        let (_ : Op.t) = B.movi e x 1 in
+        ())
+  in
+  let side =
+    B.region ctx "Side" ~fallthrough:"Exit" (fun e ->
+        ignore (B.movi e ~guard:(Op.If p) x 2 : Op.t))
+  in
+  let prog = B.prog ctx ~entry:"Main" [ main; side ] in
+  matches_reference "unwritten dead-entry predicate" prog;
+  let live = A.Liveness.analyze prog in
+  let r = Prog.find_exn prog "Main" in
+  checkb "p is live into the region" true
+    (Reg.Set.mem p (A.Liveness.live_in live "Main"));
+  let sw = Pr.sweep live r in
+  checki "sweep: blind pred count sees p and q" 2
+    (Pr.maxlive_blind sw Reg.Pred);
+  checki "sweep: refined pred count drops p" 1 (Pr.maxlive sw Reg.Pred)
 
 (* ------------------------------------------------------------------ *)
 (* The refinement: complementary cmpp guards share a slot.             *)
@@ -333,6 +417,10 @@ let suite =
       case "of_schedule = reference on every workload stage"
         reference_on_workloads;
       case "of_schedule = reference on 500 fuzz programs" reference_on_fuzz;
+      case "sweep, of_schedule = reference on many-regions kernels"
+        reference_on_dispatch;
+      case "unwritten predicate with a dead entry value takes no slot"
+        unwritten_dead_entry_pred;
       case "complementary cmpp guards share register slots"
         disjoint_guards_share_slots;
       case "sweep contributions telescope" contributions_telescope;

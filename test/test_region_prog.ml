@@ -20,6 +20,10 @@ let branch_targets () =
     "targets" [ Some "A"; Some "B" ]
     (List.map (Region.branch_target region) brs);
   check
+    Alcotest.(list (option string))
+    "targets in one pass" [ Some "A"; Some "B" ]
+    (List.map snd (Region.branch_targets region));
+  check
     Alcotest.(list string)
     "successors dedup and include fallthrough" [ "A"; "B"; "Exit" ]
     (Region.successors region)
@@ -34,11 +38,44 @@ let pbr_rebinding () =
         let (_ : Op.t) = B.pbr e b "B" in
         let (_ : Op.t) = B.cmpp1 e Op.Eq Op.Un p (Op.Imm 0) (Op.Imm 0) in
         let (_ : Op.t) = B.branch e ~guard:(Op.If p) b in
+        let (_ : Op.t) = B.pbr e b "C" in
+        let (_ : Op.t) = B.branch e ~guard:(Op.If p) b in
         ())
   in
-  let br = List.hd (Region.branches region) in
-  check Alcotest.(option string) "last pbr wins" (Some "B")
-    (Region.branch_target region br)
+  let brs = Region.branches region in
+  check
+    Alcotest.(list (option string))
+    "last pbr before each branch wins" [ Some "B"; Some "C" ]
+    (List.map (Region.branch_target region) brs);
+  check
+    Alcotest.(list (option string))
+    "and in one pass" [ Some "B"; Some "C" ]
+    (List.map snd (Region.branch_targets region))
+
+(* The one-pass resolution agrees with the per-branch scan on every
+   region of the registry workloads and of generated programs. *)
+let branch_targets_agree () =
+  let agree where prog =
+    List.iter
+      (fun (r : Region.t) ->
+        let scanned =
+          List.map
+            (fun br -> (br, Region.branch_target r br))
+            (Region.branches r)
+        in
+        if Region.branch_targets r <> scanned then
+          Alcotest.failf "%s/%s: branch_targets differs from branch_target"
+            where r.Region.label)
+      (Prog.regions prog)
+  in
+  List.iter
+    (fun (w : Cpr_workloads.Workload.t) ->
+      agree w.Cpr_workloads.Workload.name (w.Cpr_workloads.Workload.build ()))
+    Cpr_workloads.Registry.all;
+  for seed = 0 to 299 do
+    agree (Printf.sprintf "seed %d" seed)
+      (Cpr_workloads.Gen.prog_of_seed seed)
+  done
 
 let profile_counters () =
   let r = Region.make "L" [] in
@@ -148,6 +185,7 @@ let suite =
     [
       case "branch targets" branch_targets;
       case "pbr rebinding" pbr_rebinding;
+      case "one-pass branch targets agree" branch_targets_agree;
       case "profile counters" profile_counters;
       case "prog structure" prog_structure;
       case "fresh generators" fresh_generators_respect_existing;
