@@ -9,8 +9,9 @@
 #   bash cprbench/run.sh --workload W --seed S --seconds 3 --trace 0
 # from both trees for W in paper-suite, wide-regions, many-regions and
 # fuzz-verify and S in 1..3, alternating which tree runs first.
-# wide-regions is the workload where predicate speculation dominates, so
-# a return of its superlinear growth trips the gate; many-regions is
+# wide-regions is the workload where predicate speculation and list
+# scheduling of long regions dominate, so a return of either's
+# superlinear growth trips the gate; many-regions is
 # where per-region scheduling, register-pressure checking and schedule
 # verification dominate.  Exits 1 if PARENT_REV does not
 # name a commit, if any run is incorrect (correct: false or failed > 0),

@@ -34,20 +34,16 @@ let pp_finding ppf (where, f) =
 (* Shared per-stage sweep runner: every registry workload (or corpus
    artifact) through every requested stage, folding a per-program report
    [f ~stage ~where ~before after -> (errors, warnings)].  A raising
-   transform counts as one error.  [before] is {!Cpr_pipeline.Passes.before},
-   the program the stage started from, for reports that compare across
-   the transformation; it is computed only when forced.  The correctness
-   sweep, --heights and --pressure all ride on this. *)
+   transform counts as one error.  [before] is the program the stage
+   started from ({!Cpr_fuzz.Stage.run}), for reports that compare across
+   the transformation.  The correctness sweep, --heights and --pressure
+   all ride on this. *)
 let sweep_stage prog inputs (stage : F.Stage.t) ~where ~f =
-  match stage.F.Stage.apply prog inputs with
+  match stage.F.Stage.run prog inputs with
   | exception e ->
     Format.printf "%s: transform raised: %s@." where (Printexc.to_string e);
     (1, 0)
-  | after ->
-    let stage = stage.F.Stage.name in
-    f ~stage ~where
-      ~before:(lazy (Cpr_pipeline.Passes.before ~stage prog inputs))
-      after
+  | before, after -> f ~stage:stage.F.Stage.name ~where ~before after
 
 let sweep_stage_workloads stages ~f =
   let errors = ref 0 and warnings = ref 0 in
@@ -91,7 +87,7 @@ let lint_workloads stages quiet =
   let errors, warnings =
     sweep_stage_workloads stages ~f:(fun ~stage ~where ~before after ->
         let report =
-          V.Verify.check_stage ~stage ~before:(Lazy.force before) after
+          V.Verify.check_stage ~stage ~before after
         in
         proved := !proved + report.V.Verify.stats.V.Finding.proved;
         unknown := !unknown + report.V.Verify.stats.V.Finding.unknown;
@@ -181,7 +177,7 @@ let pressure_header () =
 let pressure_of_prog ~stage ~where ~before quiet prog =
   let stats = V.Finding.new_stats () in
   let baseline =
-    if is_cpr_stage stage then Some (Lazy.force before) else None
+    if is_cpr_stage stage then Some before else None
   in
   let rows, findings = V.Pressurecheck.check ?baseline ~stats prog in
   if not quiet then begin

@@ -51,18 +51,17 @@ let analyze (prog : Prog.t) =
   let order =
     List.rev_map
       (fun (r : Region.t) ->
+        let ops = Array.of_list r.Region.ops in
+        let targets = Region.targets_by_index r in
+        let last = Array.length ops - 1 in
         let steps =
-          Array.of_list
-            (List.rev_map
-               (fun (op : Op.t) ->
-                 {
-                   target =
-                     (if Op.is_branch op then Region.branch_target r op
-                      else None);
-                   kill_ix = ix (kills op);
-                   use_ix = ix (Op.uses op);
-                 })
-               r.Region.ops)
+          Array.init (last + 1) (fun k ->
+              let op = ops.(last - k) in
+              {
+                target = targets.(last - k);
+                kill_ix = ix (kills op);
+                use_ix = ix (Op.uses op);
+              })
         in
         (r.Region.label, r.Region.fallthrough, steps))
       regions
@@ -138,30 +137,23 @@ let live_in t label =
       Hashtbl.replace t.set_cache label s;
       s
 
-let live_at_target t (r : Region.t) (br : Op.t) =
-  match Region.branch_target r br with
-  | Some target -> live_in t target
+let live_at_label t = function
+  | Some l -> live_in t l
   | None -> t.boundary_set
 
 let live_at_targets t (r : Region.t) =
   List.map
-    (fun (_, target) ->
-      match target with Some l -> live_in t l | None -> t.boundary_set)
+    (fun (_, target) -> live_at_label t target)
     (Region.branch_targets r)
 
 let live_at_branches t (r : Region.t) ops =
-  let at = Array.make (Array.length ops) Reg.Set.empty in
-  let sets = ref (live_at_targets t r) in
-  Array.iteri
+  let targets = Region.targets_by_index r in
+  if Array.length targets <> Array.length ops then
+    invalid_arg "Liveness.live_at_branches: another region's ops";
+  Array.mapi
     (fun i op ->
-      if Op.is_branch op then
-        match !sets with
-        | s :: rest ->
-          at.(i) <- s;
-          sets := rest
-        | [] -> invalid_arg "Liveness.live_at_branches: another region's ops")
-    ops;
-  at
+      if Op.is_branch op then live_at_label t targets.(i) else Reg.Set.empty)
+    ops
 
 let live_out_region t (r : Region.t) =
   match r.Region.fallthrough with
@@ -177,8 +169,10 @@ let live_out_region t (r : Region.t) =
    does, so the disjunction is never built: each term is checked on its
    own and the scan stops at the first that fails.  An unconditional kill
    ends the scan — nothing past it can read the value present after
-   [idx]. *)
-let live_after_implies t env (r : Region.t) idx reg guard =
+   [idx].  The live set at each exit comes from the caller's
+   [live_at_branches] array, built once per region snapshot, so no query
+   resolves a branch target. *)
+let live_after_implies t env (r : Region.t) ~live_at idx reg guard =
   let ops = Pred_env.ops env in
   let pc = Pred_env.path_conds env in
   let n = Array.length ops in
@@ -191,7 +185,7 @@ let live_after_implies t env (r : Region.t) idx reg guard =
       ((not (List.exists (Reg.equal reg) (Op.uses op)))
       || covered j (Pred_env.guard_expr env j))
       && ((not (Op.is_branch op))
-         || (not (Reg.Set.mem reg (live_at_target t r op)))
+         || (not (Reg.Set.mem reg live_at.(j)))
          || covered j (Pred_env.taken_expr env j))
       && (List.exists (Reg.equal reg) (kills op) || scan (j + 1))
   in

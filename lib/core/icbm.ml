@@ -40,8 +40,11 @@ let add_stats a b =
      bypass; or
    - a moved op whose effect is needed on-trace (a store, or a producer
      of a value consumed by a staying op) has a guard that cannot be
-     substituted by the on-trace FRP. *)
-let block_legal liveness (region : Region.t) graph ops
+     substituted by the on-trace FRP.
+
+   [live_at] is [Liveness.live_at_branches] of [ops], shared by every
+   block of the region. *)
+let block_legal liveness (region : Region.t) graph ops ~live_at
     (block : Restructure.block_ref) =
   let n = Array.length ops in
   let idx_of_id id =
@@ -159,15 +162,14 @@ let block_legal liveness (region : Region.t) graph ops
        the block is demoted. *)
     let live_on_trace =
       if block.Restructure.taken_variation then
-        Liveness.live_at_target liveness region ops.(last_branch)
+        live_at.(last_branch)
       else Liveness.live_out_region liveness region
     in
     let live_exposed = Array.make (n + 1) live_on_trace in
     for i = n - 1 downto 0 do
       live_exposed.(i) <-
         (if Op.is_branch ops.(i) && not in_move.(i) then
-           Reg.Set.union live_exposed.(i + 1)
-             (Liveness.live_at_target liveness region ops.(i))
+           Reg.Set.union live_exposed.(i + 1) live_at.(i)
          else live_exposed.(i + 1))
     done;
     let final_branch_idx = last_branch in
@@ -301,8 +303,9 @@ let transform_region heur prog liveness (region : Region.t) =
   let ops = Array.of_list region.Region.ops in
   let graph = Depgraph.build Cpr_machine.Descr.medium prog liveness region in
   let refs = to_block_refs ops blocks in
+  let live_at = Liveness.live_at_branches liveness region ops in
   let legal, demoted =
-    List.partition (fun b -> block_legal liveness region graph ops b) refs
+    List.partition (block_legal liveness region graph ops ~live_at) refs
   in
   let stats = transform_region_with_blocks prog region legal in
   {

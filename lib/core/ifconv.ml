@@ -51,6 +51,7 @@ let unbiased (region : Region.t) (br : Op.t) =
 (* Convert the first eligible branch; [true] if one was converted. *)
 let convert_one ?(only_unbiased = true) (prog : Prog.t) (region : Region.t) =
   let ops = region.Region.ops in
+  let targets = Region.targets_by_index region in
   let eligible (i, (br : Op.t)) =
     Op.is_branch br
     && ((not only_unbiased) || unbiased region br)
@@ -60,7 +61,7 @@ let convert_one ?(only_unbiased = true) (prog : Prog.t) (region : Region.t) =
     | Op.If p -> (
       match
         ( controlling_compare ops i p,
-          Option.bind (Region.branch_target region br)
+          Option.bind targets.(i)
             (stub_of prog ~join:region.Region.fallthrough) )
       with
       | Some _, Some _ ->
@@ -94,7 +95,7 @@ let convert_one ?(only_unbiased = true) (prog : Prog.t) (region : Region.t) =
     let cmp = Option.get (controlling_compare ops i p) in
     let stub =
       Option.get
-        (Option.bind (Region.branch_target region br)
+        (Option.bind targets.(i)
            (stub_of prog ~join:region.Region.fallthrough))
     in
     let p_fall = Prog.fresh_pred prog in

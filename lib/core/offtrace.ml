@@ -21,6 +21,7 @@ let apply (prog : Prog.t) (region : Region.t) (plan : Restructure.plan) =
   let bypass_pos = idx_of_id plan.Restructure.bypass_id in
   let liveness = Liveness.analyze prog in
   let graph = Depgraph.build Cpr_machine.Descr.medium prog liveness region in
+  let live_at = Liveness.live_at_branches liveness region ops in
   let block = plan.Restructure.block in
   let taken_var = block.Restructure.taken_variation in
   (* Set 1: the original compares and branches (minus, in the taken
@@ -118,7 +119,7 @@ let apply (prog : Prog.t) (region : Region.t) (plan : Restructure.plan) =
   in
   let live_on_trace =
     if taken_var then
-      Liveness.live_at_target liveness region ops.(bypass_pos)
+      live_at.(bypass_pos)
     else Liveness.live_out_region liveness region
   in
   (* live_exposed.(i): registers whose value some on-trace continuation
@@ -129,8 +130,7 @@ let apply (prog : Prog.t) (region : Region.t) (plan : Restructure.plan) =
   for i = n - 1 downto 0 do
     live_exposed.(i) <-
       (if Op.is_branch ops.(i) && (not in_move.(i)) && i <> bypass_pos then
-         Reg.Set.union live_exposed.(i + 1)
-           (Liveness.live_at_target liveness region ops.(i))
+         Reg.Set.union live_exposed.(i + 1) live_at.(i)
        else live_exposed.(i + 1))
   done;
   (* Set 2: moved ops whose effect the on-trace path needs are split.  An

@@ -23,6 +23,7 @@ let candidate (op : Op.t) =
 let promote_pass liveness (region : Region.t) =
   let env = Pred_env.analyze region in
   let ops = Pred_env.ops env in
+  let live_at = Liveness.live_at_branches liveness region ops in
   let promoted = ref [] in
   Array.iteri
     (fun idx (op : Op.t) ->
@@ -31,7 +32,8 @@ let promote_pass liveness (region : Region.t) =
         let clobber_safe =
           List.for_all
             (fun d ->
-              Liveness.live_after_implies liveness env region idx d guard_e)
+              Liveness.live_after_implies liveness env region ~live_at idx d
+                guard_e)
             (Op.defs op)
         in
         if clobber_safe then promoted := (op.Op.id, op.Op.guard) :: !promoted
@@ -69,8 +71,9 @@ let direct_flow_producers (ops : Op.t array) idx =
    the original guard — is demoted, replacing the branch dependence with
    a data dependence on the guard's compare.  This is what keeps
    operations writing exit-live values (e.g. accumulators) predicated, so
-   ICBM can move them off-trace. *)
-let branch_dependent liveness (region : Region.t) env idx (op : Op.t) =
+   ICBM can move them off-trace.  [live_at] is the round's
+   [Liveness.live_at_branches]. *)
+let branch_dependent live_at env idx (op : Op.t) =
   let ops = Pred_env.ops env in
   let rec scan k found =
     if k >= idx || found then found
@@ -80,10 +83,7 @@ let branch_dependent liveness (region : Region.t) env idx (op : Op.t) =
         && (not
               (Pqs.disjoint (Pred_env.taken_expr env k)
                  (Pred_env.guard_expr env idx)))
-        && List.exists
-             (fun d ->
-               Reg.Set.mem d (Liveness.live_at_target liveness region ops.(k)))
-             (Op.defs op)
+        && List.exists (fun d -> Reg.Set.mem d live_at.(k)) (Op.defs op)
       in
       scan (k + 1) found
   in
@@ -105,6 +105,7 @@ let demote_pass prog (region : Region.t) promoted =
     let liveness = Liveness.analyze prog in
     let env = Pred_env.analyze region in
     let ops = Pred_env.ops env in
+    let live_at = Liveness.live_at_branches liveness region ops in
     let restore = Hashtbl.create 7 in
     Array.iteri
       (fun idx (op : Op.t) ->
@@ -128,7 +129,7 @@ let demote_pass prog (region : Region.t) promoted =
               (direct_flow_producers ops idx)
           in
           let should_demote =
-            useless_promotion || branch_dependent liveness region env idx op
+            useless_promotion || branch_dependent live_at env idx op
           in
           if should_demote then begin
             Hashtbl.remove still_promoted op.Op.id;

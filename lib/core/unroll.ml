@@ -93,7 +93,8 @@ let fold_induction (prog : Prog.t) (region : Region.t) _ft r =
 let loop_back_parts (region : Region.t) =
   match List.rev region.Region.ops with
   | (br : Op.t) :: _ when Op.is_branch br -> (
-    match (Region.branch_target region br, br.Op.guard) with
+    let targets = Region.targets_by_index region in
+    match (targets.(Array.length targets - 1), br.Op.guard) with
     | Some target, Op.If p when target = region.Region.label ->
       (* the unique UN compare computing the guard, and the pbr feeding
          the branch *)

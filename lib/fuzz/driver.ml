@@ -50,9 +50,9 @@ let run_prog check (stage : Stage.t) prog inputs =
   match reference_ok prog inputs with
   | Error msg -> Skip msg
   | Ok observed -> (
-    match stage.Stage.apply prog inputs with
+    match stage.Stage.run prog inputs with
     | exception e -> Fail ("transform raised: " ^ Printexc.to_string e)
-    | candidate -> (
+    | before, candidate -> (
       Fault.inject_opt check.fault candidate;
       match Validate.check candidate with
       | e :: _ -> Fail (Format.asprintf "validation: %a" Validate.pp_error e)
@@ -62,9 +62,6 @@ let run_prog check (stage : Stage.t) prog inputs =
           else begin
             (* Pre-simulation oracle: the static verifier alone, against
                the program the stage started from. *)
-            let before =
-              Cpr_pipeline.Passes.before ~stage:stage.Stage.name prog inputs
-            in
             match
               Cpr_verify.Verify.errors
                 (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name

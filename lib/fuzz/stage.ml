@@ -3,19 +3,20 @@ module Passes = Cpr_pipeline.Passes
 
 type t = {
   name : string;
+  run : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t * Prog.t;
   apply : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t;
 }
 
+let make name run =
+  { name; run; apply = (fun prog inputs -> snd (run prog inputs)) }
+
 (* The driver verifies candidates itself (when asked to), with the
    findings routed into its outcome accounting — so the Passes-internal
-   verification is off in every [apply] below. *)
+   verification is off in every [run] below. *)
 let of_pass (s : Passes.stage) =
-  {
-    name = s.Passes.name;
-    apply =
-      (fun prog inputs ->
-        (Passes.run ~verify:false s prog inputs).Passes.prog);
-  }
+  make s.Passes.name (fun prog inputs ->
+      let input, c = Passes.run_with_input ~verify:false s prog inputs in
+      (input, c.Passes.prog))
 
 (* If-conversion and unrolling upstream of ICBM, end to end, the way a
    production pipeline would compose them. *)
@@ -27,19 +28,16 @@ let fullpipe =
     in
     ()
   in
-  {
-    name = "fullpipe";
-    apply =
-      (fun prog inputs ->
-        let p = Passes.prepare prog inputs in
-        step "ifconv" p;
-        step "unroll" p;
-        Passes.profile p inputs;
-        step "icbm" p;
-        Validate.check_exn p;
-        Passes.profile p inputs;
-        p);
-  }
+  make "fullpipe" (fun prog inputs ->
+      let p = Passes.prepare prog inputs in
+      let input = Prog.copy p in
+      step "ifconv" p;
+      step "unroll" p;
+      Passes.profile p inputs;
+      step "icbm" p;
+      Validate.check_exn p;
+      Passes.profile p inputs;
+      (input, p))
 
 let all = List.map of_pass Passes.stages @ [ fullpipe ]
 let find name = List.find_opt (fun s -> s.name = name) all

@@ -11,7 +11,14 @@ open Cpr_ir
 
 type t = {
   name : string;
+  run : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t * Prog.t;
+      (** [(input, candidate)]: the transformed copy beside the program it
+          is verified against — the raw program itself for [superblock],
+          the pristine {!Cpr_pipeline.Passes.prepare}d program the
+          transform started from for every other stage (see
+          {!Cpr_pipeline.Passes.run_with_input}); one [prepare] per run *)
   apply : Prog.t -> Cpr_sim.Equiv.input list -> Prog.t;
+      (** [snd] of [run]: the candidate alone *)
 }
 
 val all : t list

@@ -13,17 +13,13 @@ type entry_result = {
 
 let check_entry (e : Corpus.entry) =
   let stage = e.Corpus.stage in
-  let before =
-    Cpr_pipeline.Passes.before ~stage:stage.Stage.name e.Corpus.prog
-      e.Corpus.inputs
-  in
-  let errors prog =
-    Cpr_verify.Verify.errors
-      (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name ~before prog)
-  in
-  match stage.Stage.apply e.Corpus.prog e.Corpus.inputs with
+  match stage.Stage.run e.Corpus.prog e.Corpus.inputs with
   | exception ex -> Error ("transform raised: " ^ Printexc.to_string ex)
-  | candidate ->
+  | before, candidate ->
+    let errors prog =
+      Cpr_verify.Verify.errors
+        (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name ~before prog)
+    in
     let clean =
       match errors candidate with
       | [] -> Ok ()

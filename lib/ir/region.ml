@@ -11,32 +11,6 @@ let make ?fallthrough label ops =
 
 let branches t = List.filter Op.is_branch t.ops
 
-(* Resolve the label a branch transfers to by scanning for the last pbr
-   that defines the branch's btr source before the branch itself. *)
-let branch_target t (br : Op.t) =
-  let btr =
-    List.find_map
-      (function Op.Reg r when r.Reg.cls = Reg.Btr -> Some r | _ -> None)
-      br.Op.srcs
-  in
-  match btr with
-  | None -> None
-  | Some btr ->
-    let rec scan best = function
-      | [] -> best
-      | (op : Op.t) :: rest ->
-        if op.Op.id = br.Op.id then best
-        else if Op.is_pbr op && List.exists (Reg.equal btr) op.Op.dests then
-          let lab =
-            List.find_map
-              (function Op.Lab l -> Some l | Op.Reg _ | Op.Imm _ -> None)
-              op.Op.srcs
-          in
-          scan lab rest
-        else scan best rest
-    in
-    scan None t.ops
-
 let taken_count t id = Option.value ~default:0 (Hashtbl.find_opt t.taken id)
 let add_entries t n = t.entry_count <- t.entry_count + n
 let add_taken t id n = Hashtbl.replace t.taken id (taken_count t id + n)
@@ -64,19 +38,20 @@ let reaching_pbr t (br : Op.t) =
     in
     scan None t.ops
 
-(* One forward pass: the label of the last [pbr] seen per btr register. *)
-let branch_targets t =
+(* One forward pass: the label of the last [pbr] seen per btr register
+   is the target of a branch reading that btr.  [f] gets each branch's
+   op index, the branch and its target. *)
+let iter_branch_targets f t =
   let prepared = Reg.Tbl.create 4 in
-  List.filter_map
-    (fun (op : Op.t) ->
+  List.iteri
+    (fun i (op : Op.t) ->
       if Op.is_pbr op then begin
         let lab =
           List.find_map
             (function Op.Lab l -> Some l | Op.Reg _ | Op.Imm _ -> None)
             op.Op.srcs
         in
-        List.iter (fun d -> Reg.Tbl.replace prepared d lab) op.Op.dests;
-        None
+        List.iter (fun d -> Reg.Tbl.replace prepared d lab) op.Op.dests
       end
       else if Op.is_branch op then
         let target =
@@ -87,9 +62,18 @@ let branch_targets t =
               | _ -> None)
             op.Op.srcs
         in
-        Some (op, Option.join target)
-      else None)
+        f i op (Option.join target))
     t.ops
+
+let branch_targets t =
+  let acc = ref [] in
+  iter_branch_targets (fun _ op target -> acc := (op, target) :: !acc) t;
+  List.rev !acc
+
+let targets_by_index t =
+  let at = Array.make (List.length t.ops) None in
+  iter_branch_targets (fun i _ target -> at.(i) <- target) t;
+  at
 
 let successors t =
   let targets = List.filter_map snd (branch_targets t) in

@@ -24,17 +24,19 @@ val make : ?fallthrough:string -> string -> Op.t list -> t
 val branches : t -> Op.t list
 (** Branch operations in program order. *)
 
-val branch_target : t -> Op.t -> string option
-(** Static target of a branch: the label prepared by the unique [pbr]
-    writing the branch's btr source that last precedes it.  [None] when the
-    branch has no btr source or no preceding [pbr] defines it. *)
-
 val branch_targets : t -> (Op.t * string option) list
-(** Every branch in program order with its {!branch_target}, in one pass
-    over the region instead of one scan per branch. *)
+(** Every branch in program order with its static target: the label
+    prepared by the last [pbr] before the branch that writes the
+    branch's btr source; [None] when the branch has no btr source or no
+    preceding [pbr] defines it.  One pass over the region resolves every
+    branch. *)
+
+val targets_by_index : t -> string option array
+(** The same targets by op index, from the same single pass: [None] at
+    every non-branch op. *)
 
 val reaching_pbr : t -> Op.t -> Op.t option
-(** The [pbr] operation {!branch_target} resolves through: the last one
+(** The [pbr] operation a branch's target resolves through: the last one
     before the branch defining its btr source. *)
 
 val taken_count : t -> int -> int

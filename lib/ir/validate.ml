@@ -21,7 +21,8 @@ let check (p : Prog.t) =
     if Prog.find p l = None && not (Prog.is_exit p l) then
       err ?op where "reference to undefined label %s" l
   in
-  let check_op (r : Region.t) (op : Op.t) =
+  (* [target] is the op's branch target ({!Region.targets_by_index}). *)
+  let check_op (r : Region.t) target (op : Op.t) =
     let where = r.Region.label in
     let op_id = op.Op.id in
     let err fmt = err ~op:op_id where fmt in
@@ -63,7 +64,7 @@ let check (p : Prog.t) =
     | Op.Branch -> (
       match op.Op.srcs with
       | [ Op.Reg b ] when b.Reg.cls = Reg.Btr -> (
-        match Region.branch_target r op with
+        match target with
         | Some l -> check_label ~op:op_id where l
         | None -> err "branch btr has no reaching pbr")
       | _ -> err "malformed branch")
@@ -83,7 +84,8 @@ let check (p : Prog.t) =
   List.iter
     (fun (r : Region.t) ->
       Option.iter (check_label r.Region.label) r.Region.fallthrough;
-      List.iter (check_op r) r.Region.ops)
+      let targets = Region.targets_by_index r in
+      List.iteri (fun i op -> check_op r targets.(i) op) r.Region.ops)
     (Prog.regions p);
   List.rev !errors
 

@@ -162,13 +162,6 @@ let find name =
   if name = baseline_name then Some superblock
   else List.find_opt (fun s -> s.name = name) stages
 
-(* The program a stage's verifier compares its output against: the raw
-   input for superblock formation, whose transform is [prepare] itself;
-   the prepared program for every other stage ([prepare] is
-   deterministic, so this is exactly the program the stage rewrote). *)
-let before ~stage prog inputs =
-  if stage = superblock.name then Prog.copy prog else prepare prog inputs
-
 (* Static verification of one transformation step: raises
    {!Cpr_verify.Verify.Verify_error} on any error-severity finding.  The
    whole check runs inside a [verify/<stage>] span; the [verify_time]
@@ -216,19 +209,33 @@ let finish ?(heur = Cpr_core.Heur.default) ?verify ?verify_time ?table ?before
   { prog = p; icbm = stats; observed }
 
 (* The one runner every row goes through, inside its [pass/<stage>]
-   span.  Superblock formation is [prepare] alone: its observations come
-   from [prepare]'s closing profile run and it is verified against the
-   raw input. *)
-let run ?heur ?verify ?verify_time stage prog inputs =
+   span, beside the program the output is verified against.
+   Superblock formation is [prepare] alone: its observations come from
+   [prepare]'s closing profile run and it is verified against the raw
+   input.  Every other stage is verified against the pristine copy of
+   the prepared program it rewrote, taken before the transform, so a
+   stage run prepares once. *)
+let run_with_input ?heur ?verify ?verify_time stage prog inputs =
   if stage.name = superblock.name then
-    with_pass ~stage:baseline_name prog (fun () ->
-        let p, observed = prepare_with profile_observed prog inputs in
-        Chaos.trip ~stage:stage.name p;
-        verify_stage ?verify ?verify_time stage ~before:prog p;
-        { prog = p; icbm = None; observed = Some observed })
+    ( prog,
+      with_pass ~stage:baseline_name prog (fun () ->
+          let p, observed = prepare_with profile_observed prog inputs in
+          Chaos.trip ~stage:stage.name p;
+          verify_stage ?verify ?verify_time stage ~before:prog p;
+          { prog = p; icbm = None; observed = Some observed }) )
   else
-    with_pass ~stage:stage.name prog (fun () ->
-        finish ?heur ?verify ?verify_time stage (prepare prog inputs) inputs)
+    let input = ref prog in
+    let compiled =
+      with_pass ~stage:stage.name prog (fun () ->
+          let p = prepare prog inputs in
+          let before = Prog.copy p in
+          input := before;
+          finish ?heur ?verify ?verify_time ~before stage p inputs)
+    in
+    (!input, compiled)
+
+let run ?heur ?verify ?verify_time stage prog inputs =
+  snd (run_with_input ?heur ?verify ?verify_time stage prog inputs)
 
 let baseline ?verify ?verify_time prog inputs =
   run ?verify ?verify_time superblock prog inputs

@@ -94,14 +94,20 @@ val run :
   ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> stage
   -> Prog.t -> Cpr_sim.Equiv.input list -> compiled
 (** The one runner: {!prepare} a copy, apply the stage's transform,
-    re-validate, verify against {!before}, and re-profile, all inside a
+    re-validate, verify against the stage's input ({!run_with_input}),
+    and re-profile, all inside a
     [pass/<stage>] span ([pass/baseline] for superblock formation).
     [heur] reaches the ICBM transform only. *)
 
-val before : stage:string -> Prog.t -> Cpr_sim.Equiv.input list -> Prog.t
-(** The program a stage's output is verified against: a copy of the raw
-    input for [superblock], {!prepare} of it for every other stage
-    name. *)
+val run_with_input :
+  ?heur:Cpr_core.Heur.t -> ?verify:bool -> ?verify_time:float ref -> stage
+  -> Prog.t -> Cpr_sim.Equiv.input list -> Prog.t * compiled
+(** {!run}, also returning the program the stage's output is verified
+    against: the raw input itself for [superblock] (no stage mutates its
+    input), and for every other stage the pristine copy of the
+    {!prepare}d program the transform started from — taken from the
+    run's one [prepare], not from a second one.  Drivers that verify
+    separately ([~verify:false]) check against it. *)
 
 val fallback_compiled : Prog.t -> Cpr_sim.Equiv.input list -> compiled
 (** The verified fallback for a failed stage: a plain profiled copy of

@@ -13,10 +13,11 @@ val of_graph :
   Cpr_machine.Descr.t -> Region.t -> Cpr_analysis.Depgraph.t -> Schedule.t
 (** Schedule a region from its dependence graph for this machine (built
     by {!Cpr_analysis.Depgraph.build} with the same machine's latencies).
-    Ready-queue implementation: per-op unplaced-predecessor counters and
-    cycle-keyed release buckets replace a full rescan of the unscheduled
-    ops every cycle, preserving that greedy policy (and its output)
-    exactly. *)
+    Per-op unplaced-predecessor counters and cycle-keyed release buckets
+    replace a rescan of the unscheduled ops every cycle, and one ready
+    heap per unit class with a per-class slot count replaces a sort of
+    every candidate per round, preserving that greedy policy (and its
+    output) exactly in O(edges + n log n) work. *)
 
 val schedule :
   Cpr_machine.Descr.t -> Prog.t -> Cpr_analysis.Liveness.t -> Region.t

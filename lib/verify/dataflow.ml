@@ -228,10 +228,11 @@ let comp_coverage ~stats prog regions =
   let findings = ref [] in
   List.iter
     (fun (r : Region.t) ->
+      let targets = Region.targets_by_index r in
       List.iteri
         (fun b (op : Op.t) ->
           if Op.is_branch op then
-            match Region.branch_target r op with
+            match targets.(b) with
             | Some l when l <> r.Region.label -> (
               match Prog.find prog l with
               | Some (c : Region.t) when c.Region.fallthrough = Some unreach

@@ -114,6 +114,20 @@ let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
   let before_regions = Dataflow.reachable_regions before in
   let after_regions = Dataflow.reachable_regions after in
   let index = build_index after_regions in
+  (* Every reachable output region's branch targets by op index, one
+     pass per region, read by tv-branch and tv-store-guard. *)
+  let after_targets =
+    lazy
+      (let tbl = Hashtbl.create 16 in
+       List.iter
+         (fun (q : Region.t) ->
+           Hashtbl.replace tbl q.Region.label (Region.targets_by_index q))
+         after_regions;
+       tbl)
+  in
+  let after_target label idx =
+    (Hashtbl.find (Lazy.force after_targets) label).(idx)
+  in
   let origs = orig_map after in
   (* Normalize an output op id onto the id the *input* program knows the
      op by.  Ops that survived the transformation keep their id — their
@@ -178,22 +192,21 @@ let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
   if cfg.check_branches then
     List.iter
       (fun (r : Region.t) ->
+        let succs = lazy (Region.successors r) in
         List.iter
-          (fun (bop : Op.t) ->
-            match Region.branch_target r bop with
+          (fun ((bop : Op.t), target) ->
+            match target with
             | None -> ()
             | Some target ->
-              let succs = Region.successors r in
+              (* Instances live in reachable output regions, at their
+                 op index there. *)
               let preserved inst =
-                match Prog.find after inst.label with
+                match after_target inst.label inst.idx with
                 | None -> false
-                | Some p -> (
-                  match Region.branch_target p inst.op with
-                  | None -> false
-                  | Some t ->
-                    t = target
-                    || label_reaches after t target
-                    || List.mem t succs)
+                | Some t ->
+                  t = target
+                  || label_reaches after t target
+                  || List.mem t (Lazy.force succs)
               in
               let insts =
                 List.filter
@@ -206,7 +219,7 @@ let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
                   (Printf.sprintf
                      "no instance of branch %d still reaches its target %s"
                      bop.Op.id target))
-          (Region.branches r))
+          (Region.branch_targets r))
       before_regions;
   (* tv-order *)
   let before_v = Cpr_sched.Sched_table.version table before in
@@ -342,7 +355,7 @@ let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
         List.iteri
           (fun k (op : Op.t) ->
             if Op.is_branch op then
-              match Region.branch_target q op with
+              match after_target q.Region.label k with
               | Some t -> push t (q, Some k)
               | None -> ())
           q.Region.ops;

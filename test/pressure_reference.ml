@@ -122,7 +122,7 @@ let entry_matters env liveness (region : Region.t) =
       if Op.is_branch op then
         Reg.Set.iter
           (fun r -> demand r ~u:i ~guard:g)
-          (Liveness.live_at_target liveness region op))
+          (Target_reference.live_at_target liveness region op))
     ops;
   Reg.Set.iter
     (fun r -> demand r ~u:n ~guard:Pqs.tru)
@@ -143,7 +143,7 @@ let sweep liveness (region : Region.t) =
     let s = live.(i + 1) in
     let s =
       if Op.is_branch op then
-        Reg.Set.union s (Liveness.live_at_target liveness region op)
+        Reg.Set.union s (Target_reference.live_at_target liveness region op)
       else s
     in
     let s =
@@ -240,7 +240,7 @@ let of_schedule liveness (region : Region.t) ~(ops : Op.t array)
       if Op.is_branch op then
         Reg.Set.iter
           (fun r -> add_demand r ~end_cycle:cycle.(i) ~u:i)
-          (Liveness.live_at_target liveness region op))
+          (Target_reference.live_at_target liveness region op))
     ops;
   Reg.Set.iter
     (fun r -> add_demand r ~end_cycle:(max 0 (length - 1)) ~u:n)

@@ -100,6 +100,34 @@ let seed_52_fullpipe () =
 (* Reader faults: a garbled or truncated artifact is an [Error] naming
    the file (and, for a metadata line, its line number), never an
    exception and never a silently defaulted field. *)
+(* [Stage.run] hands back the program each stage's output is verified
+   against, from the run's own preparation: the raw input for
+   [superblock], a program printing as a fresh [Passes.prepare] for
+   every other stage — untouched by the transform — and its candidate
+   is [Stage.apply]'s. *)
+let stage_run_input () =
+  for seed = 0 to 19 do
+    let prog = W.Gen.prog_of_seed seed in
+    let inputs = W.Gen.inputs_of_seed seed in
+    let prepared =
+      Printer.to_text (Cpr_pipeline.Passes.prepare prog inputs)
+    in
+    List.iter
+      (fun (stage : F.Stage.t) ->
+        let where = Printf.sprintf "seed %d %s" seed stage.F.Stage.name in
+        let input, candidate = stage.F.Stage.run prog inputs in
+        if stage.F.Stage.name = "superblock" then
+          checkb (where ^ ": input is the raw program") true (input == prog)
+        else
+          check Alcotest.string (where ^ ": input is the prepared program")
+            prepared (Printer.to_text input);
+        check Alcotest.string
+          (where ^ ": candidate is apply's")
+          (Printer.to_text (stage.F.Stage.apply prog inputs))
+          (Printer.to_text candidate))
+      F.Stage.all
+  done
+
 let with_text text f =
   let path = Filename.temp_file "cpr-corpus" ".cpr" in
   Fun.protect
@@ -168,6 +196,7 @@ let suite =
       case "determinism" determinism;
       case "faults are caught" faults_are_caught;
       case "seed 52 fullpipe regression" seed_52_fullpipe;
+      case "stage run returns the prepared input" stage_run_input;
       case "corpus loader: garbled metadata" corpus_garbled;
       case "corpus loader: every truncation" corpus_truncated;
     ] )

@@ -89,7 +89,7 @@ let branch_targets_contribute () =
     (Reg.Set.mem r (A.Liveness.live_in l "Main"));
   let br = List.hd (Region.branches main) in
   checkb "live_at_target" true
-    (Reg.Set.mem r (A.Liveness.live_at_target l main br))
+    (Reg.Set.mem r (Target_reference.live_at_target l main br))
 
 let exit_boundary_is_program_live_out () =
   let ctx = B.create () in
@@ -118,7 +118,7 @@ let live_expr_after l env (r : Region.t) idx reg =
        if List.exists (Reg.equal reg) (Op.uses op) then
          acc := A.Pqs.or_ !acc (A.Pqs.and_ !path (A.Pred_env.guard_expr env j));
        if Op.is_branch op then begin
-         if Reg.Set.mem reg (A.Liveness.live_at_target l r op) then
+         if Reg.Set.mem reg (Target_reference.live_at_target l r op) then
            acc :=
              A.Pqs.or_ !acc (A.Pqs.and_ !path (A.Pred_env.taken_expr env j));
          path := A.Pqs.and_ !path (A.Pqs.not_ (A.Pred_env.taken_expr env j))
@@ -144,7 +144,9 @@ let prefix_shared_expr l env (r : Region.t) idx reg =
        let op = ops.(j) in
        if List.exists (Reg.equal reg) (Op.uses op) then
          add j (A.Pred_env.guard_expr env j);
-       if Op.is_branch op && Reg.Set.mem reg (A.Liveness.live_at_target l r op)
+       if
+         Op.is_branch op
+         && Reg.Set.mem reg (Target_reference.live_at_target l r op)
        then add j (A.Pred_env.taken_expr env j);
        if List.exists (Reg.equal reg) (A.Liveness.kills op) then raise Exit
      done;
@@ -161,6 +163,7 @@ let live_expr_enables_promotion () =
   let l = A.Liveness.analyze prog in
   let env = A.Pred_env.analyze loop in
   let ops = A.Pred_env.ops env in
+  let live_at = A.Liveness.live_at_branches l loop ops in
   Array.iteri
     (fun idx (op : Op.t) ->
       match (op.Op.guard, op.Op.opcode) with
@@ -179,7 +182,7 @@ let live_expr_enables_promotion () =
               (Printf.sprintf "op %d dest %s live_after_implies" op.Op.id
                  (Reg.to_string d))
               true
-              (A.Liveness.live_after_implies l env loop idx d ge))
+              (A.Liveness.live_after_implies l env loop ~live_at idx d ge))
           (Op.defs op)
       | _ -> ())
     ops
@@ -204,14 +207,15 @@ let kill_ends_liveness () =
   let prog = B.prog ctx ~entry:"Main" [ region ] in
   let l = A.Liveness.analyze prog in
   let env = A.Pred_env.analyze region in
+  let live_at = A.Liveness.live_at_branches l region (A.Pred_env.ops env) in
   checkb "reference: dead after the guarded mov" true
     (A.Pqs.is_const_false (live_expr_after l env region 1 r));
   checkb "dead after the guarded mov" true
-    (A.Liveness.live_after_implies l env region 1 r A.Pqs.fls);
+    (A.Liveness.live_after_implies l env region ~live_at 1 r A.Pqs.fls);
   checkb "live after the unguarded mov" false
-    (A.Liveness.live_after_implies l env region 2 r A.Pqs.fls);
+    (A.Liveness.live_after_implies l env region ~live_at 2 r A.Pqs.fls);
   checkb "guarded mov promotable" true
-    (A.Liveness.live_after_implies l env region 1 r
+    (A.Liveness.live_after_implies l env region ~live_at 1 r
        (A.Pred_env.guard_expr env 1))
 
 (* Every truth assignment of [keys], as a lookup function. *)
@@ -236,10 +240,24 @@ let assignments keys =
    not only the ones that can refuse a promotion.  Speculation sees regions
    FRP-converted straight from superblock formation (the [spec] stage,
    [fullcpr], [icbm]) and after if-conversion ([fullpipe]); the second
-   kind is where promotion is refused, so both are checked. *)
+   kind is where promotion is refused, so both are checked.  The exit
+   sets the queries read, built once for the region, are the per-branch
+   rescan's. *)
 let check_region_decisions name prog (r : Region.t) =
   let l = A.Liveness.analyze prog in
   let env = A.Pred_env.analyze r in
+  let live_at = A.Liveness.live_at_branches l r (A.Pred_env.ops env) in
+  Array.iteri
+    (fun k (op : Op.t) ->
+      if Op.is_branch op then
+        check
+          Alcotest.(list string)
+          (Printf.sprintf "%s %s branch %d live at target" name r.Region.label
+             op.Op.id)
+          (List.map Reg.to_string
+             (Reg.Set.elements (Target_reference.live_at_target l r op)))
+          (List.map Reg.to_string (Reg.Set.elements live_at.(k))))
+    (A.Pred_env.ops env);
   Array.iteri
     (fun idx (op : Op.t) ->
       match (op.Op.guard, op.Op.opcode) with
@@ -257,7 +275,7 @@ let check_region_decisions name prog (r : Region.t) =
                 checkb
                   (Printf.sprintf "%s implies %s" where what)
                   (A.Pqs.implies reference g)
-                  (A.Liveness.live_after_implies l env r idx d g))
+                  (A.Liveness.live_after_implies l env r ~live_at idx d g))
               [ ("its guard", ge); ("false", A.Pqs.fls) ];
             let shared = prefix_shared_expr l env r idx d in
             let keys =

@@ -18,7 +18,7 @@ let branch_targets () =
   check
     Alcotest.(list (option string))
     "targets" [ Some "A"; Some "B" ]
-    (List.map (Region.branch_target region) brs);
+    (List.map (Target_reference.branch_target region) brs);
   check
     Alcotest.(list (option string))
     "targets in one pass" [ Some "A"; Some "B" ]
@@ -46,26 +46,38 @@ let pbr_rebinding () =
   check
     Alcotest.(list (option string))
     "last pbr before each branch wins" [ Some "B"; Some "C" ]
-    (List.map (Region.branch_target region) brs);
+    (List.map (Target_reference.branch_target region) brs);
   check
     Alcotest.(list (option string))
     "and in one pass" [ Some "B"; Some "C" ]
     (List.map snd (Region.branch_targets region))
 
-(* The one-pass resolution agrees with the per-branch scan on every
-   region of the registry workloads and of generated programs. *)
+(* The one-pass resolutions (by branch and by op index) agree with the
+   per-branch scan on every region of the registry workloads and of
+   generated programs. *)
 let branch_targets_agree () =
   let agree where prog =
     List.iter
       (fun (r : Region.t) ->
         let scanned =
           List.map
-            (fun br -> (br, Region.branch_target r br))
+            (fun br -> (br, Target_reference.branch_target r br))
             (Region.branches r)
         in
         if Region.branch_targets r <> scanned then
           Alcotest.failf "%s/%s: branch_targets differs from branch_target"
-            where r.Region.label)
+            where r.Region.label;
+        let by_index = Region.targets_by_index r in
+        List.iteri
+          (fun i (op : Op.t) ->
+            let expected =
+              if Op.is_branch op then Target_reference.branch_target r op
+              else None
+            in
+            if by_index.(i) <> expected then
+              Alcotest.failf "%s/%s: targets_by_index differs at op %d" where
+                r.Region.label op.Op.id)
+          r.Region.ops)
       (Prog.regions prog)
   in
   List.iter

@@ -180,16 +180,12 @@ let corpus_faults_recover () =
         match F.Static_check.check_entry entry with
         | Error msg -> Alcotest.failf "%s: %s" path msg
         | Ok r ->
-          let before =
-            P.Passes.before ~stage:name entry.F.Corpus.prog
-              entry.F.Corpus.inputs
-          in
           let protected_with fault =
             Recover.protect ~stage:name
               ~fallback:(fun () -> Cpr_ir.Prog.copy entry.F.Corpus.prog)
               (fun () ->
-                let cand =
-                  stage.F.Stage.apply entry.F.Corpus.prog entry.F.Corpus.inputs
+                let before, cand =
+                  stage.F.Stage.run entry.F.Corpus.prog entry.F.Corpus.inputs
                 in
                 Option.iter (fun f -> F.Fault.inject f cand) fault;
                 Cpr_verify.Verify.check_stage_exn ~stage:name ~before cand;

@@ -37,7 +37,7 @@ let lookaheads_and_bypass () =
   check
     Alcotest.(list (option string))
     "targets" [ Some "Cmp1"; Some "Loop" ]
-    (List.map (Region.branch_target loop) branches)
+    (List.map snd (Region.branch_targets loop))
 
 let pred_init_at_top () =
   let prog, _, _ = paper_transformed_strcpy () in

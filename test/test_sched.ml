@@ -212,6 +212,68 @@ let oracle_on_fuzz_programs () =
       M.all
   done
 
+(* The kernel ladders of the wide-regions benchmark, raw, after
+   superblock formation and after ICBM: long superblocks and hyperblocks
+   where the per-class ready heaps and the rescan reference have the
+   most candidates to order. *)
+let long_region_programs () =
+  let versions name (prog, inputs) =
+    [
+      (name ^ "/raw", prog);
+      ( name ^ "/baseline",
+        (Cpr_pipeline.Passes.baseline ~verify:false prog inputs)
+          .Cpr_pipeline.Passes.prog );
+      ( name ^ "/icbm",
+        (Cpr_pipeline.Passes.height_reduce ~verify:false prog inputs)
+          .Cpr_pipeline.Passes.prog );
+    ]
+  in
+  List.concat_map
+    (fun u -> versions (Printf.sprintf "stream%d" u) (wide_stream u))
+    [ 20; 32; 64 ]
+  @ List.concat_map
+      (fun d -> versions (Printf.sprintf "dispatch%d" d) (wide_dispatch d))
+      [ 8; 10 ]
+
+let oracle_on_long_regions () =
+  List.iter
+    (fun (name, prog) -> List.iter (fun m -> oracle_agrees name m prog) M.all)
+    (long_region_programs ())
+
+(* Scheduling work follows region length: doubling the unrolled stream
+   at most multiplies the scheduler's allocation by 2.5 on the two
+   machines that keep the most ops waiting (a per-round sort of every
+   candidate grows it about fourfold).  The graph is built outside the
+   measurement. *)
+let allocation_grows_near_linearly () =
+  let largest unroll =
+    let prog, _ = wide_stream unroll in
+    let r =
+      List.fold_left
+        (fun (best : Region.t) (r : Region.t) ->
+          if Region.static_op_count r > Region.static_op_count best then r
+          else best)
+        (List.hd (Prog.regions prog))
+        (Prog.regions prog)
+    in
+    (prog, r)
+  in
+  let words machine (prog, r) =
+    let g = A.Depgraph.build machine prog (A.Liveness.analyze prog) r in
+    let before = Gc.minor_words () in
+    let (_ : S.Schedule.t) = S.List_sched.of_graph machine r g in
+    Gc.minor_words () -. before
+  in
+  let small = largest 32 and big = largest 64 in
+  List.iter
+    (fun m ->
+      let ratio = words m big /. words m small in
+      checkb
+        (Printf.sprintf "%s: minor words x%.2f per doubling (at most x2.5)"
+           m.M.name ratio)
+        true (ratio <= 2.5))
+    [ M.sequential; M.narrow ]
+
 let suite =
   ( "scheduler",
     [
@@ -225,5 +287,8 @@ let suite =
       case "ready-queue = reference on all workloads" oracle_on_workloads;
       case "ready-queue = reference on 200 fuzz programs"
         oracle_on_fuzz_programs;
+      case "ready heaps = reference on long regions" oracle_on_long_regions;
+      case "scheduler allocation grows near-linearly"
+        allocation_grows_near_linearly;
       QCheck_alcotest.to_alcotest prop_schedules_valid;
     ] )

@@ -147,7 +147,8 @@ let report_builds_each_key_once () =
       ( r.Region.ops,
         r.Region.fallthrough,
         List.map
-          (fun br -> Reg.Set.elements (A.Liveness.live_at_target live r br))
+          (fun br ->
+            Reg.Set.elements (Target_reference.live_at_target live r br))
           (Region.branches r),
         prog.Prog.noalias_bases )
   in

@@ -111,10 +111,9 @@ let intermediate_loopbacks_inverted () =
   let u = Prog.copy prog in
   let loop = Prog.find_exn u "Loop" in
   assert (Cpr_core.Unroll.unroll_region u loop ~factor:3);
-  let branches = Region.branches loop in
   (* rolled loop: 1 side exit + 1 loop-back; unrolled x3: per copy the
      side exit, plus intermediate exits and the final loop-back *)
-  let targets = List.filter_map (Region.branch_target loop) branches in
+  let targets = List.filter_map snd (Region.branch_targets loop) in
   checki "two intermediate exits to the fallthrough" 2
     (List.length (List.filter (fun t -> t = "Exit") targets)
     - 3 (* the three per-copy side exits also target Exit *));
