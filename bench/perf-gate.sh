@@ -9,11 +9,14 @@
 #   bash cprbench/run.sh --workload W --seed S --seconds 3 --trace 0
 # from both trees for W in paper-suite, wide-regions, many-regions and
 # fuzz-verify and S in 1..3, alternating which tree runs first.
-# wide-regions is the workload where predicate speculation and list
-# scheduling of long regions dominate, so a return of either's
-# superlinear growth trips the gate; many-regions is
+# wide-regions is the workload where predicate speculation, list
+# scheduling of long regions and dependence-graph building dominate, so a
+# return of their superlinear growth trips the gate; many-regions is
 # where per-region scheduling, register-pressure checking and schedule
-# verification dominate.  Exits 1 if PARENT_REV does not
+# verification dominate, and its rows also guard the pressure walks'
+# bulk counting of registers live through a cold region and ICBM's
+# liveness, updated per rewrite rather than re-analyzed per program.
+# Exits 1 if PARENT_REV does not
 # name a commit, if any run is incorrect (correct: false or failed > 0),
 # or if the change's median over the seeds is worse than the parent's by
 # more than 200% and by more than 20 ms on any latency row:

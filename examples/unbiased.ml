@@ -45,13 +45,12 @@ let () =
   let region = Prog.find_exn prog "Loop" in
   let (_ : bool) = Cpr_core.Frp.convert_region prog region in
   let (_ : Cpr_core.Spec.stats) = Cpr_core.Spec.speculate_region prog region in
-  let liveness = Cpr_analysis.Liveness.analyze prog in
   List.iter
     (fun threshold ->
       let heur =
         { Cpr_core.Heur.default with Cpr_core.Heur.exit_weight_threshold = threshold }
       in
-      let blocks = Cpr_core.Match_blocks.run heur prog liveness region in
+      let blocks = Cpr_core.Match_blocks.run heur prog region in
       Format.printf "exit-weight threshold %.2f -> %d CPR blocks: " threshold
         (List.length blocks);
       List.iter (fun b -> Format.printf "%a " Cpr_core.Match_blocks.pp b) blocks;

@@ -38,6 +38,31 @@ let equal (a : t) (b : t) =
   go 0
 
 let is_empty (t : t) = Array.for_all (fun w -> w = 0) t
+
+(* Members of a word, a byte at a time ([lsr] shifts zeros in, so the
+   sign bit is counted too). *)
+let byte_pop =
+  Array.init 256 (fun b ->
+      let rec go b = if b = 0 then 0 else (b land 1) + go (b lsr 1) in
+      go b)
+
+let popcount w =
+  let rec go w acc =
+    if w = 0 then acc else go (w lsr 8) (acc + byte_pop.(w land 255))
+  in
+  go w 0
+
+let count_range (t : t) lo hi =
+  let acc = ref 0 and i = ref lo in
+  while !i < hi do
+    let b = !i mod bpw in
+    let take = min (bpw - b) (hi - !i) in
+    let w = t.(!i / bpw) lsr b in
+    acc := !acc + popcount (if take = bpw then w else w land ((1 lsl take) - 1));
+    i := !i + take
+  done;
+  !acc
+
 let inter (a : t) (b : t) : t = Array.mapi (fun w x -> x land b.(w)) a
 let diff (a : t) (b : t) : t = Array.mapi (fun w x -> x land lnot b.(w)) a
 

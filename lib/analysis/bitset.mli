@@ -24,6 +24,11 @@ val union_into : into:t -> t -> bool
 val equal : t -> t -> bool
 val is_empty : t -> bool
 
+val count_range : t -> int -> int -> int
+(** [count_range t lo hi] is the number of members in [lo, hi), counted a
+    word at a time: what {!Liveness} answers a per-class live-out count
+    with, without listing the registers. *)
+
 val inter : t -> t -> t
 (** Fresh intersection; same-universe operands. *)
 

@@ -96,7 +96,10 @@ let access_events ops =
     ops;
   events
 
-let build ?env machine (prog : Prog.t) liveness (region : Region.t) =
+(* The register and memory passes every graph shares, then [control]
+   (which adds edges after all of them, so each data edge keeps its place
+   in [succs] and [preds]), then the adjacency lists. *)
+let make ?env machine (prog : Prog.t) (region : Region.t) control =
   let ops = Array.of_list region.Region.ops in
   let n = Array.length ops in
   let lat = Array.map (Cpr_machine.Descr.latency_of machine) ops in
@@ -180,7 +183,30 @@ let build ?env machine (prog : Prog.t) liveness (region : Region.t) =
       done
   done;
 
-  (* Control dependences around branches. *)
+  control ~ops ~guard_expr ~lat ~add;
+
+  (* The old code prepended each edge onto a list, so the exposed list is
+     in reverse addition order and the adjacency lists (built by a second
+     prepend pass over it) are in addition order.  Reproduce both. *)
+  let preds = Array.make n [] and succs = Array.make n [] in
+  let edges = ref [] in
+  let arr = !earr in
+  for k = 0 to !n_edges - 1 do
+    edges := arr.(k) :: !edges
+  done;
+  for k = !n_edges - 1 downto 0 do
+    let e = arr.(k) in
+    succs.(e.src) <- e :: succs.(e.src);
+    preds.(e.dst) <- e :: preds.(e.dst)
+  done;
+  { ops; lat; edges = !edges; preds; succs }
+
+let data ?env machine prog region =
+  make ?env machine prog region (fun ~ops:_ ~guard_expr:_ ~lat:_ ~add:_ -> ())
+
+(* Control dependences around branches. *)
+let control_edges liveness region ~ops ~guard_expr ~lat ~add =
+  let n = Array.length ops in
   let live_at = Liveness.live_at_branches liveness region ops in
   for b = 0 to n - 1 do
     if Op.is_branch ops.(b) then begin
@@ -221,23 +247,10 @@ let build ?env machine (prog : Prog.t) liveness (region : Region.t) =
           then add i b Br_anticipation (lat.(i) - lat.(b))
       done
     end
-  done;
+  done
 
-  (* The old code prepended each edge onto a list, so the exposed list is
-     in reverse addition order and the adjacency lists (built by a second
-     prepend pass over it) are in addition order.  Reproduce both. *)
-  let preds = Array.make n [] and succs = Array.make n [] in
-  let edges = ref [] in
-  let arr = !earr in
-  for k = 0 to !n_edges - 1 do
-    edges := arr.(k) :: !edges
-  done;
-  for k = !n_edges - 1 downto 0 do
-    let e = arr.(k) in
-    succs.(e.src) <- e :: succs.(e.src);
-    preds.(e.dst) <- e :: preds.(e.dst)
-  done;
-  { ops; lat; edges = !edges; preds; succs }
+let build ?env machine prog liveness region =
+  make ?env machine prog region (control_edges liveness region)
 
 let n_ops t = Array.length t.ops
 let op t i = t.ops.(i)

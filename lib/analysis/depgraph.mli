@@ -56,6 +56,15 @@ val build :
     nothing else.  [env] is the region's
     {!Pred_env.analyze}, when the caller already has it. *)
 
+val data : ?env:Pred_env.t -> Cpr_machine.Descr.t -> Prog.t -> Region.t -> t
+(** The data edges of {!build} alone: register ([Flow], [Anti],
+    [Output]) and memory ([Mem_flow], [Mem_anti], [Mem_output]), from
+    the same passes, and no liveness.  [build] adds its control edges
+    after these, so [succs], [preds] and [edges] here are [build]'s
+    restricted to data kinds, in the same order.  For consumers that
+    read no other edge (block matching, off-trace motion): the control
+    pass is quadratic in a long region's branches. *)
+
 val n_ops : t -> int
 val op : t -> int -> Op.t
 

@@ -16,6 +16,31 @@ val kills : Op.t -> Reg.t list
     value lifetimes with exactly the transfer the fixpoint uses. *)
 
 val analyze : Prog.t -> t
+(** Solve the program's liveness from scratch.  Counted by the [Obs]
+    counter [liveness.analyze]. *)
+
+val update : t -> t
+(** [update t] is the solution for [t]'s program as it stands now: the
+    same physical [Prog.t], rewritten in place since [t] was solved
+    (regions rewritten or added, fallthroughs changed).  It equals
+    [analyze] of that program.  [t] keeps each region's compiled
+    transfer steps beside the op list they came from; [update]
+    recompiles only the regions whose op list is not physically that
+    list (every region, if a register id outgrew [t]'s slot layout, whose
+    per-class blocks are rounded up to whole words), re-reads
+    fallthroughs, exits and [live_out], and solves the fixpoint again
+    from empty sets.  It never propagates from [t]'s sets: a rewrite that
+    removes a use or adds a kill inside a loop would leave a register
+    that only the cycle keeps live stuck live, above the least fixpoint.
+    [t] itself is unchanged.  Counted by [liveness.update].  See
+    DESIGN.md "Cold regions cost what they contain". *)
+
+val tracker : ?from:t -> Prog.t -> unit -> t
+(** [tracker ?from prog] gives the solution for [prog] as it stands at
+    each call: the first call returns [from] (which must describe [prog]
+    as it stands) or else runs {!analyze}; every later call {!update}s
+    the solution the previous call returned.  ICBM's phases share one
+    across their in-place rewrites of a program. *)
 
 val live_in : t -> string -> Reg.Set.t
 (** Registers live on entry to a label (program [live_out] for exit
@@ -38,6 +63,23 @@ val live_at_branches : t -> Region.t -> Op.t array -> Reg.Set.t array
 
 val live_out_region : t -> Region.t -> Reg.Set.t
 (** Registers live when the region is exited by falling through. *)
+
+(** {2 Queries on the bitsets}
+
+    These answer without building a [Reg.Set]: the live-out set of a
+    cold region holds every register live through it, which grows with
+    the program, while the register-pressure walks ask only about the
+    registers the region touches. *)
+
+val mem_live_in : t -> string -> Reg.t -> bool
+(** [Reg.Set.mem r (live_in t label)]. *)
+
+val mem_live_out : t -> Region.t -> Reg.t -> bool
+(** [Reg.Set.mem r (live_out_region t region)]. *)
+
+val live_out_count : t -> Region.t -> Reg.cls -> int
+(** The number of registers of one class in [live_out_region t region],
+    counted a word at a time. *)
 
 val live_after_implies :
   t -> Pred_env.t -> Region.t -> live_at:Reg.Set.t array -> int -> Reg.t

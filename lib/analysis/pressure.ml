@@ -2,6 +2,12 @@ open Cpr_ir
 open Cpr_obs
 
 let c_queries = Obs.counter "pressure.queries"
+let c_reg_visits = Obs.counter "pressure.reg_visits"
+
+(* The walks' one-by-one register visits, counted by the set: when
+   telemetry is off, one atomic load and no [cardinal]. *)
+let count_visits s =
+  if Obs.enabled () then Obs.add c_reg_visits (Reg.Set.cardinal s)
 
 type class_stat = {
   cls : Reg.cls;
@@ -129,8 +135,13 @@ let sites tbl r = Option.value ~default:[] (Reg.Tbl.find_opt tbl r)
    dead, and the refinement below is what lets the two arms of a cmpp
    share their slots.  A register the region never writes has no kill
    and [written] = [fls], and [implies guard fls] holds exactly when the
-   guard is const-false, so it is decided without a query. *)
-let entry_matters env liveness (region : Region.t) st live_at =
+   guard is const-false, so it is decided without a query.  The
+   fall-through demand (guard [tru]) is made for the written registers
+   live out only, in [Reg.compare] order — the order the whole live-out
+   set was once walked in, so the queries come in the same sequence; an
+   unwritten live-out register is needed by that demand alone, and
+   [needed] answers for it from the live-out bits. *)
+let entry_matters env liveness (region : Region.t) st ~writes live_at =
   let ops = Pred_env.ops env in
   let n = Array.length ops in
   let needed = Reg.Tbl.create 16 in
@@ -159,23 +170,36 @@ let entry_matters env liveness (region : Region.t) st live_at =
         op.Op.srcs;
       Option.iter (fun p -> demand p ~u:i ~guard:Pqs.tru) (Op.guard_reg op);
       List.iter (fun r -> demand r ~u:i ~guard:Pqs.tru) (Op.accumulator_dests op);
-      if Op.is_branch op then
-        Reg.Set.iter (fun r -> demand r ~u:i ~guard:g) live_at.(i))
+      if Op.is_branch op then begin
+        count_visits live_at.(i);
+        Reg.Set.iter (fun r -> demand r ~u:i ~guard:g) live_at.(i)
+      end)
     ops;
-  Reg.Set.iter
-    (fun r -> demand r ~u:n ~guard:Pqs.tru)
-    (Liveness.live_out_region liveness region);
-  fun r -> Reg.Tbl.mem needed r
+  Obs.add c_reg_visits (Array.length writes);
+  Array.iter
+    (fun r ->
+      if Liveness.mem_live_out liveness region r then
+        demand r ~u:n ~guard:Pqs.tru)
+    writes;
+  fun r ->
+    Reg.Tbl.mem needed r
+    || ((not (Reg.Tbl.mem st.defs r))
+       && Liveness.mem_live_out liveness region r)
 
 (* What both counts know of a region before walking it: the predicate
-   environment, the def/kill sites, the live set at each branch's target
-   (by op index), and whether a register is occupied from entry (live in
-   and its entry value needed, see {!entry_matters}). *)
+   environment, the def/kill sites, the registers the region writes
+   (ascending [Reg.compare]), the live set at each branch's target (by op
+   index), whether a register is occupied from entry (live in and its
+   entry value needed, see {!entry_matters}), and per class rank the
+   number of registers live through the region (live out, never
+   written). *)
 type context = {
   env : Pred_env.t;
   st : sites;
+  writes : Reg.t array;
   live_at : Reg.Set.t array;
   entry_occupied : Reg.t -> bool;
+  through : int array;
 }
 
 let context ?env liveness (region : Region.t) =
@@ -184,14 +208,31 @@ let context ?env liveness (region : Region.t) =
   in
   let ops = Pred_env.ops env in
   let st = sites_of ops in
+  let writes =
+    Reg.Tbl.fold (fun r _ acc -> r :: acc) st.defs []
+    |> List.sort Reg.compare |> Array.of_list
+  in
   let live_at = Liveness.live_at_branches liveness region ops in
-  let entry_live = Liveness.live_in liveness region.Region.label in
-  let needed = entry_matters env liveness region st live_at in
+  let label = region.Region.label in
+  let needed = entry_matters env liveness region st ~writes live_at in
+  let through =
+    Array.map (fun cls -> Liveness.live_out_count liveness region cls) classes
+  in
+  Array.iter
+    (fun (r : Reg.t) ->
+      if Liveness.mem_live_out liveness region r then begin
+        let k = Reg.cls_rank r.Reg.cls in
+        through.(k) <- through.(k) - 1
+      end)
+    writes;
   {
     env;
     st;
+    writes;
     live_at;
-    entry_occupied = (fun r -> Reg.Set.mem r entry_live && needed r);
+    entry_occupied =
+      (fun r -> Liveness.mem_live_in liveness label r && needed r);
+    through;
   }
 
 (* Registers the region never writes.  Such a register is never killed,
@@ -201,7 +242,17 @@ let context ?env liveness (region : Region.t) =
    {!count_point}), so these registers are counted per class with
    difference arrays instead of entering every point's list: the
    registers live through a cold region grow with the program, the
-   region's own registers do not. *)
+   region's own registers do not.
+
+   Those live out of the region are not even visited one by one.  Never
+   killed, such a register is live in; its fall-through demand has guard
+   [tru] and no def before it, so its entry value is needed; so it is
+   occupied from entry, under [tru], over every point (or cycle).  Per
+   class they are [through] of the context — the region's live-out count
+   minus its written registers live out — added in one step with [last]
+   the final point.  The walks visit one by one only the registers the
+   region writes and the demanded unwritten ones that are not live out
+   (the live sets at branch targets stay small). *)
 type prefixes = {
   blind : int array array;  (* per class rank, one delta per point *)
   occupied : int array array;
@@ -211,14 +262,22 @@ let prefixes n_points =
   let deltas () = Array.init 3 (fun _ -> Array.make (n_points + 1) 0) in
   { blind = deltas (); occupied = deltas () }
 
-let add_prefix p (r : Reg.t) ~last ~occupied =
-  let k = Reg.cls_rank r.Reg.cls in
+let add_prefix_count p k ~count ~last ~occupied =
   let bump a =
-    a.(0) <- a.(0) + 1;
-    a.(last + 1) <- a.(last + 1) - 1
+    a.(0) <- a.(0) + count;
+    a.(last + 1) <- a.(last + 1) - count
   in
   bump p.blind.(k);
   if occupied then bump p.occupied.(k)
+
+let add_prefix p (r : Reg.t) ~last ~occupied =
+  add_prefix_count p (Reg.cls_rank r.Reg.cls) ~count:1 ~last ~occupied
+
+(* The registers live through the region, occupied over [0, last]. *)
+let add_through p cx ~last =
+  Array.iteri
+    (fun k count -> add_prefix_count p k ~count ~last ~occupied:true)
+    cx.through
 
 let add_prefixes p ~per_point ~per_point_blind =
   for k = 0 to 2 do
@@ -251,16 +310,20 @@ let make_cond_env cx =
   in
   (get, record)
 
-let sweep ?env liveness (region : Region.t) =
-  let cx = context ?env liveness region in
+let sweep ?cx liveness (region : Region.t) =
+  let cx =
+    match cx with Some cx -> cx | None -> context liveness region
+  in
   let ops = Pred_env.ops cx.env in
   let n = Array.length ops in
   let pre = prefixes (n + 1) in
+  add_through pre cx ~last:n;
   (* Walking backward, the first point where an unwritten register is
      live is the last point of its prefix. *)
   let seen = Reg.Tbl.create 16 in
   let add_live point r s =
     if Reg.Tbl.mem cx.st.defs r then Reg.Set.add r s
+    else if Liveness.mem_live_out liveness region r then s
     else begin
       if not (Reg.Tbl.mem seen r) then begin
         Reg.Tbl.add seen r ();
@@ -274,15 +337,21 @@ let sweep ?env liveness (region : Region.t) =
      point n = region exit), using the same transfer as [Liveness] —
      guarded defs do not kill, branches merge their target's live-in. *)
   let live = Array.make (n + 1) Reg.Set.empty in
+  Obs.add c_reg_visits (Array.length cx.writes);
   live.(n) <-
-    Reg.Set.fold (add_live n)
-      (Liveness.live_out_region liveness region)
-      Reg.Set.empty;
+    Array.fold_left
+      (fun s r ->
+        if Liveness.mem_live_out liveness region r then Reg.Set.add r s
+        else s)
+      Reg.Set.empty cx.writes;
   for i = n - 1 downto 0 do
     let op = ops.(i) in
     let s = live.(i + 1) in
     let s =
-      if Op.is_branch op then Reg.Set.fold (add_live i) cx.live_at.(i) s
+      if Op.is_branch op then begin
+        count_visits cx.live_at.(i);
+        Reg.Set.fold (add_live i) cx.live_at.(i) s
+      end
       else s
     in
     let s = List.fold_left (fun s d -> Reg.Set.remove d s) s (Liveness.kills op) in
@@ -310,12 +379,13 @@ let sweep ?env liveness (region : Region.t) =
    demand's cycle.  Guarded writes in between only widen the occupancy
    condition, not the interval: if no guard held, an older value (or the
    entry value) is still the one being kept alive. *)
-let of_schedule ?env liveness (region : Region.t) ~(ops : Op.t array)
+let of_schedule ?cx liveness (region : Region.t) ~(ops : Op.t array)
     ~(cycle : int array) ~length =
   let n = Array.length ops in
-  let cx = context ?env liveness region in
+  let cx =
+    match cx with Some cx -> cx | None -> context liveness region
+  in
   let defs = cx.st.defs and kills = cx.st.kills in
-  let live_out = Liveness.live_out_region liveness region in
   (* Occupancy condition at a demand site: tru when the entry value can
      still reach it, else the disjunction of the write conditions of the
      preceding definitions. *)
@@ -331,7 +401,8 @@ let of_schedule ?env liveness (region : Region.t) ~(ops : Op.t array)
   in
   (* Occupancy intervals per register: [(lo, hi, u)] for a demand at op
      [u] (or [n], the fall-through).  A register the region never writes
-     keeps only its last demand cycle: its prefix ends there. *)
+     keeps only its last demand cycle: its prefix ends there; one that is
+     also live out is counted in [cx.through]. *)
   let ivals = Reg.Tbl.create 16 in
   let unwritten_last = Reg.Tbl.create 16 in
   let add_demand r ~end_cycle ~u =
@@ -341,7 +412,7 @@ let of_schedule ?env liveness (region : Region.t) ~(ops : Op.t array)
       Reg.Tbl.replace ivals r
         (iv :: Option.value ~default:[] (Reg.Tbl.find_opt ivals r))
     end
-    else
+    else if not (Liveness.mem_live_out liveness region r) then
       match Reg.Tbl.find_opt unwritten_last r with
       | Some hi when hi >= end_cycle -> ()
       | _ -> Reg.Tbl.replace unwritten_last r end_cycle
@@ -349,22 +420,29 @@ let of_schedule ?env liveness (region : Region.t) ~(ops : Op.t array)
   Array.iteri
     (fun i op ->
       List.iter (fun r -> add_demand r ~end_cycle:cycle.(i) ~u:i) (Op.uses op);
-      if Op.is_branch op then
+      if Op.is_branch op then begin
+        count_visits cx.live_at.(i);
         Reg.Set.iter
           (fun r -> add_demand r ~end_cycle:cycle.(i) ~u:i)
-          cx.live_at.(i))
+          cx.live_at.(i)
+      end)
     ops;
-  Reg.Set.iter
-    (fun r -> add_demand r ~end_cycle:(max 0 (length - 1)) ~u:n)
-    live_out;
+  Obs.add c_reg_visits (Array.length cx.writes);
+  Array.iter
+    (fun r ->
+      if Liveness.mem_live_out liveness region r then
+        add_demand r ~end_cycle:(max 0 (length - 1)) ~u:n)
+    cx.writes;
   let n_cycles = max length 0 in
   let pre = prefixes n_cycles in
-  if n_cycles > 0 then
+  if n_cycles > 0 then begin
+    add_through pre cx ~last:(n_cycles - 1);
     Reg.Tbl.iter
       (fun r hi ->
         add_prefix pre r ~last:(min (n_cycles - 1) hi)
           ~occupied:(cx.entry_occupied r))
-      unwritten_last;
+      unwritten_last
+  end;
   (* Each cycle's live registers, as per-class condition lists in
      ascending [Reg.compare] order: registers are visited in descending
      order and prepended.  Each register is walked over its own

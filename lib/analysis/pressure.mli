@@ -50,13 +50,23 @@ val stat : t -> Reg.cls -> class_stat
 val maxlive : t -> Reg.cls -> int
 val maxlive_blind : t -> Reg.cls -> int
 
-val sweep : ?env:Pred_env.t -> Liveness.t -> Region.t -> t
+type context
+(** What both counts read of a region before walking it: its predicate
+    environment, def and kill sites, live sets at branch targets, which
+    registers are occupied from region entry, and per class the number
+    of registers live through it. *)
+
+val context : ?env:Pred_env.t -> Liveness.t -> Region.t -> context
+(** [env] is the region's {!Pred_env.analyze}, when the caller already
+    has it.  A caller that runs both counts on one region builds one
+    context and hands it to both, with the same liveness and region. *)
+
+val sweep : ?cx:context -> Liveness.t -> Region.t -> t
 (** Program-point sweep over the unscheduled region: point [i] is just
-    before op [i]; point [n] is the region exit.  [env] is the region's
-    {!Pred_env.analyze}, when the caller already has it. *)
+    before op [i]; point [n] is the region exit. *)
 
 val of_schedule :
-  ?env:Pred_env.t -> Liveness.t -> Region.t -> ops:Op.t array
+  ?cx:context -> Liveness.t -> Region.t -> ops:Op.t array
   -> cycle:int array -> length:int -> t
 (** Exact per-cycle live counts for a schedule of the region given as
     program-ordered [ops] with per-op issue [cycle]s (the fields of
@@ -65,4 +75,10 @@ val of_schedule :
     interval lengths.  A register the region never writes is live over
     one prefix of the cycles under one constant condition, so it is
     counted per class with a difference array instead of being visited
-    cycle by cycle (likewise in {!sweep}). *)
+    cycle by cycle (likewise in {!sweep}).  Those that are also live out
+    are not visited at all: they are occupied over every cycle, and are
+    added per class from {!Liveness.live_out_count}.  So the walks visit
+    one by one only the registers the region writes and the demanded
+    unwritten ones not live out (counted by the [Obs] counter
+    [pressure.reg_visits]), and a cold region costs what it contains,
+    however many registers live through it. *)

@@ -262,7 +262,9 @@ let to_block_refs ops (blocks : Match_blocks.cpr_block list) =
           })
     blocks
 
-let transform_region_with_blocks prog (region : Region.t) block_refs =
+(* [live ()] is the program's liveness as it stands; off-trace motion asks
+   for it once per block, after the block's restructure. *)
+let transform_with_blocks ~live prog (region : Region.t) block_refs =
   let subst = Reg.Tbl.create 17 in
   let plans = ref [] in
   let stopped = ref false in
@@ -288,7 +290,7 @@ let transform_region_with_blocks prog (region : Region.t) block_refs =
   end;
   List.fold_left
     (fun acc plan ->
-      let s = Offtrace.apply prog region plan in
+      let s = Offtrace.apply prog (live ()) region plan in
       {
         acc with
         blocks_transformed = acc.blocks_transformed + 1;
@@ -298,8 +300,12 @@ let transform_region_with_blocks prog (region : Region.t) block_refs =
     { zero_stats with blocks_formed = List.length block_refs }
     plans
 
-let transform_region heur prog liveness (region : Region.t) =
-  let blocks = Match_blocks.run heur prog liveness region in
+let transform_region_with_blocks prog region block_refs =
+  transform_with_blocks ~live:(Liveness.tracker prog) prog region block_refs
+
+let transform_region_live heur prog ~live (region : Region.t) =
+  let liveness = live () in
+  let blocks = Match_blocks.run heur prog region in
   let ops = Array.of_list region.Region.ops in
   let graph = Depgraph.build Cpr_machine.Descr.medium prog liveness region in
   let refs = to_block_refs ops blocks in
@@ -307,14 +313,24 @@ let transform_region heur prog liveness (region : Region.t) =
   let legal, demoted =
     List.partition (block_legal liveness region graph ops ~live_at) refs
   in
-  let stats = transform_region_with_blocks prog region legal in
+  let stats = transform_with_blocks ~live prog region legal in
   {
     stats with
     blocks_formed = List.length blocks;
     blocks_demoted = List.length demoted;
   }
 
-let run ?(heur = Heur.default) (prog : Prog.t) =
+let transform_region heur prog liveness region =
+  transform_region_live heur prog
+    ~live:(Liveness.tracker ~from:liveness prog)
+    region
+
+(* One liveness solution is carried through every rewrite: the first hot
+   region that converts analyzes the program, and every later step —
+   promotion, each demotion round, the block legality check, off-trace
+   motion for each block — updates the solution the step before it
+   returned. *)
+let run_live ?(heur = Heur.default) ~live (prog : Prog.t) =
   let hottest =
     List.fold_left
       (fun acc (r : Region.t) -> max acc r.Region.entry_count)
@@ -336,9 +352,8 @@ let run ?(heur = Heur.default) (prog : Prog.t) =
           let snapshot = r.Region.ops in
           if not (Frp.convert_region prog r) then acc
           else begin
-            let (_ : Spec.stats) = Spec.speculate_region prog r in
-            let liveness = Liveness.analyze prog in
-            let s = transform_region heur prog liveness r in
+            let (_ : Spec.stats) = Spec.speculate_region_live ~live r in
+            let s = transform_region_live heur prog ~live r in
             if s.blocks_transformed = 0 then begin
               r.Region.ops <- snapshot;
               add_stats acc { s with blocks_formed = s.blocks_formed }
@@ -350,6 +365,8 @@ let run ?(heur = Heur.default) (prog : Prog.t) =
   in
   let (_ : int) = Dce.run prog in
   stats
+
+let run ?heur prog = run_live ?heur ~live:(Liveness.tracker prog) prog
 
 let pp_stats ppf s =
   Format.fprintf ppf

@@ -33,7 +33,9 @@ val to_block_refs :
 val transform_region :
   Heur.t -> Prog.t -> Cpr_analysis.Liveness.t -> Region.t -> region_stats
 (** Match + restructure + off-trace motion on one region (no speculation,
-    no DCE). *)
+    no DCE).  The liveness must describe the program as it stands; the
+    off-trace motion of each block updates it
+    ({!Cpr_analysis.Liveness.tracker}). *)
 
 val transform_region_with_blocks :
   Prog.t -> Region.t -> Restructure.block_ref list -> region_stats
@@ -45,6 +47,19 @@ val run : ?heur:Heur.t -> Prog.t -> region_stats
 (** The full ICBM phase sequence over every hot region of the program
     (in place): predicate speculation, match, restructure, off-trace
     motion, then global dead-code elimination.  Regions created by the
-    transformation (compensation blocks) are not re-processed. *)
+    transformation (compensation blocks) are not re-processed.  One
+    liveness solution is carried through every rewrite: the program is
+    analyzed at most once, and each later step updates the solution
+    ({!Cpr_analysis.Liveness.update}). *)
+
+val run_live :
+  ?heur:Heur.t -> live:(unit -> Cpr_analysis.Liveness.t) -> Prog.t
+  -> region_stats
+(** {!run} with the caller's liveness source: [live ()] must return the
+    program's liveness as it stands at each call, and is called after
+    every rewrite that a later step reads liveness across (FRP
+    conversion, promotion, each demotion round, each off-trace block).
+    [run prog] is [run_live ~live:(Liveness.tracker prog) prog]; tests
+    wrap the tracker to check every intermediate solution. *)
 
 val pp_stats : Format.formatter -> region_stats -> unit

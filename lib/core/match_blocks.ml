@@ -87,11 +87,11 @@ let guard_in_sp st = function
   | Op.True -> st.sp_true
   | Op.If p -> Reg.Set.mem p st.sp
 
-let run (heur : Heur.t) (prog : Prog.t) liveness (region : Region.t) =
+(* Growing a block reads only register- and memory-flow edges, so the
+   graph has data edges only. *)
+let run (heur : Heur.t) (prog : Prog.t) (region : Region.t) =
   let ops = Array.of_list region.Region.ops in
-  let graph =
-    Depgraph.build Cpr_machine.Descr.medium prog liveness region
-  in
+  let graph = Depgraph.data Cpr_machine.Descr.medium prog region in
   let branch_idxs =
     List.filter (fun i -> Op.is_branch ops.(i))
       (List.init (Array.length ops) Fun.id)

@@ -30,8 +30,7 @@ val nontrivial : cpr_block -> bool
 (** More than one branch, or a single likely-taken branch: worth
     restructuring. *)
 
-val run :
-  Heur.t -> Prog.t -> Cpr_analysis.Liveness.t -> Region.t -> cpr_block list
+val run : Heur.t -> Prog.t -> Region.t -> cpr_block list
 (** The blocks cover all branches of the region in order; branches that
     fail suitability on their own (e.g. guard defined by no unique UN
     compare) appear as trivial single-branch blocks with

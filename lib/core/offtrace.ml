@@ -7,7 +7,10 @@ type stats = {
   split : int;
 }
 
-let apply (prog : Prog.t) (region : Region.t) (plan : Restructure.plan) =
+(* The motion reads only [Flow], [Mem_flow], [Anti] and [Output] edges,
+   so the graph has data edges only. *)
+let apply (prog : Prog.t) liveness (region : Region.t)
+    (plan : Restructure.plan) =
   let ops = Array.of_list region.Region.ops in
   let n = Array.length ops in
   let idx_of_id =
@@ -19,8 +22,7 @@ let apply (prog : Prog.t) (region : Region.t) (plan : Restructure.plan) =
       | None -> invalid_arg (Printf.sprintf "Offtrace: op id %d not in region %s" id region.Region.label)
   in
   let bypass_pos = idx_of_id plan.Restructure.bypass_id in
-  let liveness = Liveness.analyze prog in
-  let graph = Depgraph.build Cpr_machine.Descr.medium prog liveness region in
+  let graph = Depgraph.data Cpr_machine.Descr.medium prog region in
   let live_at = Liveness.live_at_branches liveness region ops in
   let block = plan.Restructure.block in
   let taken_var = block.Restructure.taken_variation in

@@ -13,7 +13,10 @@ type stats = {
   split : int;
 }
 
-val apply : Prog.t -> Region.t -> Restructure.plan -> stats
+val apply :
+  Prog.t -> Cpr_analysis.Liveness.t -> Region.t -> Restructure.plan -> stats
 (** Fill the plan's compensation region and rewrite the on-trace region
     in place.  For the taken variation, every op past the final branch
-    (the hyperblock tail) also moves to the compensation region. *)
+    (the hyperblock tail) also moves to the compensation region.  The
+    liveness must describe the program as it stands (after the block's
+    restructure). *)

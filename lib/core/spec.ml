@@ -92,8 +92,9 @@ let branch_dependent live_at env idx (op : Op.t) =
 (* Each round judges every still-promoted op against the liveness and
    predicate environments of the region as the round began, then applies
    the round's demotions in one rewrite; demotions made earlier in the
-   round already count as non-promoted producers. *)
-let demote_pass prog (region : Region.t) promoted =
+   round already count as non-promoted producers.  [live ()] is the
+   liveness of the program as it stands. *)
+let demote_pass ~live (region : Region.t) promoted =
   let demoted = ref 0 in
   let changed = ref true in
   let still_promoted = Hashtbl.create 17 in
@@ -101,8 +102,9 @@ let demote_pass prog (region : Region.t) promoted =
   while !changed do
     changed := false;
     (* guards changed (promotions applied, earlier demotions), so both the
-       global liveness and the predicate environments are recomputed *)
-    let liveness = Liveness.analyze prog in
+       global liveness and the predicate environments are brought up to
+       date *)
+    let liveness = live () in
     let env = Pred_env.analyze region in
     let ops = Pred_env.ops env in
     let live_at = Liveness.live_at_branches liveness region ops in
@@ -149,24 +151,27 @@ let demote_pass prog (region : Region.t) promoted =
   done;
   !demoted
 
-(* Liveness is whole-program, so it is computed only for a region that
+(* Liveness is whole-program, so it is asked for only for a region that
    has something to promote; demotion runs only when something was
    promoted. *)
-let speculate_region prog region =
+let speculate_region_live ~live region =
   if not (List.exists candidate region.Region.ops) then
     { promoted = 0; demoted = 0 }
   else
-    let liveness = Liveness.analyze prog in
-    let promoted = promote_pass liveness region in
+    let promoted = promote_pass (live ()) region in
     let demoted =
-      if promoted = [] then 0 else demote_pass prog region promoted
+      if promoted = [] then 0 else demote_pass ~live region promoted
     in
     { promoted = List.length promoted; demoted }
 
+let speculate_region prog region =
+  speculate_region_live ~live:(Liveness.tracker prog) region
+
 let speculate prog =
+  let live = Liveness.tracker prog in
   List.fold_left
     (fun acc r ->
-      let s = speculate_region prog r in
+      let s = speculate_region_live ~live r in
       { promoted = acc.promoted + s.promoted; demoted = acc.demoted + s.demoted })
     { promoted = 0; demoted = 0 }
     (Prog.regions prog)

@@ -19,4 +19,13 @@ type stats = {
 }
 
 val speculate_region : Prog.t -> Region.t -> stats
+
+val speculate_region_live :
+  live:(unit -> Cpr_analysis.Liveness.t) -> Region.t -> stats
+(** The same on a region of the program [live] describes: [live ()] must
+    return that program's liveness as it stands at each call (a
+    {!Cpr_analysis.Liveness.tracker}), and is called once for promotion
+    and once per demotion round.  [speculate_region prog] is this with a
+    fresh tracker of [prog]. *)
+
 val speculate : Prog.t -> stats

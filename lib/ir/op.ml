@@ -107,16 +107,6 @@ let uses op =
 
 let defs op = op.dests
 
-let reg_bound b op =
-  let see b (r : Reg.t) = max b (r.Reg.id + 1) in
-  let b =
-    List.fold_left
-      (fun b -> function Reg r -> see b r | Imm _ | Lab _ -> b)
-      b op.srcs
-  in
-  let b = match op.guard with If g -> see b g | True -> b in
-  List.fold_left see b op.dests
-
 let eval_cond c a b =
   match c with
   | Eq -> a = b

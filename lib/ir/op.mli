@@ -114,11 +114,6 @@ val uses : t -> Reg.t list
 
 val defs : t -> Reg.t list
 
-val reg_bound : int -> t -> int
-(** [reg_bound b op]: the larger of [b] and one past the largest register
-    id [op] mentions.  Folded over a set of ops it gives the [stride] of
-    {!Reg.slot}. *)
-
 val eval_cond : cond -> int -> int -> bool
 val negate_cond : cond -> cond
 

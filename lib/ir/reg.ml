@@ -13,14 +13,6 @@ let pred id = { id; cls = Pred }
 let btr id = { id; cls = Btr }
 
 let cls_rank = function Gpr -> 0 | Pred -> 1 | Btr -> 2
-let slot ~stride r = (cls_rank r.cls * stride) + r.id
-
-let of_slot ~stride ix =
-  let cls =
-    if ix < stride then Gpr else if ix < 2 * stride then Pred else Btr
-  in
-  { id = ix mod stride; cls }
-
 let compare a b =
   match Int.compare (cls_rank a.cls) (cls_rank b.cls) with
   | 0 -> Int.compare a.id b.id

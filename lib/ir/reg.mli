@@ -26,18 +26,6 @@ val hash : t -> int
 val cls_rank : cls -> int
 (** [Gpr] 0, [Pred] 1, [Btr] 2 — the major key of {!compare}. *)
 
-val slot : stride:int -> t -> int
-(** [slot ~stride r = cls_rank r.cls * stride + r.id]: a dense index for
-    registers whose ids are below [stride] ({!Op.reg_bound} computes
-    one), [3 * stride] slots in all.  Ascending slots enumerate in
-    exactly {!compare} order, so analyses index arrays and bitsets with
-    it instead of hashing.  Ids are program-global, so [stride] is sized
-    by the program: use it in whole-program analyses, which pay it once
-    per program, and key per-region tables by {!Tbl} instead. *)
-
-val of_slot : stride:int -> int -> t
-(** The register at a {!slot}. *)
-
 val is_pred : t -> bool
 
 val pp : Format.formatter -> t -> unit

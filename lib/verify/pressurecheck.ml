@@ -21,18 +21,21 @@ let cls_name = function
 let classes = [ Reg.Gpr; Reg.Pred; Reg.Btr ]
 
 (* The per-cycle counts over the region's list schedule. *)
-let scheduled ?env machine v (r : Region.t) =
+let scheduled ?env ?cx machine v (r : Region.t) =
   let sched = Sched_table.schedule ?env v machine r in
-  Pressure.of_schedule ?env (Sched_table.liveness v) r
+  Pressure.of_schedule ?cx (Sched_table.liveness v) r
     ~ops:sched.Cpr_sched.Schedule.ops ~cycle:sched.Cpr_sched.Schedule.cycle
     ~length:sched.Cpr_sched.Schedule.length
 
-(* One predicate environment per region, shared by the sweep, the
-   schedule count and (when the graph is built here) the graph. *)
+(* One predicate environment per region, shared by the pressure context,
+   the schedule and (when the graph is built here) the graph; one
+   pressure context, shared by the sweep and the schedule count. *)
 let region_rows machine v (r : Region.t) =
   let env = Pred_env.analyze r in
-  let sw = Pressure.sweep ~env (Sched_table.liveness v) r in
-  let sc = scheduled ~env machine v r in
+  let live = Sched_table.liveness v in
+  let cx = Pressure.context ~env live r in
+  let sw = Pressure.sweep ~cx live r in
+  let sc = scheduled ~env ~cx machine v r in
   List.map
     (fun cls ->
       let sweep_maxlive = Pressure.maxlive sw cls in

@@ -99,15 +99,11 @@ let wide_stream unroll =
   ( K.stream_prog spec,
     [ K.stream_input ~spec ~len:(4 * unroll) ~exit_probability:0. ~seed:1 ] )
 
+let dispatch_cases n =
+  List.init n (fun i -> { K.match_value = 3 + (7 * i); handler_work = 4 })
+
 let wide_dispatch d_unroll =
-  let spec =
-    {
-      K.default_dispatch with
-      cases =
-        List.init 3 (fun i -> { K.match_value = 3 + (7 * i); handler_work = 4 });
-      d_unroll;
-    }
-  in
+  let spec = { K.default_dispatch with cases = dispatch_cases 3; d_unroll } in
   ( K.dispatch_prog spec,
     [ K.dispatch_input ~spec ~len:(4 * d_unroll) ~case_probability:0. ~seed:1 ]
   )
@@ -141,3 +137,45 @@ endregion
     }
   in
   (prog, input)
+
+(* The benchmark's many-regions ladder: dispatch loops with chains of
+   cold regions, (cases, unroll, cold regions), 10 ops each. *)
+let many_regions_specs =
+  [
+    (2, 2, 25); (3, 2, 50); (4, 3, 75); (5, 3, 100); (6, 3, 125);
+    (7, 4, 150); (2, 4, 200); (5, 2, 225); (8, 3, 250);
+  ]
+
+let cold_dispatch ~ncases ~d_unroll ~cold =
+  let spec =
+    {
+      K.default_dispatch with
+      cases = dispatch_cases ncases;
+      d_unroll;
+      d_cold_regions = cold;
+      d_cold_size = 10;
+    }
+  in
+  ( K.dispatch_prog spec,
+    [ K.dispatch_input ~spec ~len:600 ~case_probability:0. ~seed:1 ] )
+
+(* The nine many-regions and the nine wide-regions programs, named, with
+   one training input each. *)
+let many_regions () =
+  List.map
+    (fun (ncases, d_unroll, cold) ->
+      let prog, inputs = cold_dispatch ~ncases ~d_unroll ~cold in
+      (Printf.sprintf "dispatch-c%d-u%d-cold%d" ncases d_unroll cold, prog, inputs))
+    many_regions_specs
+
+let wide_regions () =
+  List.map
+    (fun u ->
+      let prog, inputs = wide_stream u in
+      (Printf.sprintf "stream-u%d" u, prog, inputs))
+    (List.init 7 (fun i -> 20 + (4 * i)))
+  @ List.map
+      (fun d ->
+        let prog, inputs = wide_dispatch d in
+        (Printf.sprintf "dispatch-u%d" d, prog, inputs))
+      [ 8; 10 ]

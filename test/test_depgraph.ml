@@ -273,6 +273,56 @@ let large_ids_change_nothing () =
         (Prog.regions prog) (Prog.regions big_prog))
     [ prog; reduced ]
 
+(* [Depgraph.data] is [build] restricted to data edges, in the same
+   order: its [succs], [preds] and [edges] equal the full graph's with
+   every control kind ([Ctrl], [Exit_live], [Br_anticipation]) dropped. *)
+let is_data = function
+  | D.Flow _ | D.Anti _ | D.Output _ | D.Mem_flow | D.Mem_anti | D.Mem_output
+    -> true
+  | D.Ctrl | D.Exit_live _ | D.Br_anticipation -> false
+
+let data_graph_is_restriction where prog =
+  let live = A.Liveness.analyze prog in
+  List.iter
+    (fun (r : Region.t) ->
+      let full = D.build Cpr_machine.Descr.medium prog live r in
+      let data = D.data Cpr_machine.Descr.medium prog r in
+      let keep = List.filter (fun (e : D.edge) -> is_data e.D.kind) in
+      let same what a b =
+        if a <> b then
+          Alcotest.failf "%s/%s: data graph %s differ" where r.Region.label what
+      in
+      same "edges" (keep (D.edges full)) (D.edges data);
+      for i = 0 to D.n_ops full - 1 do
+        same "succs" (keep (D.succs full i)) (D.succs data i);
+        same "preds" (keep (D.preds full i)) (D.preds data i)
+      done)
+    (Prog.regions prog)
+
+let data_graph_workloads () =
+  List.iter
+    (fun (w : Cpr_workloads.Workload.t) ->
+      let prog = w.build () and inputs = w.inputs () in
+      List.iter
+        (fun (stage : Cpr_pipeline.Passes.stage) ->
+          let c = Cpr_pipeline.Passes.run ~verify:false stage prog inputs in
+          data_graph_is_restriction
+            (w.name ^ "/" ^ stage.Cpr_pipeline.Passes.name)
+            c.Cpr_pipeline.Passes.prog)
+        Cpr_pipeline.Passes.stages)
+    Cpr_workloads.Registry.all
+
+let data_graph_streams () =
+  List.iter
+    (fun u ->
+      let prog, inputs = wide_stream u in
+      let where = Printf.sprintf "stream-u%d" u in
+      data_graph_is_restriction where prog;
+      data_graph_is_restriction (where ^ " icbm")
+        (Cpr_pipeline.Passes.height_reduce ~verify:false prog inputs)
+          .Cpr_pipeline.Passes.prog)
+    [ 20; 32; 64 ]
+
 let suite =
   ( "depgraph",
     [
@@ -284,4 +334,8 @@ let suite =
       case "latencies in asap" latencies_in_asap;
       case "priority bounded" priority_is_path_to_sink;
       case "large register ids change nothing" large_ids_change_nothing;
+      case "data graph = build's data edges on every workload stage"
+        data_graph_workloads;
+      case "data graph = build's data edges on wide streams"
+        data_graph_streams;
     ] )

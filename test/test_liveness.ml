@@ -1,5 +1,6 @@
 open Cpr_ir
 module A = Cpr_analysis
+module Obs = Cpr_obs.Obs
 open Helpers
 module B = Builder
 
@@ -342,6 +343,199 @@ let decisions_fuzz () =
       (Cpr_fuzz.Driver.inputs_for check seed)
   done
 
+(* ------------------------------------------------------------------ *)
+(* analyze and update against the round-robin reference.              *)
+(* ------------------------------------------------------------------ *)
+
+let set_names s = List.map Reg.to_string (Reg.Set.elements s)
+
+(* Every answer [l] gives about [prog] as it stands equals the
+   reference's: [live_in] at every region, exit and branch-target label,
+   [live_out_region] of every region, and the bitset queries —
+   [mem_live_in] and [mem_live_out] for every register the region
+   touches, every register live in or out of it, the program's
+   [live_out] and one register beyond every id in the program, and
+   [live_out_count] per class. *)
+let matches_reference where prog l =
+  let want = Liveness_reference.analyze prog in
+  let regions = Prog.regions prog in
+  let labels =
+    List.concat_map
+      (fun (r : Region.t) ->
+        (r.Region.label :: Option.to_list r.Region.fallthrough)
+        @ List.filter_map snd (Region.branch_targets r))
+      regions
+    @ prog.Prog.exit_labels
+  in
+  List.iter
+    (fun label ->
+      let got = A.Liveness.live_in l label in
+      let expected = Liveness_reference.live_in want label in
+      if not (Reg.Set.equal got expected) then
+        Alcotest.failf "%s: live_in %s = {%s}, reference {%s}" where label
+          (String.concat " " (set_names got))
+          (String.concat " " (set_names expected)))
+    labels;
+  let beyond =
+    List.map
+      (fun cls -> { Reg.id = 1 lsl 20; cls })
+      [ Reg.Gpr; Reg.Pred; Reg.Btr ]
+  in
+  List.iter
+    (fun (r : Region.t) ->
+      let label = r.Region.label in
+      let out = Liveness_reference.live_out_region want r in
+      let inn = Liveness_reference.live_in want label in
+      if not (Reg.Set.equal (A.Liveness.live_out_region l r) out) then
+        Alcotest.failf "%s: live_out_region %s differs" where label;
+      let universe =
+        List.fold_left
+          (fun s (op : Op.t) ->
+            List.fold_left (fun s x -> Reg.Set.add x s) s
+              (Op.uses op @ op.Op.dests))
+          (Reg.Set.union out inn) r.Region.ops
+        |> Reg.Set.union (Reg.Set.of_list (prog.Prog.live_out @ beyond))
+      in
+      Reg.Set.iter
+        (fun x ->
+          if A.Liveness.mem_live_in l label x <> Reg.Set.mem x inn then
+            Alcotest.failf "%s: mem_live_in %s %s" where label
+              (Reg.to_string x);
+          if A.Liveness.mem_live_out l r x <> Reg.Set.mem x out then
+            Alcotest.failf "%s: mem_live_out %s %s" where label
+              (Reg.to_string x))
+        universe;
+      List.iter
+        (fun cls ->
+          let expected =
+            Reg.Set.cardinal
+              (Reg.Set.filter (fun (x : Reg.t) -> x.Reg.cls = cls) out)
+          in
+          if A.Liveness.live_out_count l r cls <> expected then
+            Alcotest.failf "%s: live_out_count %s = %d, reference %d" where
+              label
+              (A.Liveness.live_out_count l r cls)
+              expected)
+        [ Reg.Gpr; Reg.Pred; Reg.Btr ])
+    regions
+
+(* [Icbm.run] with a tracker that checks every solution it hands out —
+   after FRP conversion, promotion, each demotion round and each
+   off-trace block — and, once the run (and its DCE) is over, an update
+   of the last one.  Returns how many solutions were checked. *)
+let icbm_steps_match where prog =
+  let tracker = A.Liveness.tracker prog in
+  let last = ref None and steps = ref 0 in
+  let live () =
+    let l = tracker () in
+    incr steps;
+    matches_reference (Printf.sprintf "%s step %d" where !steps) prog l;
+    last := Some l;
+    l
+  in
+  ignore (Cpr_core.Icbm.run_live ~live prog : Cpr_core.Icbm.region_stats);
+  Option.iter
+    (fun l ->
+      matches_reference (where ^ " after DCE") prog (A.Liveness.update l))
+    !last;
+  !steps
+
+(* [analyze] on the raw and the prepared program, then [update] across
+   every rewrite of ICBM on the prepared one. *)
+let program_matches where prog inputs =
+  matches_reference (where ^ " raw") prog (A.Liveness.analyze prog);
+  let p = Cpr_pipeline.Passes.prepare prog inputs in
+  matches_reference (where ^ " prepared") p (A.Liveness.analyze p);
+  icbm_steps_match (where ^ " icbm") p
+
+(* Every registry workload after every stage, by [analyze] and by
+   [update] of the solution for the stage's input (the stage rewrites
+   the prepared program in place), then every step of [Icbm.run]. *)
+let reference_on_workloads () =
+  List.iter
+    (fun (w : Cpr_workloads.Workload.t) ->
+      let prog = w.build () and inputs = w.inputs () in
+      List.iter
+        (fun (stage : Cpr_pipeline.Passes.stage) ->
+          let where = w.name ^ "/" ^ stage.Cpr_pipeline.Passes.name in
+          let p = Cpr_pipeline.Passes.prepare prog inputs in
+          let before = A.Liveness.analyze p in
+          ignore
+            (stage.Cpr_pipeline.Passes.transform Cpr_core.Heur.default p
+              : Cpr_core.Icbm.region_stats option);
+          matches_reference (where ^ " analyze") p (A.Liveness.analyze p);
+          matches_reference (where ^ " update") p (A.Liveness.update before))
+        Cpr_pipeline.Passes.stages;
+      ignore (program_matches w.name prog inputs : int))
+    Cpr_workloads.Registry.all
+
+let reference_on_kernels () =
+  List.iter
+    (fun (name, prog, inputs) ->
+      let steps = program_matches name prog inputs in
+      checkb (name ^ ": ICBM asked for liveness") true (steps > 0))
+    (many_regions () @ wide_regions ())
+
+let reference_on_fuzz () =
+  let check = Cpr_fuzz.Driver.default_check in
+  for seed = 0 to 2000 do
+    ignore
+      (program_matches
+         (Printf.sprintf "seed %d" seed)
+         (Cpr_workloads.Gen.prog_of_seed seed)
+         (Cpr_fuzz.Driver.inputs_for check seed)
+        : int)
+  done
+
+(* A rewrite that removes the only use keeping a register live around a
+   loop: the least fixpoint drops it, while propagating from the old
+   solution would keep it (the loop's own live-in re-supplies it). *)
+let update_drops_cycle_liveness () =
+  let ctx = B.create () in
+  let x = B.gpr ctx and y = B.gpr ctx and cnt = B.gpr ctx and p = B.pred ctx in
+  let loop =
+    B.region ctx "Loop" ~fallthrough:"Exit" (fun e ->
+        let (_ : Op.t) = B.add e y x x in
+        let (_ : Op.t) = B.addi e cnt cnt (-1) in
+        let (_ : Op.t) = B.cmpp1 e Op.Gt Op.Un p (Op.Reg cnt) (Op.Imm 0) in
+        let (_ : Op.t) = B.branch_to e ~guard:(Op.If p) "Loop" in
+        ())
+  in
+  let prog = B.prog ctx ~entry:"Loop" [ loop ] in
+  let l = A.Liveness.analyze prog in
+  checkb "x live around the loop" true
+    (Reg.Set.mem x (A.Liveness.live_in l "Loop"));
+  loop.Region.ops <- List.tl loop.Region.ops;
+  let u = A.Liveness.update l in
+  checkb "x dead after its use is removed" false
+    (Reg.Set.mem x (A.Liveness.live_in u "Loop"));
+  checkb "the old solution is unchanged" true
+    (Reg.Set.mem x (A.Liveness.live_in l "Loop"));
+  matches_reference "after the rewrite" prog u
+
+(* ICBM analyzes each program at most once and updates afterwards. *)
+let icbm_analyzes_once () =
+  let value name = Obs.counter_value (Obs.counter name) in
+  Fun.protect
+    ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+    (fun () ->
+      List.iter
+        (fun (name, prog, inputs) ->
+          let p = Cpr_pipeline.Passes.prepare prog inputs in
+          Obs.set_enabled true;
+          Obs.reset ();
+          ignore (Cpr_core.Icbm.run p : Cpr_core.Icbm.region_stats);
+          Obs.set_enabled false;
+          let analyses = value "liveness.analyze" in
+          checkb
+            (Printf.sprintf "%s: %d analyses in Icbm.run" name analyses)
+            true (analyses <= 1);
+          checkb (name ^ ": later steps update") true
+            (value "liveness.update" > 0))
+        (many_regions ()))
+
 (* Structural soundness on random programs: registers read before any
    write during a real execution must be in live_in of the entry. *)
 let prop_live_in_covers_dynamic_reads =
@@ -386,5 +580,13 @@ let suite =
         decisions_kernels;
       case "promotion decisions match the reference: fuzz seeds 0..300"
         decisions_fuzz;
+      case "update drops liveness only a loop kept" update_drops_cycle_liveness;
+      case "analyze, update = reference on every workload stage"
+        reference_on_workloads;
+      case "analyze, update = reference on the many- and wide-regions kernels"
+        reference_on_kernels;
+      case "analyze, update = reference on fuzz seeds 0..2000"
+        reference_on_fuzz;
+      case "Icbm.run analyzes at most once" icbm_analyzes_once;
       QCheck_alcotest.to_alcotest prop_live_in_covers_dynamic_reads;
     ] )

@@ -30,7 +30,7 @@ let prepared ?(unroll = 6) ?(p = 0.08) () =
   (prog, loop)
 
 let run_match ?(heur = Cpr_core.Heur.default) prog loop =
-  MB.run heur prog (A.Liveness.analyze prog) loop
+  MB.run heur prog loop
 
 let covers_all_branches () =
   let prog, loop = prepared () in

@@ -207,6 +207,45 @@ let reference_on_dispatch () =
         prog)
     [ 25; 50; 75; 100; 125; 150; 175; 200; 225; 250 ]
 
+(* The benchmark's nine many-regions programs, raw, as the baseline
+   (prepared) and after ICBM, on all five machines. *)
+let reference_on_many_regions () =
+  List.iter
+    (fun (name, prog, inputs) ->
+      matches_reference (name ^ " raw") prog;
+      matches_reference (name ^ " baseline") (P.Passes.prepare prog inputs);
+      matches_reference (name ^ " icbm")
+        (P.Passes.height_reduce ~verify:false prog inputs).P.Passes.prog)
+    (many_regions ())
+
+(* Registers the pressure walks visit one by one ([pressure.reg_visits])
+   in [Pressurecheck.summary] of a dispatch program after ICBM.  From 125
+   to 250 cold regions the count may grow with the regions (about x2),
+   not with the registers live through them: the sum of live-out sizes
+   over the regions grows about x4 there, and visiting it made the
+   count grow likewise. *)
+let reg_visits_grow_with_regions () =
+  let visits cold =
+    let prog, inputs = cold_dispatch ~ncases:4 ~d_unroll:3 ~cold in
+    let reduced =
+      (P.Passes.height_reduce ~verify:false prog inputs).P.Passes.prog
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Cpr_obs.Obs.set_enabled false;
+        Cpr_obs.Obs.reset ())
+      (fun () ->
+        Cpr_obs.Obs.set_enabled true;
+        Cpr_obs.Obs.reset ();
+        ignore (Cpr_verify.Pressurecheck.summary reduced : (Reg.cls * int) list);
+        Cpr_obs.Obs.counter_value (Cpr_obs.Obs.counter "pressure.reg_visits"))
+  in
+  let small = visits 125 and large = visits 250 in
+  checkb
+    (Printf.sprintf "register visits %d -> %d grow at most x2.5" small large)
+    true
+    (small > 0 && float_of_int large <= 2.5 *. float_of_int small)
+
 (* A predicate [p] the region never writes, live at the target of an
    exit whose guard [q] is constant false: blind liveness keeps [p] live
    from entry to the exit, but no demand can read its entry value, so it
@@ -419,6 +458,10 @@ let suite =
       case "of_schedule = reference on 500 fuzz programs" reference_on_fuzz;
       case "sweep, of_schedule = reference on many-regions kernels"
         reference_on_dispatch;
+      case "sweep, of_schedule = reference on the nine many-regions programs"
+        reference_on_many_regions;
+      case "pressure register visits grow with the regions"
+        reg_visits_grow_with_regions;
       case "unwritten predicate with a dead entry value takes no slot"
         unwritten_dead_entry_pred;
       case "complementary cmpp guards share register slots"
