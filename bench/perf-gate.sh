@@ -14,8 +14,11 @@
 # return of their superlinear growth trips the gate; many-regions is
 # where per-region scheduling, register-pressure checking and schedule
 # verification dominate, and its rows also guard the pressure walks'
-# bulk counting of registers live through a cold region and ICBM's
-# liveness, updated per rewrite rather than re-analyzed per program.
+# bulk counting of registers live through a cold region, ICBM's
+# liveness, updated per rewrite rather than re-analyzed per program, and
+# the work Report.run skips because it cannot change an answer: cold
+# regions scheduled on one machine rather than five, no input re-lint
+# for warnings, one liveness analysis per run.
 # Exits 1 if PARENT_REV does not
 # name a commit, if any run is incorrect (correct: false or failed > 0),
 # or if the change's median over the seeds is worse than the parent's by

@@ -276,13 +276,19 @@ let update t =
   Obs.incr c_update;
   solution ~prev:t t.prog
 
+(* A [from] solved for another program — the program [prog] was copied
+   from — is re-solved on [prog]: [Prog.copy] shares every region's op
+   list, so each compiled region is reused and nothing recompiles. *)
 let tracker ?from prog =
   let last = ref None in
   fun () ->
     let l =
       match (!last, from) with
       | Some l, _ -> update l
-      | None, Some l -> l
+      | None, Some l when l.prog == prog -> l
+      | None, Some l ->
+        Obs.incr c_update;
+        solution ~prev:l prog
       | None, None -> analyze prog
     in
     last := Some l;

@@ -37,10 +37,18 @@ val update : t -> t
 
 val tracker : ?from:t -> Prog.t -> unit -> t
 (** [tracker ?from prog] gives the solution for [prog] as it stands at
-    each call: the first call returns [from] (which must describe [prog]
-    as it stands) or else runs {!analyze}; every later call {!update}s
-    the solution the previous call returned.  ICBM's phases share one
-    across their in-place rewrites of a program. *)
+    each call; every call after the first {!update}s the solution the
+    previous call returned.  The first call returns [from] when it was
+    solved for [prog] itself (it must describe [prog] as it stands);
+    when [from] was solved for another program — typically the one
+    [prog] is a {!Prog.copy} of — the first call re-solves [prog] from
+    it as {!update} would, reusing the compiled transfer of every region
+    whose op list [prog] shares (all of them, for an unrewritten copy)
+    and counted by [liveness.update]; without [from] it runs {!analyze}.
+    ICBM's phases share one across their in-place rewrites of a program;
+    a pipeline run starts it from the committed baseline's solution, so
+    the run calls {!analyze} once.  See DESIGN.md "Work that cannot
+    change an answer". *)
 
 val live_in : t -> string -> Reg.Set.t
 (** Registers live on entry to a label (program [live_out] for exit

@@ -63,9 +63,8 @@ let run_prog check (stage : Stage.t) prog inputs =
             (* Pre-simulation oracle: the static verifier alone, against
                the program the stage started from. *)
             match
-              Cpr_verify.Verify.errors
-                (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name
-                   ~before candidate)
+              Cpr_verify.Verify.stage_errors ~stage:stage.Stage.name ~before
+                candidate
             with
             | [] -> Ok ()
             | f :: _ ->

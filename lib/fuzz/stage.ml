@@ -24,7 +24,8 @@ let fullpipe =
   let step name p =
     let s = Option.get (Passes.find name) in
     let (_ : Cpr_core.Icbm.region_stats option) =
-      s.Passes.transform Cpr_core.Heur.default p
+      s.Passes.transform Cpr_core.Heur.default
+        ~live:(Cpr_analysis.Liveness.tracker p) p
     in
     ()
   in

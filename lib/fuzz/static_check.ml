@@ -17,8 +17,7 @@ let check_entry (e : Corpus.entry) =
   | exception ex -> Error ("transform raised: " ^ Printexc.to_string ex)
   | before, candidate ->
     let errors prog =
-      Cpr_verify.Verify.errors
-        (Cpr_verify.Verify.check_stage ~stage:stage.Stage.name ~before prog)
+      Cpr_verify.Verify.stage_errors ~stage:stage.Stage.name ~before prog
     in
     let clean =
       match errors candidate with

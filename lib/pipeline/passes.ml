@@ -2,6 +2,7 @@ open Cpr_ir
 module Obs = Cpr_obs.Obs
 module Chaos = Cpr_resilience.Chaos
 module Recover = Cpr_resilience.Recover
+module Sched_table = Cpr_sched.Sched_table
 
 type compiled = {
   prog : Prog.t;
@@ -88,10 +89,11 @@ let prepare prog inputs = fst (prepare_with profile prog inputs)
 type stage = {
   name : string;
   transform :
-    Cpr_core.Heur.t -> Prog.t -> Cpr_core.Icbm.region_stats option;
+    Cpr_core.Heur.t -> live:(unit -> Cpr_analysis.Liveness.t) -> Prog.t
+    -> Cpr_core.Icbm.region_stats option;
 }
 
-let rewrite f _heur p =
+let rewrite f _heur ~live:_ p =
   f p;
   None
 
@@ -105,7 +107,8 @@ let superblock = { name = "superblock"; transform = rewrite ignore }
 let icbm =
   {
     name = "icbm";
-    transform = (fun heur p -> Some (Cpr_core.Icbm.run ~heur p));
+    transform =
+      (fun heur ~live p -> Some (Cpr_core.Icbm.run_live ~heur ~live p));
   }
 
 let stages =
@@ -188,13 +191,28 @@ let verify_stage ?(verify = true) ?verify_time ?table stage ~before p =
    transform and before validation so a [Corrupt] fault takes exactly
    the detection path (validate -> verify -> fallback) a real miscompile
    would.  [before], what verification compares against, is a copy of
-   [p] unless the caller holds the same program unrewritten. *)
+   [p] unless the caller holds the same program unrewritten.
+
+   With a [table], the transform's liveness starts from [before]'s
+   table solution, re-solved on [p] (which shares its op lists), and
+   [p]'s version adopts the tracker's solution once the program is final
+   — after the transform's last rewrite and the chaos point — so the
+   stage calls [Liveness.analyze] once, for its input. *)
 let finish ?(heur = Cpr_core.Heur.default) ?verify ?verify_time ?table ?before
     stage p inputs =
   let before = match before with Some b -> b | None -> Prog.copy p in
-  let stats = stage.transform heur p in
+  let from =
+    Option.map
+      (fun t -> Sched_table.liveness (Sched_table.version t before))
+      table
+  in
+  let live = Cpr_analysis.Liveness.tracker ?from p in
+  let stats = stage.transform heur ~live p in
   Chaos.trip ~stage:stage.name p;
   Validate.check_exn p;
+  Option.iter
+    (fun t -> Sched_table.adopt (Sched_table.version t p) (live ()))
+    table;
   verify_stage ?verify ?verify_time ?table stage ~before p;
   (* Only the height-reduced code needs observations, for {!equivalent};
      the other stages' outputs are just re-profiled. *)

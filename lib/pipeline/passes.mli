@@ -73,9 +73,13 @@ val height_reduce_prepared :
 type stage = {
   name : string;
   transform :
-    Cpr_core.Heur.t -> Prog.t -> Cpr_core.Icbm.region_stats option;
+    Cpr_core.Heur.t -> live:(unit -> Cpr_analysis.Liveness.t) -> Prog.t
+    -> Cpr_core.Icbm.region_stats option;
       (** rewrites a {!prepare}d program in place; ICBM's statistics for
-          the [icbm] stage, [None] for the others *)
+          the [icbm] stage, [None] for the others.  [live ()] is the
+          program's liveness as it stands (a
+          {!Cpr_analysis.Liveness.tracker} of it), which only ICBM
+          reads *)
 }
 
 val stages : stage list

@@ -12,13 +12,20 @@ val estimate :
 (** Paper's estimator: Σ region schedule-length × profiled entry count.
     The schedules come from [table] (a fresh one by default), so a run
     that estimates several programs or machines passes one table and
-    schedules each distinct region once per machine [issue]. *)
+    schedules each distinct region once per machine [issue].
+
+    A region whose charge is 0 without a schedule — here, one the
+    training runs never entered — is skipped, not scheduled; each skip
+    counts [perf.regions_skipped].  The sum equals the every-region sum
+    ([test/perf_reference.ml]).  The same holds for the two estimators
+    below, each with its own zero-charge test. *)
 
 val estimate_exit_aware :
   ?table:Cpr_sched.Sched_table.t -> Cpr_machine.Descr.t -> Prog.t -> int
 (** Ablation refinement: entries leaving through a side exit are charged
     only up to the exit branch's completion, instead of the full region
-    schedule length. *)
+    schedule length.  Skips a region with no entry and no branch
+    taken. *)
 
 val bound_estimate :
   ?table:Cpr_sched.Sched_table.t -> Cpr_machine.Descr.t -> Prog.t -> int
@@ -26,6 +33,7 @@ val bound_estimate :
     lower bound ({!Cpr_analysis.Height.summarize} of the region's graph
     from [table]): Σ region bound × profiled entry count, without
     scheduling.  Always at most {!estimate}; the difference is the
-    schedule-quality gap [Report.run] records as [height_gap]. *)
+    schedule-quality gap [Report.run] records as [height_gap].  Skips
+    empty and never-entered regions. *)
 
 val speedup : baseline:int -> transformed:int -> float

@@ -31,46 +31,71 @@ type entry = {
 type t = {
   entries : (int, entry list) Hashtbl.t;
   mutable versions : version list;
-  mutable resident : version option;
+  mutable resident : version list;  (* most recent first, at most two *)
 }
 
 and version = {
   table : t;
   prog : Prog.t;
   mutable live : Liveness.t option;
+  (* Per region label: the op list a region had when its live-at-targets
+     key part was read, and that part. *)
+  targets : (string, Op.t list * Reg.Set.t list) Hashtbl.t;
 }
 
 let create () =
-  { entries = Hashtbl.create 64; versions = []; resident = None }
+  { entries = Hashtbl.create 64; versions = []; resident = [] }
 
 let version t prog =
   match List.find_opt (fun v -> v.prog == prog) t.versions with
   | Some v -> v
   | None ->
-    let v = { table = t; prog; live = None } in
+    let v = { table = t; prog; live = None; targets = Hashtbl.create 64 } in
     t.versions <- v :: t.versions;
     v
 
-(* One program's liveness is resident at a time: consumers go program by
-   program, and a whole-program solution is the largest thing a version
-   holds. *)
+(* Two versions' liveness is resident at a time, a run's two compiled
+   codes, for the whole run; a third version (a fallback after a failed
+   stage) drops the least recently resident one's, with the key parts
+   read from it. *)
+let make_resident v l =
+  let drop (o : version) =
+    o.live <- None;
+    Hashtbl.reset o.targets
+  in
+  drop v;
+  v.live <- Some l;
+  let t = v.table in
+  match List.filter (fun o -> o != v) t.resident with
+  | [] -> t.resident <- [ v ]
+  | o :: evicted ->
+    List.iter drop evicted;
+    t.resident <- [ v; o ]
+
 let liveness v =
   match v.live with
   | Some l -> l
   | None ->
-    Option.iter (fun (old : version) -> old.live <- None) v.table.resident;
     Obs.incr c_liveness;
     let l = Liveness.analyze v.prog in
-    v.live <- Some l;
-    v.table.resident <- Some v;
+    make_resident v l;
     l
 
+let adopt v l = make_resident v l
+
+let live_at_targets v (r : Region.t) =
+  match Hashtbl.find_opt v.targets r.Region.label with
+  | Some (ops, sets) when ops == r.Region.ops -> sets
+  | _ ->
+    let sets = Liveness.live_at_targets (liveness v) r in
+    Hashtbl.replace v.targets r.Region.label (r.Region.ops, sets);
+    sets
+
 let key_of v machine (r : Region.t) =
-  let live = liveness v in
   {
     ops = r.Region.ops;
     fallthrough = r.Region.fallthrough;
-    live_at_targets = Liveness.live_at_targets live r;
+    live_at_targets = live_at_targets v r;
     noalias = v.prog.Prog.noalias_bases;
     lat = Array.of_list (List.map (Descr.latency_of machine) r.Region.ops);
   }

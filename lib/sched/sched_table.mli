@@ -19,7 +19,8 @@ open Cpr_ir
     Telemetry counts [sched.table.graph_misses] (graphs built),
     [sched.table.schedule_misses] (schedules built) and
     [sched.table.hits] (requests served from the table).  See DESIGN.md
-    "One schedule per distinct region". *)
+    "One schedule per distinct region" and "Work that cannot change an
+    answer". *)
 
 type t
 
@@ -33,11 +34,21 @@ type version
 val version : t -> Prog.t -> version
 
 val liveness : version -> Cpr_analysis.Liveness.t
-(** The program's liveness, computed on first use.  A table keeps one
-    version's liveness at a time (the whole-program solution is the
-    largest thing it would hold), so consumers should go program by
-    program: returning to an earlier version computes it again, and the
-    [sched.table.liveness] counter counts every computation. *)
+(** The program's liveness: the one {!adopt}ed, or else computed on
+    first use (counted by [sched.table.liveness]).  A version keeps it,
+    and the live-at-targets key part read from it for each region
+    (memoized by label and physical op list), for as long as the table
+    lives — except that a table holds at most two versions' liveness at
+    a time, a run's two compiled codes: making a third resident drops
+    the least recently resident one's, which a later request then
+    computes again. *)
+
+val adopt : version -> Cpr_analysis.Liveness.t -> unit
+(** Give the version a liveness solved elsewhere, which must describe
+    the program as it stands (equal to {!Cpr_analysis.Liveness.analyze}
+    of it) — the pipeline hands over ICBM's tracker solution taken after
+    its last rewrite, so [Liveness.analyze] never runs on the
+    height-reduced code.  Replaces any liveness the version held. *)
 
 val graph :
   ?env:Cpr_analysis.Pred_env.t -> version -> Cpr_machine.Descr.t -> Region.t

@@ -49,54 +49,53 @@ let check_program prog =
 
 let errors r = List.filter Finding.is_error r.findings
 
-let check_stage ?sched ?(table = Cpr_sched.Sched_table.create ()) ~stage
-    ~before after =
+let c_input_relints = Obs.counter "verify.input_relints"
+
+(* [found] minus what the stage input [before] already exhibits.  The
+   input is re-linted only when there is something to subtract, and only
+   for the check kinds [found] holds: a finding's key starts with its
+   check name, so an input finding of another kind never matches. *)
+let subtract_inherited ?sched ~table ~before after found =
+  match found with
+  | [] -> []
+  | _ ->
+    Obs.incr c_input_relints;
+    let wanted =
+      List.sort_uniq compare (List.map (fun f -> f.Finding.check) found)
+    in
+    let base = lint_program ?sched ~table ~only_checks:wanted before in
+    (* Key the input's findings with the identity resolver (its ops are
+       the originals) and the output's through one-step [orig] chasing,
+       so a finding inherited from the input doesn't re-report just
+       because the op carrying it was copied. *)
+    let origs = Hashtbl.create 64 in
+    List.iter
+      (fun (r : Region.t) ->
+        List.iter
+          (fun (op : Op.t) ->
+            match op.Op.orig with
+            | Some o -> Hashtbl.replace origs op.Op.id o
+            | None -> ())
+          r.Region.ops)
+      (Prog.regions after);
+    let resolve id = Option.value ~default:id (Hashtbl.find_opt origs id) in
+    let base_keys = Hashtbl.create 17 in
+    List.iter
+      (fun f ->
+        Hashtbl.replace base_keys (Finding.key ~resolve_op:(fun id -> id) f) ())
+      base.findings;
+    List.filter
+      (fun f -> not (Hashtbl.mem base_keys (Finding.key ~resolve_op:resolve f)))
+      found
+
+(* [keep] selects the output findings that are reported (and so
+   subtracted against the input); translation validation reports errors
+   only. *)
+let stage_report ?sched ~table ~keep ~stage ~before after =
   let aft = lint_program ?sched ~table after in
-  (* Baseline subtraction only matters when the output has findings at
-     all, so the input program is checked lazily: in the common
-     all-clean case the input check is skipped entirely (the report's
-     stats are the output's either way). *)
   let fresh =
-    match aft.findings with
-    | [] -> []
-    | aft_findings ->
-      (* The base run only exists to subtract same-kind findings
-         (Finding.key starts with the check name), so restrict it to the
-         check kinds the output actually reported — typically a handful
-         of warnings, far cheaper than a full re-lint. *)
-      let wanted =
-        List.sort_uniq compare
-          (List.map (fun f -> f.Finding.check) aft_findings)
-      in
-      let base = lint_program ?sched ~table ~only_checks:wanted before in
-      (* Key the input's findings with the identity resolver (its ops are
-         the originals) and the output's through one-step [orig] chasing,
-         so a finding inherited from the input doesn't re-report just
-         because the op carrying it was copied. *)
-      let origs = Hashtbl.create 64 in
-      List.iter
-        (fun (r : Region.t) ->
-          List.iter
-            (fun (op : Op.t) ->
-              match op.Op.orig with
-              | Some o -> Hashtbl.replace origs op.Op.id o
-              | None -> ())
-            r.Region.ops)
-        (Prog.regions after);
-      let resolve id =
-        Option.value ~default:id (Hashtbl.find_opt origs id)
-      in
-      let base_keys = Hashtbl.create 17 in
-      List.iter
-        (fun f ->
-          Hashtbl.replace base_keys
-            (Finding.key ~resolve_op:(fun id -> id) f)
-            ())
-        base.findings;
-      List.filter
-        (fun f ->
-          not (Hashtbl.mem base_keys (Finding.key ~resolve_op:resolve f)))
-        aft_findings
+    subtract_inherited ?sched ~table ~before after
+      (List.filter keep aft.findings)
   in
   let tv =
     match stage with
@@ -104,6 +103,19 @@ let check_stage ?sched ?(table = Cpr_sched.Sched_table.create ()) ~stage
     | _ -> Tv.validate ~table ~stats:aft.stats ~stage ~before after
   in
   observe { findings = fresh @ tv; stats = aft.stats }
+
+let check_stage ?sched ?(table = Cpr_sched.Sched_table.create ()) ~stage
+    ~before after =
+  stage_report ?sched ~table ~keep:(fun _ -> true) ~stage ~before after
+
+(* Equal to [errors (check_stage ...)]: each check kind has one
+   severity, so subtracting the input's findings of the output's error
+   kinds removes exactly the errors the full subtraction would, and an
+   output with warnings only needs no input re-lint. *)
+let stage_errors ?sched ?(table = Cpr_sched.Sched_table.create ()) ~stage
+    ~before after =
+  (stage_report ?sched ~table ~keep:Finding.is_error ~stage ~before after)
+    .findings
 
 exception Verify_error of Finding.t list
 
@@ -117,6 +129,6 @@ let () =
     | _ -> None)
 
 let check_stage_exn ?sched ?table ~stage ~before after =
-  match errors (check_stage ?sched ?table ~stage ~before after) with
+  match stage_errors ?sched ?table ~stage ~before after with
   | [] -> ()
   | errs -> raise (Verify_error errs)

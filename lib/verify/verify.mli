@@ -10,7 +10,9 @@ open Cpr_ir
     and subtracts findings already present in the input (keyed through
     {!Finding.key} with op ids normalized through [orig]) so that
     replaying a shrunk reproducer whose input is already suspicious only
-    reports what the stage {e introduced}.
+    reports what the stage {e introduced}.  The input is re-linted only
+    for the check kinds the reported output findings hold, and not at
+    all when there are none.
 
     The verifier never simulates: no {!Cpr_sim} oracle runs, no witness
     inputs.  Everything it reports is established by predicate algebra,
@@ -39,10 +41,24 @@ val check_stage :
 
 val errors : report -> Finding.t list
 
+val stage_errors :
+  ?sched:bool -> ?table:Cpr_sched.Sched_table.t -> stage:string
+  -> before:Prog.t -> Prog.t -> Finding.t list
+(** [errors (check_stage ...)]: the same errors in the same order,
+    computed without the input re-lint a warning could cause.  Every
+    check kind has exactly one severity and {!Finding.key} begins with
+    the check name, so only the input's findings of the output's error
+    kinds can be subtracted from an error: the input is re-linted (for
+    those kinds alone, counted by [verify.input_relints], as is
+    {!check_stage}'s re-lint) only when the output has an error.  The
+    pipeline's verification ({!check_stage_exn}), [Cpr_fuzz.Driver] and
+    the corpus check use it; the [verify.findings] counter then counts
+    the errors it returns. *)
+
 exception Verify_error of Finding.t list
 (** Carries only the error-severity findings; a printer is registered. *)
 
 val check_stage_exn :
   ?sched:bool -> ?table:Cpr_sched.Sched_table.t -> stage:string
   -> before:Prog.t -> Prog.t -> unit
-(** Raise {!Verify_error} if {!check_stage} reports any error. *)
+(** Raise {!Verify_error} carrying {!stage_errors} if there are any. *)

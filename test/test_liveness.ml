@@ -300,7 +300,8 @@ let promotion_decisions_match name prog inputs =
       let name =
         if if_convert then begin
           ignore
-            (ifconv.Cpr_pipeline.Passes.transform Cpr_core.Heur.default p
+            (ifconv.Cpr_pipeline.Passes.transform Cpr_core.Heur.default
+               ~live:(A.Liveness.tracker p) p
               : Cpr_core.Icbm.region_stats option);
           name ^ " (if-converted)"
         end
@@ -460,11 +461,18 @@ let reference_on_workloads () =
           let where = w.name ^ "/" ^ stage.Cpr_pipeline.Passes.name in
           let p = Cpr_pipeline.Passes.prepare prog inputs in
           let before = A.Liveness.analyze p in
+          (* As the pipeline runs a stage: the tracker starts from the
+             solution of the pristine copy the stage is verified
+             against. *)
+          let live =
+            A.Liveness.tracker ~from:(A.Liveness.analyze (Prog.copy p)) p
+          in
           ignore
-            (stage.Cpr_pipeline.Passes.transform Cpr_core.Heur.default p
+            (stage.Cpr_pipeline.Passes.transform Cpr_core.Heur.default ~live p
               : Cpr_core.Icbm.region_stats option);
           matches_reference (where ^ " analyze") p (A.Liveness.analyze p);
-          matches_reference (where ^ " update") p (A.Liveness.update before))
+          matches_reference (where ^ " update") p (A.Liveness.update before);
+          matches_reference (where ^ " tracker") p (live ()))
         Cpr_pipeline.Passes.stages;
       ignore (program_matches w.name prog inputs : int))
     Cpr_workloads.Registry.all

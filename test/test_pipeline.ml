@@ -45,6 +45,55 @@ let exit_aware_never_exceeds () =
         M.all)
     [ "strcpy"; "grep" ]
 
+(* The estimators that skip zero-charge regions equal the every-region
+   sums of [Perf_reference] on every machine, each side with one table
+   per program as [Report.run] uses it. *)
+let estimates_match_reference where prog =
+  let table = Cpr_sched.Sched_table.create () in
+  let ref_table = Cpr_sched.Sched_table.create () in
+  List.iter
+    (fun m ->
+      let at what = Printf.sprintf "%s %s %s" where m.M.name what in
+      checki (at "estimate")
+        (Perf_reference.estimate ~table:ref_table m prog)
+        (P.Perf.estimate ~table m prog);
+      checki (at "exit-aware")
+        (Perf_reference.estimate_exit_aware ~table:ref_table m prog)
+        (P.Perf.estimate_exit_aware ~table m prog);
+      checki (at "bound")
+        (Perf_reference.bound_estimate ~table:ref_table m prog)
+        (P.Perf.bound_estimate ~table m prog))
+    M.all
+
+(* Both compiled codes, unverified (the estimates read programs only). *)
+let codes_match_reference where prog inputs =
+  let base = P.Passes.baseline ~verify:false prog inputs in
+  let reduced = P.Passes.height_reduce ~verify:false prog inputs in
+  estimates_match_reference (where ^ " baseline") base.P.Passes.prog;
+  estimates_match_reference (where ^ " icbm") reduced.P.Passes.prog
+
+let estimators_equal_reference () =
+  List.iter
+    (fun (w : Cpr_workloads.Workload.t) ->
+      let prog = w.Cpr_workloads.Workload.build () in
+      let inputs = w.Cpr_workloads.Workload.inputs () in
+      List.iter
+        (fun (stage : P.Passes.stage) ->
+          estimates_match_reference
+            (w.Cpr_workloads.Workload.name ^ "/" ^ stage.P.Passes.name)
+            (P.Passes.run ~verify:false stage prog inputs).P.Passes.prog)
+        P.Passes.stages)
+    Cpr_workloads.Registry.all;
+  List.iter
+    (fun (name, prog, inputs) -> codes_match_reference name prog inputs)
+    (many_regions ());
+  for seed = 0 to 500 do
+    codes_match_reference
+      (Printf.sprintf "seed %d" seed)
+      (Cpr_workloads.Gen.prog_of_seed seed)
+      (Cpr_workloads.Gen.inputs_of_seed seed)
+  done
+
 let speedup_math () =
   check (Alcotest.float 1e-9) "2x" 2.0
     (P.Perf.speedup ~baseline:100 ~transformed:50);
@@ -287,6 +336,7 @@ let suite =
     [
       case "paper estimator formula" paper_estimator_formula;
       case "exit-aware refinement bounded" exit_aware_never_exceeds;
+      case "estimators equal the every-region sums" estimators_equal_reference;
       case "speedup math" speedup_math;
       case "gmean math" gmean_math;
       case "report shape (strcpy facts)" report_shape;

@@ -208,6 +208,137 @@ let corpus_static_regression () =
       r.F.Static_check.faults
   | _ -> Alcotest.fail "icbm-seed1921.cpr missing from corpus"
 
+(* The errors-only entry point and [check_stage_exn] report what the
+   full path does, [errors (check_stage ...)]: the same errors in the
+   same order. *)
+let errors_only_agrees where ~stage ~before after =
+  let full = errors_of (V.Verify.check_stage ~stage ~before after) in
+  if V.Verify.stage_errors ~stage ~before after <> full then
+    Alcotest.failf "%s: stage_errors differs from errors (check_stage)" where;
+  let raised =
+    match V.Verify.check_stage_exn ~stage ~before after with
+    | () -> []
+    | exception V.Verify.Verify_error fs -> fs
+  in
+  if raised <> full then
+    Alcotest.failf "%s: check_stage_exn differs from errors (check_stage)"
+      where
+
+(* The stage output clean, then under each injectable fault that
+   changes it. *)
+let errors_only_agrees_faulted where ~stage ~before after =
+  errors_only_agrees where ~stage ~before after;
+  let pristine = Printer.to_text after in
+  List.iter
+    (fun fault ->
+      let cand = Prog.copy after in
+      F.Fault.inject fault cand;
+      if Printer.to_text cand <> pristine then
+        errors_only_agrees
+          (where ^ " + " ^ F.Fault.name fault)
+          ~stage ~before cand)
+    F.Fault.all
+
+let errors_only_on_workloads () =
+  List.iter
+    (fun (w : W.Workload.t) ->
+      let prog = w.W.Workload.build () and inputs = w.W.Workload.inputs () in
+      List.iter
+        (fun (stage : P.Passes.stage) ->
+          let before, c =
+            P.Passes.run_with_input ~verify:false stage prog inputs
+          in
+          errors_only_agrees_faulted
+            (w.W.Workload.name ^ "/" ^ stage.P.Passes.name)
+            ~stage:stage.P.Passes.name ~before c.P.Passes.prog)
+        P.Passes.stages)
+    W.Registry.all
+
+let errors_only_on_seeds () =
+  let check = F.Driver.default_check in
+  for seed = 0 to 2000 do
+    let prog = W.Gen.prog_of_seed seed in
+    let inputs = F.Driver.inputs_for check seed in
+    List.iter
+      (fun (stage : F.Stage.t) ->
+        let before, after = stage.F.Stage.run prog inputs in
+        errors_only_agrees
+          (Printf.sprintf "seed %d/%s" seed stage.F.Stage.name)
+          ~stage:stage.F.Stage.name ~before after)
+      F.Stage.all
+  done
+
+let errors_only_on_corpus () =
+  List.iter
+    (fun (path, loaded) ->
+      match loaded with
+      | Error e -> Alcotest.failf "%s: %s" path e
+      | Ok (e : F.Corpus.entry) ->
+        let stage = e.F.Corpus.stage in
+        let before, after = stage.F.Stage.run e.F.Corpus.prog e.F.Corpus.inputs in
+        errors_only_agrees_faulted path ~stage:stage.F.Stage.name ~before after)
+    (F.Corpus.load_dir corpus_dir)
+
+let relints_during f =
+  let c = Cpr_obs.Obs.counter "verify.input_relints" in
+  Fun.protect
+    ~finally:(fun () ->
+      Cpr_obs.Obs.set_enabled false;
+      Cpr_obs.Obs.reset ())
+    (fun () ->
+      Cpr_obs.Obs.set_enabled true;
+      Cpr_obs.Obs.reset ();
+      let r = f () in
+      (r, Cpr_obs.Obs.counter_value c))
+
+(* An input that already carries an error, inherited by the output: the
+   output alone reports it, both paths re-lint the input once and
+   subtract it. *)
+let inherited_error_subtracted () =
+  let before =
+    single_region (fun ctx e ->
+        let p = Builder.pred ctx in
+        let r = Builder.gprs ctx 2 in
+        ignore (Builder.movi e r.(0) 1 : Op.t);
+        ignore (Builder.addi e ~guard:(Op.If p) r.(1) r.(0) 1 : Op.t);
+        ignore (Builder.cmpp1 e Op.Eq Op.Un p (Op.Reg r.(0)) (Op.Imm 0) : Op.t))
+  in
+  let after = Prog.copy before in
+  checkb "the output alone has the error" true
+    (has_check "pred-undef" (errors_of (V.Verify.check_program after)));
+  errors_only_agrees "inherited" ~stage:"superblock" ~before after;
+  let errs, relints =
+    relints_during (fun () ->
+        V.Verify.stage_errors ~stage:"superblock" ~before after)
+  in
+  checki "inherited error subtracted" 0 (List.length errs);
+  checki "input re-linted once" 1 relints
+
+(* An output whose findings are warnings only (a pbr no branch reads):
+   the full path re-lints the input to subtract them, the errors-only
+   path does not re-lint at all. *)
+let warnings_only_no_relint () =
+  let after =
+    single_region (fun ctx e ->
+        let b = Builder.btr ctx in
+        ignore (Builder.pbr e b "Exit" : Op.t))
+  in
+  let before = Prog.copy after in
+  let report = V.Verify.check_program after in
+  checkb "the output has a dead-pbr warning only" true
+    (has_check "dead-pbr" report.V.Verify.findings && errors_of report = []);
+  let (_ : V.Verify.report), full_relints =
+    relints_during (fun () ->
+        V.Verify.check_stage ~stage:"superblock" ~before after)
+  in
+  checki "the full path re-lints" 1 full_relints;
+  let errs, relints =
+    relints_during (fun () ->
+        V.Verify.stage_errors ~stage:"superblock" ~before after)
+  in
+  checki "no errors" 0 (List.length errs);
+  checki "errors-only path does not re-lint" 0 relints
+
 (* Exactness of the predicate algebra behind the lint: for every query
    the dataflow analysis poses, enumerate all assignments of the
    condition literals and check the verdict against ground truth —
@@ -353,4 +484,10 @@ let suite =
       case "strcpy faults caught" strcpy_faults_caught;
       case "corpus static regression" corpus_static_regression;
       case "lint matches brute force" lint_matches_brute_force;
+      case "errors-only = full path (workloads, faulted)"
+        errors_only_on_workloads;
+      case "errors-only = full path (seeds 0..2000)" errors_only_on_seeds;
+      case "errors-only = full path (corpus, faulted)" errors_only_on_corpus;
+      case "inherited input error is subtracted" inherited_error_subtracted;
+      case "warnings only: no input re-lint" warnings_only_no_relint;
     ] )
