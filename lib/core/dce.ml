@@ -55,20 +55,27 @@ let run prog =
     let used = used_regs prog in
     List.iter
       (fun (r : Region.t) ->
+        (* A region whose ops all stay as they are keeps its op list
+           physically: liveness updates and schedule-table keys find an
+           untouched region by that identity. *)
+        let touched = ref false in
         let nu =
           List.filter_map
             (fun op ->
               match prune_op used op with
               | Some op' ->
-                if op' != op then changed := true;
+                if op' != op then touched := true;
                 Some op'
               | None ->
                 incr removed;
-                changed := true;
+                touched := true;
                 None)
             r.Region.ops
         in
-        r.Region.ops <- nu)
+        if !touched then begin
+          changed := true;
+          r.Region.ops <- nu
+        end)
       (Prog.regions prog)
   done;
   !removed

@@ -108,13 +108,23 @@ let bucket_of k =
       Array.length k.lat,
       k.fallthrough )
 
-let same_key a b =
+let equal_keys a b =
   (a.ops == b.ops || a.ops = b.ops)
   && a.fallthrough = b.fallthrough
   && a.lat = b.lat && a.noalias = b.noalias
   && List.equal
        (fun x y -> x == y || Reg.Set.equal x y)
        a.live_at_targets b.live_at_targets
+
+(* [equal_keys] on the two regions' keys on any one machine, without
+   building them: equal op lists have equal latency vectors. *)
+let same_key v r v' r' =
+  (r.Region.ops == r'.Region.ops || r.Region.ops = r'.Region.ops)
+  && r.Region.fallthrough = r'.Region.fallthrough
+  && v.prog.Prog.noalias_bases = v'.prog.Prog.noalias_bases
+  && List.equal
+       (fun x y -> x == y || Reg.Set.equal x y)
+       (live_at_targets v r) (live_at_targets v' r')
 
 (* The entry for [r]'s key and whether it was already there. *)
 let entry ?env v machine r =
@@ -123,7 +133,7 @@ let entry ?env v machine r =
   let bucket =
     Option.value ~default:[] (Hashtbl.find_opt v.table.entries h)
   in
-  match List.find_opt (fun e -> same_key e.key key) bucket with
+  match List.find_opt (fun e -> equal_keys e.key key) bucket with
   | Some e -> (e, true)
   | None ->
     Obs.incr c_graph_misses;

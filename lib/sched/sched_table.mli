@@ -50,6 +50,13 @@ val adopt : version -> Cpr_analysis.Liveness.t -> unit
     its last rewrite, so [Liveness.analyze] never runs on the
     height-reduced code.  Replaces any liveness the version held. *)
 
+val same_key : version -> Region.t -> version -> Region.t -> bool
+(** [same_key v r v' r']: whether region [r] of [v] and region [r'] of
+    [v'] have one key — on every machine, since equal op lists have
+    equal latency vectors — and so one graph and one schedule per
+    [issue].  Reads the live-at-targets part of both keys (and so both
+    versions' liveness) only when the rest is equal. *)
+
 val graph :
   ?env:Cpr_analysis.Pred_env.t -> version -> Cpr_machine.Descr.t -> Region.t
   -> Cpr_analysis.Depgraph.t

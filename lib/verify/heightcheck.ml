@@ -48,7 +48,7 @@ let check_region machine ~missed ~stats v (r : Region.t) =
   let findings = ref [] in
   if achieved < s.Height.bound then
     findings :=
-      Finding.make ~check:"height-bound" ~severity:Finding.Error
+      Finding.make ~check:"height-bound"
         ~region:r.Region.label
         (Printf.sprintf
            "achieved schedule length %d is below the static lower bound \
@@ -62,7 +62,7 @@ let check_region machine ~missed ~stats v (r : Region.t) =
       > (quality_factor *. float_of_int s.Height.bound) +. 2.
     then
       findings :=
-        Finding.make ~check:"sched-quality" ~severity:Finding.Warning
+        Finding.make ~check:"sched-quality"
           ~region:r.Region.label
           (Printf.sprintf
              "achieved schedule length %d exceeds the static lower bound \
@@ -88,8 +88,8 @@ let check_region machine ~missed ~stats v (r : Region.t) =
           && cold_branch r op
         then
           findings :=
-            Finding.make ~check:"height-missed-cpr"
-              ~severity:Finding.Warning ~region:r.Region.label ~op:op.Op.id
+            Finding.make ~check:"height-missed-cpr" ~region:r.Region.label
+              ~op:op.Op.id
               (Printf.sprintf
                  "cold side exit %d (taken %d of %d entries) still on the \
                   critical path of a dependence-bound region (height %d) \

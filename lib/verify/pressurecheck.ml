@@ -84,7 +84,7 @@ let check ?(machine = Descr.medium) ?(growth_factor = 1.5) ?baseline ~stats
          it by overlapping lifetimes. *)
       if row.sched_maxlive > row.file_size then
         findings :=
-          Finding.make ~check:"pressure-unallocatable" ~severity:Finding.Error
+          Finding.make ~check:"pressure-unallocatable"
             ~region:row.region ~subject:(cls_name row.cls)
             (Printf.sprintf
                "%s MAXLIVE %d exceeds the %d-register %s file of %s — the \
@@ -106,7 +106,7 @@ let check ?(machine = Descr.medium) ?(growth_factor = 1.5) ?baseline ~stats
            would otherwise flag any growth at all. *)
         if cur > int_of_float (growth_factor *. float_of_int b) + 4 then
           findings :=
-            Finding.make ~check:"pressure-growth" ~severity:Finding.Warning
+            Finding.make ~check:"pressure-growth"
               ~region:"(program)" ~subject:(cls_name cls)
               (Printf.sprintf
                  "%s MAXLIVE grew from %d to %d (more than %.1fx + 4) across \

@@ -25,17 +25,17 @@ let acc_class (op : Op.t) (d : Reg.t) =
 
 let machine = Descr.medium
 
+let violation (r : Region.t) msg =
+  Finding.make ~check:"sched" ~region:r.Region.label ~subject:r.Region.label
+    msg
+
 let check_region v ~stats (r : Region.t) =
   let env = Pred_env.analyze r in
   let dg = Sched_table.graph ~env v machine r in
   let sched = Sched_table.schedule v machine r in
   let findings = ref [] in
   List.iter
-    (fun v ->
-      findings :=
-        Finding.make ~check:"sched" ~severity:Finding.Error
-          ~region:r.Region.label v
-        :: !findings)
+    (fun v -> findings := violation r v :: !findings)
     (Schedule.check machine dg sched);
   let ops = sched.Schedule.ops in
   let pc = Pred_env.path_conds env in
@@ -62,7 +62,7 @@ let check_region v ~stats (r : Region.t) =
                   stats.Finding.proved <- stats.Finding.proved + 1
                 else
                   findings :=
-                    Finding.make ~check:"sched-waw" ~severity:Finding.Error
+                    Finding.make ~check:"sched-waw"
                       ~region:r.Region.label ~op:op.Op.id
                       ~subject:(Reg.to_string d)
                       (Printf.sprintf
@@ -76,6 +76,25 @@ let check_region v ~stats (r : Region.t) =
     ops;
   List.rev !findings
 
-let check ?(table = Sched_table.create ()) ~stats prog =
+(* With a [delta], an unchanged region whose key is its input region's
+   is left out: its graph and schedule are the input region's, so are
+   its findings, and the subtraction would remove them all. *)
+let check ?(table = Sched_table.create ()) ?delta ~stats prog =
   let v = Sched_table.version table prog in
-  List.concat_map (check_region v ~stats) (Sweep.regions_of prog)
+  match delta with
+  | None -> List.concat_map (check_region v ~stats) (Sweep.regions_of prog)
+  | Some d ->
+    let input = lazy (Sched_table.version table d.Delta.input.Delta.prog) in
+    let settled r =
+      match Delta.input_region d r with
+      | Some b -> Sched_table.same_key v r (Lazy.force input) b
+      | None -> false
+    in
+    List.concat_map
+      (fun (r : Region.t) ->
+        if r.Region.ops = [] || settled r then []
+        else begin
+          Delta.mark d r.Region.label;
+          check_region v ~stats r
+        end)
+      d.Delta.output.Delta.regions

@@ -9,11 +9,9 @@ module Sched_table = Cpr_sched.Sched_table
    have nothing to analyze. *)
 
 let regions_of prog =
-  let reachable = Dataflow.reachable_labels prog in
   List.filter
-    (fun (r : Region.t) ->
-      Hashtbl.mem reachable r.Region.label && r.Region.ops <> [])
-    (Prog.regions prog)
+    (fun (r : Region.t) -> r.Region.ops <> [])
+    (Delta.side prog).Delta.regions
 
 let map_regions table prog ~f =
   let v = Sched_table.version table prog in

@@ -32,59 +32,24 @@ type index = {
   by_orig : (int, instance list) Hashtbl.t;
 }
 
-let build_index regions =
-  let by_id = Hashtbl.create 64 in
-  let by_orig = Hashtbl.create 64 in
-  let push tbl k v =
-    Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
-  in
-  List.iter
-    (fun (r : Region.t) ->
-      List.iteri
-        (fun idx (op : Op.t) ->
-          let inst = { label = r.Region.label; idx; op } in
-          push by_id op.Op.id inst;
-          match op.Op.orig with
-          | Some o -> push by_orig o inst
-          | None -> ())
-        r.Region.ops)
-    regions;
-  { by_id; by_orig }
+let push tbl k v =
+  Hashtbl.replace tbl k (v :: Option.value ~default:[] (Hashtbl.find_opt tbl k))
+
+let add_instances index (r : Region.t) =
+  List.iteri
+    (fun idx (op : Op.t) ->
+      let inst = { label = r.Region.label; idx; op } in
+      push index.by_id op.Op.id inst;
+      match op.Op.orig with
+      | Some o -> push index.by_orig o inst
+      | None -> ())
+    r.Region.ops
 
 let instances index id =
   Option.value ~default:[] (Hashtbl.find_opt index.by_id id)
   @ Option.value ~default:[] (Hashtbl.find_opt index.by_orig id)
 
-(* One-step orig resolution over the whole output program, for
-   normalizing output Pqs condition literals onto input op ids. *)
-let orig_map prog =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun (r : Region.t) ->
-      List.iter
-        (fun (op : Op.t) ->
-          match op.Op.orig with
-          | Some o -> Hashtbl.replace tbl op.Op.id o
-          | None -> ())
-        r.Region.ops)
-    (Prog.regions prog);
-  tbl
-
 (* ------------------------------------------------------------------ *)
-
-let reachable_exit_labels prog =
-  let reach = Dataflow.reachable_labels prog in
-  let s = Hashtbl.create 7 in
-  Hashtbl.iter
-    (fun l () ->
-      match Prog.find prog l with
-      | Some r ->
-        List.iter
-          (fun succ -> if Prog.is_exit prog succ then Hashtbl.replace s succ ())
-          (Region.successors r)
-      | None -> ())
-    reach;
-  s
 
 (* Is [target] reachable from label [l] in [prog] (following region
    successors; exit labels only match directly)? *)
@@ -102,60 +67,151 @@ let label_reaches prog l target =
   in
   go l
 
-let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
-    after =
+let validate ?(table = Cpr_sched.Sched_table.create ()) ?delta ~stats ~stage
+    ~before after =
   let cfg = config_of_stage stage in
   let findings = ref [] in
   let add ~check ~region ?op ?subject msg =
-    findings :=
-      Finding.make ~check ~severity:Finding.Error ~region ?op ?subject msg
-      :: !findings
+    findings := Finding.make ~check ~region ?op ?subject msg :: !findings
   in
-  let before_regions = Dataflow.reachable_regions before in
-  let after_regions = Dataflow.reachable_regions after in
-  let index = build_index after_regions in
-  (* Every reachable output region's branch targets by op index, one
-     pass per region, read by tv-branch and tv-store-guard. *)
-  let after_targets =
-    lazy
-      (let tbl = Hashtbl.create 16 in
-       List.iter
-         (fun (q : Region.t) ->
-           Hashtbl.replace tbl q.Region.label (Region.targets_by_index q))
-         after_regions;
-       tbl)
+  let input, output, unchanged =
+    match delta with
+    | Some d -> (d.Delta.input, d.Delta.output, Delta.unchanged d)
+    | None -> (Delta.side before, Delta.side after, fun _ -> false)
   in
+  (* The instance index.  Every op of a changed output region is
+     indexed, and every copy ([orig]) anywhere.  An unchanged region
+     holds, by id, exactly the ops of the input region with its label
+     (ids are unique within a program), so its ops are indexed by id
+     only when that input region is validated: an input region is
+     skipped when its output region is unchanged and no other output
+     region holds an instance of its ops.  Each of its ops then has one
+     instance, itself, in its own place, and every check below holds
+     there: tv-store, tv-liveout and tv-branch find the instance, each
+     dependence keeps its order, and each store's condition is the
+     input's, proved by identity. *)
+  let index = { by_id = Hashtbl.create 64; by_orig = Hashtbl.create 64 } in
+  (* [held]: the ids with an instance in an output region other than
+     their own unchanged one (any id out of range counts as held). *)
+  let held =
+    Bytes.make (max before.Prog.next_op_id after.Prog.next_op_id) '\000'
+  in
+  let hold id =
+    if id >= 0 && id < Bytes.length held then Bytes.set held id '\001'
+  in
+  List.iter
+    (fun (r : Region.t) ->
+      if unchanged r then
+        List.iteri
+          (fun idx (op : Op.t) ->
+            match op.Op.orig with
+            | Some o ->
+              push index.by_orig o { label = r.Region.label; idx; op };
+              if not (List.exists (fun (x : Op.t) -> x.Op.id = o) r.Region.ops)
+              then hold o
+            | None -> ())
+          r.Region.ops
+      else begin
+        add_instances index r;
+        List.iter
+          (fun (op : Op.t) ->
+            hold op.Op.id;
+            Option.iter hold op.Op.orig)
+          r.Region.ops
+      end)
+    output.Delta.regions;
+  (* [unchanged] goes by label, so it also names the input region of an
+     unchanged output region. *)
+  let skipped (r : Region.t) =
+    unchanged r
+    && List.for_all
+         (fun (op : Op.t) ->
+           op.Op.id >= 0
+           && op.Op.id < Bytes.length held
+           && Bytes.get held op.Op.id = '\000')
+         r.Region.ops
+  in
+  let before_regions, skipped_regions =
+    List.partition (fun r -> not (skipped r)) input.Delta.regions
+  in
+  let skipped_labels = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Region.t) -> Hashtbl.replace skipped_labels r.Region.label ())
+    skipped_regions;
+  (* The output regions whose ops validation reads: changed ones, and
+     unchanged ones whose input region is validated. *)
+  let read =
+    List.filter
+      (fun (r : Region.t) -> not (Hashtbl.mem skipped_labels r.Region.label))
+      output.Delta.regions
+  in
+  List.iter
+    (fun (r : Region.t) ->
+      if unchanged r then
+        List.iteri
+          (fun idx (op : Op.t) ->
+            push index.by_id op.Op.id { label = r.Region.label; idx; op })
+          r.Region.ops)
+    read;
+  Option.iter
+    (fun d ->
+      List.iter (fun (r : Region.t) -> Delta.mark d r.Region.label)
+        before_regions)
+    delta;
+  (* Output regions' branch targets by op index, one pass per region on
+     first request, read by tv-branch and tv-store-guard. *)
+  let after_targets = Hashtbl.create 16 in
   let after_target label idx =
-    (Hashtbl.find (Lazy.force after_targets) label).(idx)
+    let at =
+      match Hashtbl.find_opt after_targets label with
+      | Some at -> at
+      | None ->
+        let at = Region.targets_by_index (Prog.find_exn after label) in
+        Hashtbl.replace after_targets label at;
+        at
+    in
+    at.(idx)
   in
-  let origs = orig_map after in
   (* Normalize an output op id onto the id the *input* program knows the
      op by.  Ops that survived the transformation keep their id — their
      [orig] (if any) points further back, to an ancestor of an earlier
      stage, and chasing it would tear matching literals apart.  Only ops
-     the input has never seen resolve through [orig]. *)
-  let before_ids = Hashtbl.create 64 in
+     the input has never seen resolve through [orig].  The ids resolved
+     are those of the regions validation reads: an op there with an id
+     of the input is not in a skipped input region, whose ops live in
+     their own unchanged region. *)
+  let origs = Hashtbl.create 64 in
   List.iter
     (fun (r : Region.t) ->
       List.iter
-        (fun (op : Op.t) -> Hashtbl.replace before_ids op.Op.id ())
+        (fun (op : Op.t) ->
+          match op.Op.orig with
+          | Some o -> Hashtbl.replace origs op.Op.id o
+          | None -> ())
         r.Region.ops)
+    read;
+  let before_ids = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Region.t) ->
+      if not (Hashtbl.mem skipped_labels r.Region.label) then
+        List.iter
+          (fun (op : Op.t) -> Hashtbl.replace before_ids op.Op.id ())
+          r.Region.ops)
     (Prog.regions before);
   let resolve id =
     if Hashtbl.mem before_ids id then id
     else Option.value ~default:id (Hashtbl.find_opt origs id)
   in
   (* tv-exit *)
-  let after_exits = reachable_exit_labels after in
   Hashtbl.iter
     (fun l () ->
-      if not (Hashtbl.mem after_exits l) then
+      if not (Hashtbl.mem output.Delta.exits l) then
         add ~check:"tv-exit" ~region:l ~subject:l
           (Printf.sprintf
              "program exit %s is reachable before the transformation but \
               not after"
              l))
-    (reachable_exit_labels before);
+    input.Delta.exits;
   (* tv-store / tv-liveout: instance existence *)
   let live_out =
     List.fold_left
@@ -341,28 +397,33 @@ let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
        edge, and the predicate's value along it is the symbolic value
        [Pred_env.reg_expr_before] assigns at the edge point in the
        parent region, expressed over the parent's condition literals
-       (which [norm] maps back onto input op ids).  Record every
-       entering edge so the per-instance check below can substitute. *)
-    let entering_edges = Hashtbl.create 7 in
-    List.iter
-      (fun (q : Region.t) ->
-        let push l v =
-          Hashtbl.replace entering_edges l
-            (v
-            :: Option.value ~default:[]
-                 (Hashtbl.find_opt entering_edges l))
-        in
-        List.iteri
-          (fun k (op : Op.t) ->
-            if Op.is_branch op then
-              match after_target q.Region.label k with
-              | Some t -> push t (q, Some k)
-              | None -> ())
-          q.Region.ops;
-        match q.Region.fallthrough with
-        | Some t -> push t (q, None)
-        | None -> ())
-      after_regions;
+       (which [norm] maps back onto input op ids).  The per-instance
+       check below finds a region's entering edges, to substitute, among
+       the branches and fallthroughs of its predecessors. *)
+    let preds =
+      lazy
+        (let tbl = Hashtbl.create 64 in
+         List.iter
+           (fun (q : Region.t) ->
+             List.iter
+               (fun l -> push tbl l q)
+               (Hashtbl.find output.Delta.succs q.Region.label))
+           output.Delta.regions;
+         tbl)
+    in
+    let entering_edges label =
+      List.concat_map
+        (fun (q : Region.t) ->
+          let edges = ref [] in
+          List.iteri
+            (fun k (op : Op.t) ->
+              if Op.is_branch op && after_target q.Region.label k = Some label
+              then edges := (q, Some k) :: !edges)
+            q.Region.ops;
+          if q.Region.fallthrough = Some label then (q, None) :: !edges
+          else !edges)
+        (Option.value ~default:[] (Hashtbl.find_opt (Lazy.force preds) label))
+    in
     (* Entry-literal values for [label], over input literals, valid only
        when its unique predecessor is the transformed parent region
        itself (same label as the input region being validated) — that
@@ -370,8 +431,8 @@ let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
        input region's, so the substituted expression and the input
        condition range over one shared literal space. *)
     let entry_value ~parent label =
-      match Hashtbl.find_opt entering_edges label with
-      | Some [ ((q : Region.t), at) ] when q.Region.label = parent ->
+      match entering_edges label with
+      | [ ((q : Region.t), at) ] when q.Region.label = parent ->
         let env_q, _ = env_of q.Region.label q in
         Some
           (fun rid ->
@@ -457,6 +518,14 @@ let validate ?(table = Cpr_sched.Sched_table.create ()) ~stats ~stage ~before
                 same_id
             end)
           r.Region.ops)
-      before_regions
+      before_regions;
+    List.iter
+      (fun (r : Region.t) ->
+        List.iter
+          (fun op ->
+            if Op.is_store op then
+              stats.Finding.proved <- stats.Finding.proved + 1)
+          r.Region.ops)
+      skipped_regions
   end;
   List.rev !findings

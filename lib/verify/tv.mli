@@ -46,11 +46,23 @@ open Cpr_ir
     [unknown] in the stats rather than reporting. *)
 
 val validate :
-  ?table:Cpr_sched.Sched_table.t -> stats:Finding.stats -> stage:string
-  -> before:Prog.t -> Prog.t -> Finding.t list
+  ?table:Cpr_sched.Sched_table.t -> ?delta:Delta.t -> stats:Finding.stats
+  -> stage:string -> before:Prog.t -> Prog.t -> Finding.t list
 (** [validate ~stats ~stage ~before after].  [stage] is a
     {!Cpr_fuzz.Stage} name ([ifconv], [frp], [spec], [unroll],
     [fullcpr], [icbm], [fullpipe]); unknown names get every check except
     [tv-store-guard].  [tv-order] takes the input's dependence graphs for
     {!Cpr_machine.Descr.medium} from [table] (a fresh one by
-    default). *)
+    default).
+
+    With a [delta] of [before] and the output (the errors-only stage
+    check, {!Verify.stage_errors}), an input region is not validated
+    when its output region is unchanged and no other output region holds
+    an instance of its ops: each op's one instance is then itself, in
+    its own place, so tv-store, tv-liveout, tv-branch and tv-order hold
+    trivially, and each store's tv-store-guard is proved by identity
+    (and counted proved).  The instance index, the [orig] map and the
+    input op ids are then built from the regions validation reads — the
+    changed ones and the unchanged ones of validated input regions —
+    plus every copy's [orig].  The validated input regions are
+    {!Delta.mark}ed. *)

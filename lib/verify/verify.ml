@@ -23,9 +23,9 @@ let observe r =
 
 (* Uncounted core shared by both entry points, so [check_stage]'s
    internal baseline re-lint is not double-counted in the telemetry. *)
-let lint_program ?(sched = true) ?table ?only_checks prog =
+let lint_program ?(sched = true) ?table ?only_checks ?delta prog =
   let stats = Finding.new_stats () in
-  let findings = Dataflow.lint ?only_checks ~stats prog in
+  let findings = Dataflow.lint ?only_checks ?delta ~stats prog in
   let sched =
     sched
     &&
@@ -34,7 +34,7 @@ let lint_program ?(sched = true) ?table ?only_checks prog =
     | Some cs -> List.mem "sched" cs || List.mem "sched-waw" cs
   in
   let findings =
-    if sched then findings @ Schedcheck.check ?table ~stats prog
+    if sched then findings @ Schedcheck.check ?table ?delta ~stats prog
     else findings
   in
   { findings; stats }
@@ -67,32 +67,38 @@ let subtract_inherited ?sched ~table ~before after found =
     (* Key the input's findings with the identity resolver (its ops are
        the originals) and the output's through one-step [orig] chasing,
        so a finding inherited from the input doesn't re-report just
-       because the op carrying it was copied. *)
+       because the op carrying it was copied.  Only ids the input does
+       not have are chased: an op that survived the stage keeps its id,
+       and its [orig], from an earlier stage, names an older op. *)
+    let input_ids = Hashtbl.create 64 in
+    List.iter
+      (fun (r : Region.t) ->
+        List.iter
+          (fun (op : Op.t) -> Hashtbl.replace input_ids op.Op.id ())
+          r.Region.ops)
+      (Prog.regions before);
     let origs = Hashtbl.create 64 in
     List.iter
       (fun (r : Region.t) ->
         List.iter
           (fun (op : Op.t) ->
             match op.Op.orig with
-            | Some o -> Hashtbl.replace origs op.Op.id o
-            | None -> ())
+            | Some o when not (Hashtbl.mem input_ids op.Op.id) ->
+              Hashtbl.replace origs op.Op.id o
+            | _ -> ())
           r.Region.ops)
       (Prog.regions after);
-    let resolve id = Option.value ~default:id (Hashtbl.find_opt origs id) in
-    let base_keys = Hashtbl.create 17 in
-    List.iter
-      (fun f ->
-        Hashtbl.replace base_keys (Finding.key ~resolve_op:(fun id -> id) f) ())
-      base.findings;
-    List.filter
-      (fun f -> not (Hashtbl.mem base_keys (Finding.key ~resolve_op:resolve f)))
-      found
+    Finding.subtract
+      ~resolve_op:(fun id ->
+        Option.value ~default:id (Hashtbl.find_opt origs id))
+      ~inherited:base.findings found
 
 (* [keep] selects the output findings that are reported (and so
    subtracted against the input); translation validation reports errors
    only. *)
-let stage_report ?sched ~table ~keep ~stage ~before after =
-  let aft = lint_program ?sched ~table after in
+let stage_report ?sched ~table ?only_checks ?delta ~keep ~stage ~before
+    after =
+  let aft = lint_program ?sched ~table ?only_checks ?delta after in
   let fresh =
     subtract_inherited ?sched ~table ~before after
       (List.filter keep aft.findings)
@@ -100,7 +106,7 @@ let stage_report ?sched ~table ~keep ~stage ~before after =
   let tv =
     match stage with
     | "superblock" | "baseline" -> []
-    | _ -> Tv.validate ~table ~stats:aft.stats ~stage ~before after
+    | _ -> Tv.validate ~table ?delta ~stats:aft.stats ~stage ~before after
   in
   observe { findings = fresh @ tv; stats = aft.stats }
 
@@ -108,14 +114,36 @@ let check_stage ?sched ?(table = Cpr_sched.Sched_table.create ()) ~stage
     ~before after =
   stage_report ?sched ~table ~keep:(fun _ -> true) ~stage ~before after
 
-(* Equal to [errors (check_stage ...)]: each check kind has one
-   severity, so subtracting the input's findings of the output's error
-   kinds removes exactly the errors the full subtraction would, and an
-   output with warnings only needs no input re-lint. *)
+let c_regions_checked = Obs.counter "verify.regions_checked"
+let c_regions_skipped = Obs.counter "verify.regions_skipped"
+
+(* Equal to [errors (check_stage ...)].  Each check kind has one
+   severity, so the error kinds alone are run, and subtracting the
+   input's findings of the output's error kinds removes exactly the
+   errors the full subtraction would: an output with warnings only
+   needs no input re-lint.  Each per-region check is handed the stage's
+   [Delta] and skips the unchanged regions where its verdict is provably
+   the input's. *)
 let stage_errors ?sched ?(table = Cpr_sched.Sched_table.create ()) ~stage
     ~before after =
-  (stage_report ?sched ~table ~keep:Finding.is_error ~stage ~before after)
-    .findings
+  let delta = Delta.compute ~before after in
+  let r =
+    stage_report ?sched ~table ~only_checks:Finding.error_kinds ~delta
+      ~keep:Finding.is_error ~stage ~before after
+  in
+  if Obs.enabled () then begin
+    let checked =
+      List.length
+        (List.filter
+           (fun (r : Region.t) ->
+             Hashtbl.mem delta.Delta.checked r.Region.label)
+           delta.Delta.output.Delta.regions)
+    in
+    Obs.add c_regions_checked checked;
+    Obs.add c_regions_skipped
+      (List.length delta.Delta.output.Delta.regions - checked)
+  end;
+  r.findings
 
 exception Verify_error of Finding.t list
 

@@ -8,7 +8,8 @@ open Cpr_ir
     {!Schedcheck}); {!check_stage} additionally runs the per-stage
     translation validation of {!Tv} against the stage's input program,
     and subtracts findings already present in the input (keyed through
-    {!Finding.key} with op ids normalized through [orig]) so that
+    {!Finding.key}, with the output's op ids the input does not have
+    normalized through [orig]) so that
     replaying a shrunk reproducer whose input is already suspicious only
     reports what the stage {e introduced}.  The input is re-linted only
     for the check kinds the reported output findings hold, and not at
@@ -44,16 +45,27 @@ val errors : report -> Finding.t list
 val stage_errors :
   ?sched:bool -> ?table:Cpr_sched.Sched_table.t -> stage:string
   -> before:Prog.t -> Prog.t -> Finding.t list
-(** [errors (check_stage ...)]: the same errors in the same order,
-    computed without the input re-lint a warning could cause.  Every
-    check kind has exactly one severity and {!Finding.key} begins with
-    the check name, so only the input's findings of the output's error
-    kinds can be subtracted from an error: the input is re-linted (for
-    those kinds alone, counted by [verify.input_relints], as is
-    {!check_stage}'s re-lint) only when the output has an error.  The
-    pipeline's verification ({!check_stage_exn}), [Cpr_fuzz.Driver] and
-    the corpus check use it; the [verify.findings] counter then counts
-    the errors it returns. *)
+(** [errors (check_stage ...)]: the same errors in the same order, for
+    valid programs (guards and [cmpp] destinations are predicates, op
+    ids are unique), computed with work proportional to what the stage
+    changed.  Every check kind has exactly one severity
+    ({!Finding.kinds}) and {!Finding.key} begins with the check name, so
+    only the error kinds are run, and only the input's findings of the
+    output's error kinds can be subtracted from an error: the input is
+    re-linted (for those kinds alone, counted by [verify.input_relints],
+    as is {!check_stage}'s re-lint) only when the output has an error.
+    Each per-region check gets the stage's {!Delta} and skips an
+    unchanged region where its verdict is provably the input's — see
+    {!Dataflow.lint}, {!Schedcheck.check} and {!Tv.validate} for the
+    three rules and DESIGN.md ("Work that cannot change an answer") for
+    why they hold.  {!check_stage} keeps visiting every region: it is
+    the oracle the errors-only path is tested against, and its warnings
+    and proved/unknown counts need the full walk.  With telemetry on,
+    [verify.regions_checked] counts the output regions some check
+    visited and [verify.regions_skipped] the others.  The pipeline's
+    verification ({!check_stage_exn}), [Cpr_fuzz.Driver] and the corpus
+    check use it; the [verify.findings] counter then counts the errors
+    it returns. *)
 
 exception Verify_error of Finding.t list
 (** Carries only the error-severity findings; a printer is registered. *)

@@ -94,6 +94,26 @@ let estimators_equal_reference () =
       (Cpr_workloads.Gen.inputs_of_seed seed)
   done
 
+(* ICBM leaves the regions it does not transform as they are, op list
+   and all: DCE keeps an untouched region's list, so liveness updates
+   and schedule-table keys find those regions by identity, and the
+   verifier calls them unchanged. *)
+let untouched_regions_keep_their_ops () =
+  List.iter
+    (fun (name, prog, inputs) ->
+      match P.Passes.compile prog inputs with
+      | Recover.Committed base, Recover.Committed reduced ->
+        List.iter
+          (fun (r : Region.t) ->
+            match Prog.find base.P.Passes.prog r.Region.label with
+            | Some b when b.Region.ops = r.Region.ops ->
+              checkb (name ^ " " ^ r.Region.label ^ " kept its op list") true
+                (b.Region.ops == r.Region.ops)
+            | _ -> ())
+          (Prog.regions reduced.P.Passes.prog)
+      | _ -> Alcotest.failf "%s: a stage degraded" name)
+    (many_regions ())
+
 let speedup_math () =
   check (Alcotest.float 1e-9) "2x" 2.0
     (P.Perf.speedup ~baseline:100 ~transformed:50);
@@ -337,6 +357,8 @@ let suite =
       case "paper estimator formula" paper_estimator_formula;
       case "exit-aware refinement bounded" exit_aware_never_exceeds;
       case "estimators equal the every-region sums" estimators_equal_reference;
+      case "ICBM keeps untouched regions' op lists"
+        untouched_regions_keep_their_ops;
       case "speedup math" speedup_math;
       case "gmean math" gmean_math;
       case "report shape (strcpy facts)" report_shape;
